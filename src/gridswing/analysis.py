@@ -8,14 +8,12 @@ produce identical reports.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import attacks, dynamics
+from . import attacks, dynamics, powerflow
 from .netmodel import NetworkModel, with_dynamic_params
-from .powerflow import DivergenceError
 
 # Frequency thresholds that trip operational consequences, in Hz: the normal
 # band edges, reserve full-activation levels, load shedding, and the
@@ -134,7 +132,7 @@ def magnitude_sweep(model: NetworkModel, attack_type: attacks.AttackType,
                                    config)
             mx = metrics(tr)
             points.append((float(mag), mx.nadir_hz if lowers else mx.zenith_hz))
-        except (dynamics.InstabilityError, DivergenceError) as exc:
+        except (dynamics.InstabilityError, powerflow.DivergenceError) as exc:
             skipped.append((float(mag), str(exc)))
     if len(points) < 2:
         raise FitError(
@@ -168,7 +166,7 @@ def timing_sweep(model: NetworkModel, base: attacks.AttackScenario,
         sc = replace(base, family="switching", t1=v)
         tr = dynamics.simulate(model, attacks.compile_scenario(model, sc), config)
         results[v] = metrics(tr)
-        i0 = int(math.ceil(v / config.dt - 1e-9))
+        i0 = dynamics.step_index(v, config.dt)
         post_dev[v] = float(np.max(np.abs(tr.f_coi[i0:] - model.f_nominal)))
     optimal = max(sorted(post_dev), key=lambda v: (post_dev[v], -v))
     return optimal, results
@@ -203,86 +201,39 @@ DEFAULT_ANCHORS = ((12.0, 49.17, 49.8),)
 INCIDENT_ANCHORS = ((8.0, 49.36, 49.8),)
 
 
+def _anchor_schedule(model, percent) -> attacks.EventSchedule:
+    return attacks.compile_scenario(model, attacks.AttackScenario(
+        family="static", attack_type=attacks.AttackType.DEMAND_INCREASE,
+        magnitude_percent=float(percent)))
+
+
 def _grid_anchor_errors(model, anchors, r_vals, tg_vals, d_vals,
                         dt: float, duration: float) -> np.ndarray:
     """Anchor objective for every candidate parameter triple at once.
 
-    Same physics as the production integrator (RK4, admittance-switched
-    static step, boundary event timing, post-step ceiling clip), carried
-    over a candidate axis so the coarse calibration grid costs one vector
-    run per anchor instead of hundreds of scalar runs. The refinement and
-    the reported residual go through dynamics.simulate, which pins this
-    fast path to the authoritative one.
+    Candidates, ordered r-major then t_g then d, run as lanes of the
+    lockstep integrator behind dynamics.simulate, so the coarse calibration
+    grid costs one batched run per anchor instead of hundreds of scalar
+    runs. A lane that leaves the speed guard scores inf, as its scalar run
+    would.
     """
-    from .powerflow import solve as _solve
-    pf = _solve(model)
-    state0 = dynamics.init_state(model, pf)
-    base = dynamics.base_loads(model)
-    mva = np.array([g.mva_base for g in model.generators])
-    s_base = model.mva_base
-    h_sys = np.array([g.h * g.mva_base / s_base for g in model.generators])
-    p_max = np.array([g.governor.p_max for g in model.generators])
-    h_total = h_sys.sum()
-    omega_s = 2.0 * np.pi * model.f_nominal
-
-    cand = np.array([(r, tg, d) for r in r_vals for tg in tg_vals
-                     for d in d_vals])
-    n_c = len(cand)
-    gain = (mva / s_base)[None, :] / cand[:, 0:1]
-    t_g = cand[:, 1:2]
-    d_sys = cand[:, 2:3] * (mva / s_base)[None, :]
-    two_h = 2.0 * h_sys[None, :]
-
-    idx = model.bus_index()
-    bus_j = idx[attacks.DEFAULT_TARGET_BUS]
-    n_steps = int(round(duration / dt))
-    errors = np.zeros(n_c)
+    lanes = [with_dynamic_params(model, r, tg, d)
+             for r in r_vals for tg in tg_vals for d in d_vals]
+    pf = powerflow.solve(model)
+    config = dynamics.SimConfig(dt=dt, duration=duration)
+    errors = np.zeros(len(lanes))
     for percent, nadir_target, settled_target in anchors:
-        delta_p = (percent / 100.0) * sum(g.p_set for g in model.generators)
-        loads_on = base.copy()
-        loads_on[bus_j] += delta_p
-        y_pre = dynamics.build_reduced(model, pf, base).y_red
-        y_post = dynamics.build_reduced(model, pf, loads_on).y_red
-        k_event = int(np.ceil(1.0 / dt - 1e-9))
-
-        delta = np.tile(state0.delta, (n_c, 1))
-        dw = np.zeros((n_c, len(model.generators)))
-        pm = np.tile(state0.p_m, (n_c, 1))
-        pm0 = pm.copy()
-        e_int = state0.e_int
-        y = y_pre
-        f_min = np.full(n_c, model.f_nominal)
-        unstable = np.zeros(n_c, dtype=bool)
-
-        def rhs(dl, w, p, y_now):
-            ev = e_int[None, :] * np.exp(1j * dl)
-            pe = (ev * np.conj(ev @ y_now.T)).real
-            return (omega_s * w,
-                    (p - pe - d_sys * w) / two_h,
-                    (pm0 - gain * w - p) / t_g)
-
-        for k in range(n_steps):
-            if k == k_event:
-                y = y_post
-            k1 = rhs(delta, dw, pm, y)
-            k2 = rhs(delta + 0.5 * dt * k1[0], dw + 0.5 * dt * k1[1],
-                     pm + 0.5 * dt * k1[2], y)
-            k3 = rhs(delta + 0.5 * dt * k2[0], dw + 0.5 * dt * k2[1],
-                     pm + 0.5 * dt * k2[2], y)
-            k4 = rhs(delta + dt * k3[0], dw + dt * k3[1],
-                     pm + dt * k3[2], y)
-            delta = delta + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            dw = dw + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            pm = pm + (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            np.clip(pm, 0.0, p_max[None, :], out=pm)
-            f_coi = model.f_nominal * (1.0 + (dw @ h_sys) / h_total)
+        f_min = np.full(len(lanes), np.inf)
+        unstable = np.zeros(len(lanes), dtype=bool)
+        for _, _, f_coi, d_omega, *_ in dynamics._lockstep(
+                lanes, pf, _anchor_schedule(model, percent), config):
             np.minimum(f_min, f_coi, out=f_min)
-            unstable |= np.abs(dw).max(axis=1) > 0.5
-        f_settled = model.f_nominal * (1.0 + (dw @ h_sys) / h_total)
+            unstable |= (np.abs(d_omega).max(axis=-1)
+                         > dynamics.SPEED_GUARD_PU)
         if nadir_target is not None:
             errors += (f_min - nadir_target) ** 2
         if settled_target is not None:
-            errors += (f_settled - settled_target) ** 2
+            errors += (f_coi - settled_target) ** 2
         errors[unstable] = np.inf
     return errors
 
@@ -290,11 +241,8 @@ def _grid_anchor_errors(model, anchors, r_vals, tg_vals, d_vals,
 def _anchor_error(model, anchors, config) -> float:
     err = 0.0
     for percent, nadir_target, settled_target in anchors:
-        sc = attacks.AttackScenario(
-            family="static", attack_type=attacks.AttackType.DEMAND_INCREASE,
-            magnitude_percent=float(percent))
         try:
-            tr = dynamics.simulate(model, attacks.compile_scenario(model, sc),
+            tr = dynamics.simulate(model, _anchor_schedule(model, percent),
                                    config)
         except dynamics.InstabilityError:
             return float("inf")
@@ -311,11 +259,11 @@ def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
 
     Anchors are (attack percent, target nadir Hz, target settled Hz)
     triples; either target may be None to skip that term. Stage one scans a
-    9 x 9 x 5 grid over the search box with a vectorized integrator pass;
-    stage two runs three rounds of coordinate halving around the incumbent
-    through the standard scalar integrator, which also provides the
-    reported residual. Deterministic throughout: no randomness, fixed
-    evaluation order.
+    9 x 9 x 5 grid over the search box as 405 lanes of one lockstep
+    integrator run per anchor; stage two runs three rounds of coordinate
+    halving around the incumbent through dynamics.simulate, the same
+    integrator with one lane, which also provides the reported residual.
+    Deterministic throughout: no randomness, fixed evaluation order.
     """
     anchors = tuple(anchors)
     if not anchors:

@@ -13,7 +13,8 @@ Scenario files are flat JSON documents with three sections::
 Only "attack" is mandatory. Validation is strict: unknown keys anywhere are
 rejected, and every diagnostic names the file, the key, and the line where
 the key appears. Trace CSVs and report JSONs are written atomically
-(temp file + rename) and byte-stable for identical runs.
+(temp file + rename) and byte-stable for identical runs; ``simulate``
+renames its two artifacts into place only once both are written.
 
 Exit codes: 0 success, 2 configuration error, 3 power-flow non-convergence,
 4 dynamic instability.
@@ -23,8 +24,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 
 from . import analysis, attacks, dynamics, netmodel, powerflow, reserves
@@ -110,6 +113,10 @@ def _check_section(path, text, name, section, allowed):
                 "/".join(t.__name__ for t in expected)
             raise ScenarioError(path, key, _key_line(text, key),
                                 f"expected {want}, got {value!r}")
+        # json accepts NaN, Infinity and out-of-range literals like 1e999
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ScenarioError(path, key, _key_line(text, key),
+                                f"expected a finite number, got {value!r}")
 
 
 def parse_scenario(path: str):
@@ -164,6 +171,11 @@ def parse_scenario(path: str):
     if cfg.duration_s <= 0:
         raise ScenarioError(path, "duration_s", _key_line(text, "duration_s"),
                             "must be positive")
+    try:
+        dynamics.SimConfig(dt=cfg.dt_s, duration=cfg.duration_s)
+    except ValueError as exc:  # the horizon is not a whole number of steps
+        raise ScenarioError(path, "duration_s", _key_line(text, "duration_s"),
+                            str(exc)) from None
     cfg.trace_csv = output.get("trace_csv")
     cfg.report_json = output.get("report_json")
 
@@ -215,16 +227,32 @@ def parse_scenario(path: str):
     return model, scenario, cfg
 
 
-def _atomic_write(path: str, data: str) -> None:
-    tmp = path + ".tmp"
+def _write_text(data: str, path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(data)
+
+
+def _write_together(*writes) -> None:
+    """Run each (writer, payload, path) on a fresh temp file beside its
+    path, then rename them all into place: a failed write leaves none."""
+    staged = []
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for write, payload, path in writes:
+            fd, tmp = tempfile.mkstemp(
+                prefix=f".{os.path.basename(path)}.", suffix=".tmp",
+                dir=os.path.dirname(path) or ".")
+            staged.append(tmp)
+            os.fchmod(fd, 0o644)  # mkstemp's 0600 would hide the artifact
+            os.close(fd)
+            write(payload, tmp)
+        for tmp, (_, _, path) in zip(staged, writes):
+            os.replace(tmp, path)
     except OSError as exc:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
+    finally:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def write_trace_csv(trace: dynamics.SimulationTrace, path: str) -> None:
@@ -239,11 +267,12 @@ def write_trace_csv(trace: dynamics.SimulationTrace, path: str) -> None:
                  trace.p_attack[k], trace.p_reserve_up[k],
                  trace.p_reserve_down[k]]
         rows.append(",".join(f"{c:.6f}" for c in cells))
-    _atomic_write(path, "\n".join(rows) + "\n")
+    _write_together((_write_text, "\n".join(rows) + "\n", path))
 
 
 def write_report_json(report: dict, path: str) -> None:
-    _atomic_write(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_together((_write_text,
+                     json.dumps(report, indent=2, sort_keys=True) + "\n", path))
 
 
 def _resolved_config(model, scenario, cfg: RunConfig) -> dict:
@@ -357,8 +386,8 @@ def _cmd_simulate(args) -> int:
         "events": [{"time_s": t, "what": w} for t, w in trace.events],
         "samples": len(trace),
     }
-    write_trace_csv(trace, trace_path)
-    write_report_json(report, report_path)
+    _write_together((write_trace_csv, trace, trace_path),
+                    (write_report_json, report, report_path))
     print(f"nadir {mx.nadir_hz:.3f} Hz, zenith {mx.zenith_hz:.3f} Hz, "
           f"settled {mx.settled_f_hz:.3f} Hz")
     print(f"trace: {trace_path}")

@@ -13,8 +13,11 @@ Per generator i (all in system pu on the model MVA base, delta in rad):
     2 H_i d dw_i/dt = p_m_i + p_res_i - p_e_i(delta) - D_i * dw_i
     T_g d p_m_i/dt  = (p_ref_i - dw_i / R_i) - p_m_i,   0 <= p_m_i <= p_max_i
 
-The integrator is fixed-step RK4; attack events and reserve updates land on
-step boundaries. Two electrical couplings are available:
+One fixed-step RK4 integrator, ``_lockstep``, serves every caller: attack
+events and reserve updates land on step boundaries, and it carries either
+one system (``simulate``) or a batch of lanes that differ only in governor
+and damping (the calibration grid) through the same expressions. Two
+electrical couplings are available:
 
 * "network" (default): p_e from the Kron-reduced admittance matrix, rebuilt
   at every demand event. Voltage dependence of the load response is kept.
@@ -26,18 +29,22 @@ step boundaries. Two electrical couplings are available:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import attacks as _attacks
 from . import reserves as _reserves
-from .netmodel import NetworkModel
+from .netmodel import NetworkModel, scheduled_generation
 from .powerflow import PowerFlowSolution, build_ybus, solve as solve_pf
+
+# Speed deviation beyond which a machine has lost synchronism, pu.
+SPEED_GUARD_PU = 0.5
 
 
 class InstabilityError(RuntimeError):
-    """Loss of synchronism: a machine speed left the +-0.5 pu guard band.
+    """Loss of synchronism: a machine speed left the SPEED_GUARD_PU band.
 
     The truncated trace up to the failing step is attached so callers can
     inspect how the collapse developed.
@@ -46,22 +53,16 @@ class InstabilityError(RuntimeError):
     def __init__(self, time_s: float, trace: "SimulationTrace"):
         super().__init__(
             f"simulation unstable at t = {time_s:.2f} s: "
-            "machine speed deviation exceeded 0.5 pu")
+            f"machine speed deviation exceeded {SPEED_GUARD_PU} pu")
         self.time_s = time_s
         self.trace = trace
 
 
 @dataclass(frozen=True)
 class ReducedNetwork:
-    """Admittance view from behind the transient reactances.
+    """Admittance view from behind the transient reactances."""
 
-    y_red couples the machine internal nodes; v_recovery maps internal EMFs
-    back to bus voltages for diagnostics and event conversion checks.
-    """
-
-    y_red: np.ndarray  # (m, m) complex
-    v_recovery: np.ndarray  # (n, m) complex, V_bus = v_recovery @ E
-    loads_p: np.ndarray  # effective bus demand this reduction encodes
+    y_red: np.ndarray  # (m, m) complex, couples the machine internal nodes
 
 
 @dataclass
@@ -73,25 +74,39 @@ class DynamicState:
     e_int: np.ndarray  # internal EMF magnitude, pu
     loads_p: np.ndarray  # effective demand per bus, pu
 
-    def copy(self) -> "DynamicState":
-        return DynamicState(self.time, self.delta.copy(), self.d_omega.copy(),
-                            self.p_m.copy(), self.e_int.copy(),
-                            self.loads_p.copy())
+
+def step_index(t: float, dt: float) -> int:
+    """Index of the first step boundary at or after time t.
+
+    A time up to 1e-9 of a step short of a boundary counts as on it, so
+    rounding in t / dt (0.03 / 0.01 = 2.9999999999999996) adds no step.
+    """
+    return math.ceil(t / dt - 1e-9)
 
 
 @dataclass(frozen=True)
 class SimConfig:
     dt: float = 0.01
-    duration: float = 40.0
+    duration: float = 40.0  # a whole number of dt steps
     reserves: tuple = ()  # ReserveProduct set; empty = governor response only
     coupling: str = "network"  # "network" | "linear"
-    speed_guard: float = 0.5  # pu; exceeding it raises InstabilityError
 
     def __post_init__(self):
-        if self.dt <= 0 or self.duration <= 0:
-            raise ValueError("dt and duration must be positive")
+        # NaN fails every comparison; the ratio also catches an infinite
+        # duration and a step count too large for a float.
+        if not (0 < self.dt < math.inf
+                and 0 < self.duration / self.dt < math.inf):
+            raise ValueError("dt and duration must be positive and finite")
+        if abs(self.n_steps * self.dt - self.duration) > 1e-9 * self.duration:
+            raise ValueError(
+                f"duration {self.duration:g} s is not a whole number of "
+                f"dt = {self.dt:g} s steps")
         if self.coupling not in ("network", "linear"):
             raise ValueError(f"unknown coupling {self.coupling!r}")
+
+    @property
+    def n_steps(self) -> int:
+        return step_index(self.duration, self.dt)
 
 
 @dataclass(frozen=True)
@@ -152,14 +167,14 @@ def build_reduced(model: NetworkModel, pf: PowerFlowSolution,
 
     v_recovery = np.linalg.solve(ybus, conn.T)
     y_red = np.diag(y_g) - conn @ v_recovery
-    return ReducedNetwork(y_red=y_red, v_recovery=v_recovery,
-                          loads_p=loads_p.copy())
+    return ReducedNetwork(y_red=y_red)
 
 
 def electrical_power(red: ReducedNetwork, e_int: np.ndarray,
                      delta: np.ndarray) -> np.ndarray:
+    """Machine electrical powers for angles of shape (m,) or (lanes, m)."""
     ev = e_int * np.exp(1j * delta)
-    return (ev * np.conj(red.y_red @ ev)).real
+    return (ev * np.conj(ev @ red.y_red.T)).real
 
 
 def base_loads(model: NetworkModel) -> np.ndarray:
@@ -208,7 +223,8 @@ def coi_frequency(model: NetworkModel, state: DynamicState) -> float:
 
 
 class _Linearization:
-    """Frozen small-signal electrical model around the operating point."""
+    """Frozen small-signal electrical model around the base-load operating
+    point that red0 encodes."""
 
     def __init__(self, model, pf, red0, e_int, delta0):
         self.delta0 = delta0.copy()
@@ -226,13 +242,12 @@ class _Linearization:
 
         # Sensitivity of machine powers to a demand change at each load bus,
         # central difference through the reduction at the frozen angles.
-        n = len(model.buses)
         self.sens = {}
         h = 1e-6
         for ld in model.loads:
             j = model.bus_index()[ld.bus]
-            up = red0.loads_p.copy()
-            dn = red0.loads_p.copy()
+            up = base_loads(model)
+            dn = base_loads(model)
             up[j] += h
             dn[j] -= h
             pe_up = electrical_power(build_reduced(model, pf, up), e_int, delta0)
@@ -240,157 +255,128 @@ class _Linearization:
             self.sens[j] = (pe_up - pe_dn) / (2 * h)
 
     def pe(self, delta, attack_by_bus):
-        out = self.pe0 + self.k @ (delta - self.delta0)
+        out = self.pe0 + (delta - self.delta0) @ self.k.T
         for j, amount in attack_by_bus.items():
             if amount != 0.0:
                 out = out + self.sens[j] * amount
         return out
 
 
-def simulate(model: NetworkModel,
-             schedule: _attacks.EventSchedule | None = None,
-             config: SimConfig | None = None,
-             pf: PowerFlowSolution | None = None) -> SimulationTrace:
-    """Integrate the system response to an attack schedule.
+def _lockstep(models, pf: PowerFlowSolution,
+              schedule: _attacks.EventSchedule, config: SimConfig):
+    """The RK4 integrator: step lanes sharing one schedule in lockstep.
 
-    Events snap to the first step boundary at or after their timestamp.
-    Boundary order per step: apply due events, advance the reserve lags
-    using the frequency at the boundary, record the sample, then integrate
-    to the next boundary with reserve outputs held constant. The first
-    sample is therefore always exactly nominal.
+    models[0] is the system; further lanes are copies of it that differ
+    only in governor and damping (netmodel.with_dynamic_params), so all
+    share the initial state, events and reduced network. One lane carries
+    (m,) arrays and B lanes (B, m); the same expressions serve both by
+    broadcasting, and one lane stays 1-d because that form is faster.
+    Reserves and the slope trigger act on one frequency: one lane only.
+
+    At each boundary k = 0 .. n_steps: apply the events due (each snaps to
+    the first boundary at or after its time; later ones never apply), let
+    the slope trigger release one, advance the reserve lags with the
+    boundary frequency, and yield (k, t, f_coi, d_omega, p_attack,
+    (p_reserve_up, p_reserve_down), applied); then integrate to the next
+    boundary with reserves held. The caller enforces the speed guard.
     """
-    if config is None:
-        config = SimConfig()
-    if schedule is None:
-        schedule = _attacks.EventSchedule(events=())
-    if pf is None:
-        pf = solve_pf(model)
+    model = models[0]
+    products = tuple(p for p in config.reserves if p.enabled)
+    if len(models) > 1 and (products or schedule.policy is not None):
+        raise ValueError("reserves and the slope trigger need a single lane")
 
     f_nom = model.f_nominal
     omega_s = 2.0 * np.pi * f_nom
-    m = len(model.generators)
     mva, h_sys, d_sys, droop_gain, t_g, p_max = machine_params(model)
+    reps = 1  # np.tile repeats: 1-d for one lane, (B, m) for B lanes
+    if len(models) > 1:
+        reps = (len(models), 1)
+        _, _, d_sys, droop_gain, t_g, _ = map(
+            np.array, zip(*map(machine_params, models)))
     two_h = 2.0 * h_sys
     h_total = h_sys.sum()
     mva_share = mva / mva.sum()
-    sched_gen = sum(g.p_set for g in model.generators)
-    mw_to_pu = sched_gen / model.national_total_mw
+    mw_to_pu = scheduled_generation(model) / model.national_total_mw
 
     state = init_state(model, pf)
-    p_ref = state.p_m.copy()
-    red = build_reduced(model, pf, state.loads_p)
+    p_ref = state.p_m
+    e_int = state.e_int
+    loads_p = state.loads_p
+    delta = np.tile(state.delta, reps)
+    d_omega = np.zeros_like(delta)
+    p_m = np.tile(state.p_m, reps)
+    red = build_reduced(model, pf, loads_p)
     lin = None
     attack_by_bus: dict[int, float] = {}
-    if config.coupling == "linear":
-        lin = _Linearization(model, pf, red, state.e_int, state.delta)
-        attack_by_bus = {model.bus_index()[ld.bus]: 0.0 for ld in model.loads}
-
-    n_steps = int(round(config.duration / config.dt))
     idx = model.bus_index()
-    timed = sorted(schedule.events, key=lambda e: e.time)
-    for ev in timed:
-        if model.load_at(ev.bus) is None:
-            raise ValueError(f"event targets bus {ev.bus} which has no load")
+    if config.coupling == "linear":
+        lin = _Linearization(model, pf, red, e_int, state.delta)
+        attack_by_bus = {idx[ld.bus]: 0.0 for ld in model.loads}
+
+    dt = config.dt
+    n_steps = config.n_steps
     # Pre-bin events by destination step so the hot loop stays cheap.
     by_step: dict[int, list] = {}
-    for ev in timed:
-        k = int(np.ceil(ev.time / config.dt - 1e-9))
-        if k > n_steps:
-            continue  # beyond the horizon; never applied
-        by_step.setdefault(k, []).append(ev)
+    for ev in sorted(schedule.events, key=lambda e: e.time):
+        if model.load_at(ev.bus) is None:
+            raise ValueError(f"event targets bus {ev.bus} which has no load")
+        k = step_index(ev.time, dt)
+        if k <= n_steps:
+            by_step.setdefault(k, []).append(ev)
 
     trigger = None
     if schedule.policy is not None:
-        trigger = _attacks.SlopeTrigger(schedule.policy, f_nom, config.dt)
-
-    products = tuple(p for p in config.reserves if p.enabled)
+        trigger = _attacks.SlopeTrigger(schedule.policy, f_nom, dt)
     res_state = _reserves.make_state(products)
-
-    n_samp = n_steps + 1
-    t_arr = np.empty(n_samp)
-    f_coi_arr = np.empty(n_samp)
-    f_gen_arr = np.empty((n_samp, m))
-    p_atk_arr = np.empty(n_samp)
-    p_up_arr = np.empty(n_samp)
-    p_dn_arr = np.empty(n_samp)
+    p_reserve = (0.0, 0.0)
+    p_res = 0.0  # per machine once reserves respond
+    p_attack = 0.0
     applied: list[tuple[float, str]] = []
-
-    p_attack_total = 0.0
-    p_res_machine = np.zeros(m)
-    delta = state.delta
-    d_omega = state.d_omega
-    p_m = state.p_m
-    e_int = state.e_int
-    loads_p = state.loads_p
     label = schedule.label or "event"
 
-    def apply_delta(bus: int, delta_p: float, t_now: float):
-        nonlocal red, p_attack_total
+    def apply(bus: int, delta_p: float, t_now: float):
+        nonlocal red, p_attack
         j = idx[bus]
         loads_p[j] += delta_p
-        p_attack_total += delta_p
-        if config.coupling == "network":
+        p_attack += delta_p
+        if lin is None:
             red = build_reduced(model, pf, loads_p)
         else:
             attack_by_bus[j] += delta_p
         applied.append((t_now, f"{label} {delta_p:+.4f} pu @ bus {bus}"))
 
-    yr = red.y_red
+    def rhs(dl, dw, pm):
+        if lin is None:
+            pe = electrical_power(red, e_int, dl)
+        else:
+            pe = lin.pe(dl, attack_by_bus)
+        return (omega_s * dw,
+                (pm + p_res - pe - d_sys * dw) / two_h,
+                (p_ref - droop_gain * dw - pm) / t_g)
 
-    for k in range(n_samp):
-        t_now = k * config.dt
-
+    for k in range(n_steps + 1):
+        t_now = k * dt
         for ev in by_step.get(k, ()):
-            apply_delta(ev.bus, ev.delta_p, t_now)
-        f_now = f_nom * (1.0 + float(h_sys @ d_omega) / h_total)
+            apply(ev.bus, ev.delta_p, t_now)
+        f_coi = f_nom * (1.0 + (d_omega @ h_sys) / h_total)
         if trigger is not None and not trigger.exhausted:
-            fired = trigger.observe(t_now, f_now)
+            fired = trigger.observe(t_now, float(f_coi))
             if fired is not None:
-                apply_delta(fired[0], fired[1], t_now)
-                f_now = f_nom * (1.0 + float(h_sys @ d_omega) / h_total)
-
+                apply(*fired, t_now)
         if products:
-            cmds = {p.name: _reserves.command(p, f_now) for p in products}
-            res_state = _reserves.respond(res_state, cmds, config.dt, products)
-            total_res_pu = sum(res_state.values()) * mw_to_pu
-            p_res_machine = mva_share * total_res_pu
+            f_hz = float(f_coi)
+            cmds = {p.name: _reserves.command(p, f_hz) for p in products}
+            res_state = _reserves.respond(res_state, cmds, dt, products)
+            p_res = mva_share * (sum(res_state.values()) * mw_to_pu)
+            p_reserve = (
+                sum(v for v in res_state.values() if v > 0) * mw_to_pu,
+                sum(v for v in res_state.values() if v < 0) * mw_to_pu)
 
-        up_mw = sum(v for v in res_state.values() if v > 0)
-        dn_mw = sum(v for v in res_state.values() if v < 0)
-        t_arr[k] = t_now
-        f_coi_arr[k] = f_now
-        f_gen_arr[k] = f_nom * (1.0 + d_omega)
-        p_atk_arr[k] = p_attack_total
-        p_up_arr[k] = up_mw * mw_to_pu
-        p_dn_arr[k] = dn_mw * mw_to_pu
-
-        if np.max(np.abs(d_omega)) > config.speed_guard:
-            trace = SimulationTrace(
-                t=t_arr[:k + 1].copy(), f_coi=f_coi_arr[:k + 1].copy(),
-                f_gen=f_gen_arr[:k + 1].copy(), p_attack=p_atk_arr[:k + 1].copy(),
-                p_reserve_up=p_up_arr[:k + 1].copy(),
-                p_reserve_down=p_dn_arr[:k + 1].copy(),
-                events=tuple(applied), dt=config.dt,
-                gen_buses=tuple(g.bus for g in model.generators))
-            raise InstabilityError(t_now, trace)
+        yield k, t_now, f_coi, d_omega, p_attack, p_reserve, applied
         if k == n_steps:
-            break
-        yr = red.y_red
+            return
 
         # RK4 over [t, t+dt] with constant reserves and admittances
-        dt = config.dt
-
-        def rhs(dl, dw, pm):
-            if lin is None:
-                ev_c = e_int * np.exp(1j * dl)
-                pe = (ev_c * np.conj(yr @ ev_c)).real
-            else:
-                pe = lin.pe(dl, attack_by_bus)
-            ddl = omega_s * dw
-            ddw = (pm + p_res_machine - pe - d_sys * dw) / two_h
-            dpm = (p_ref - droop_gain * dw - pm) / t_g
-            return ddl, ddw, dpm
-
         k1 = rhs(delta, d_omega, p_m)
         k2 = rhs(delta + 0.5 * dt * k1[0], d_omega + 0.5 * dt * k1[1],
                  p_m + 0.5 * dt * k1[2])
@@ -402,8 +388,49 @@ def simulate(model: NetworkModel,
         p_m = p_m + (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
         np.clip(p_m, 0.0, p_max, out=p_m)
 
-    return SimulationTrace(
-        t=t_arr, f_coi=f_coi_arr, f_gen=f_gen_arr, p_attack=p_atk_arr,
-        p_reserve_up=p_up_arr, p_reserve_down=p_dn_arr,
-        events=tuple(applied), dt=config.dt,
-        gen_buses=tuple(g.bus for g in model.generators))
+
+def simulate(model: NetworkModel,
+             schedule: _attacks.EventSchedule | None = None,
+             config: SimConfig | None = None,
+             pf: PowerFlowSolution | None = None) -> SimulationTrace:
+    """Integrate the system response to an attack schedule.
+
+    One lane of _lockstep: events snap to the first step boundary at or
+    after their timestamp, and each sample is recorded after the events,
+    slope releases and reserve updates of its boundary, so the first
+    sample is exactly nominal. A machine leaving the speed guard raises
+    InstabilityError carrying the trace up to that sample.
+    """
+    if config is None:
+        config = SimConfig()
+    if schedule is None:
+        schedule = _attacks.EventSchedule(events=())
+    if pf is None:
+        pf = solve_pf(model)
+
+    f_nom = model.f_nominal
+    n_samp = config.n_steps + 1
+    t_arr = np.empty(n_samp)
+    f_coi_arr = np.empty(n_samp)
+    f_gen_arr = np.empty((n_samp, len(model.generators)))
+    p_atk_arr = np.empty(n_samp)
+    p_up_arr = np.empty(n_samp)
+    p_dn_arr = np.empty(n_samp)
+
+    def trace(n: int, applied) -> SimulationTrace:
+        return SimulationTrace(
+            t=t_arr[:n], f_coi=f_coi_arr[:n], f_gen=f_gen_arr[:n],
+            p_attack=p_atk_arr[:n], p_reserve_up=p_up_arr[:n],
+            p_reserve_down=p_dn_arr[:n], events=tuple(applied),
+            dt=config.dt, gen_buses=tuple(g.bus for g in model.generators))
+
+    for k, t_now, f_coi, d_omega, p_attack, p_reserve, applied in _lockstep(
+            [model], pf, schedule, config):
+        t_arr[k] = t_now
+        f_coi_arr[k] = f_coi
+        f_gen_arr[k] = f_nom * (1.0 + d_omega)
+        p_atk_arr[k] = p_attack
+        p_up_arr[k], p_dn_arr[k] = p_reserve
+        if np.max(np.abs(d_omega)) > SPEED_GUARD_PU:
+            raise InstabilityError(t_now, trace(k + 1, applied))
+    return trace(n_samp, applied)

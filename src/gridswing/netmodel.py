@@ -238,12 +238,6 @@ def scheduled_generation(model: NetworkModel) -> float:
     return sum(g.p_set for g in model.generators)
 
 
-def total_generation(model: NetworkModel, solution) -> float:
-    """Sum of generator active power at a solved operating point (pu)."""
-    idx = model.bus_index()
-    return float(sum(solution.p_inj[idx[g.bus]] for g in model.generators))
-
-
 def attack_fraction_to_pu(model: NetworkModel, percent: float | None = None,
                           mw: float | None = None) -> float:
     """Convert an attack magnitude to a model demand change in pu.

@@ -14,7 +14,7 @@ positive values inject power (up-regulation), negative values absorb.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,3 @@ def analytic_residual(attack_mw: float, direction: str,
         products=tuple(p.name for p in chosen),
     )
 
-
-def disabled_all() -> tuple[ReserveProduct, ...]:
-    """Default products with every product switched off; governor-only runs."""
-    return tuple(replace(p, enabled=False) for p in default_products())

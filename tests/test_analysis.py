@@ -197,6 +197,27 @@ def test_grid_stage_matches_scalar_objective(model):
                 flat += 1
 
 
+def test_grid_lanes_are_independent(model):
+    """A candidate's error depends on neither its lane position nor the
+    other lanes: permuted candidates give permuted errors, and a grid of
+    one (the single-lane form) matches its entry in a wider grid."""
+    anchors = analysis.DEFAULT_ANCHORS
+    r_vals, tg_vals, d_vals = [0.03, 0.05, 0.08], [1.0, 5.0], [0.0, 0.5]
+    grid = analysis._grid_anchor_errors(
+        model, anchors, r_vals, tg_vals, d_vals, dt=0.01, duration=10.0)
+    grid = grid.reshape(3, 2, 2)
+    perm = [2, 0, 1]
+    permuted = analysis._grid_anchor_errors(
+        model, anchors, [r_vals[i] for i in perm], tg_vals, d_vals,
+        dt=0.01, duration=10.0)
+    assert np.allclose(permuted.reshape(3, 2, 2), grid[perm],
+                       rtol=0, atol=1e-12)
+    one = analysis._grid_anchor_errors(
+        model, anchors, [0.05], [5.0], [0.5], dt=0.01, duration=10.0)
+    assert one.shape == (1,)
+    assert abs(one[0] - grid[1, 1, 1]) <= 1e-12
+
+
 def test_feasibility_2025_large_attack():
     rep = analysis.feasibility(1400.0, 2025)
     assert rep.feasible is True

@@ -74,6 +74,36 @@ def test_simulate_equilibrium_trace(tmp_path):
         assert cells[5] == "0.000000"
 
 
+@pytest.mark.parametrize("key, literal", [("dt_s", "NaN"),
+                                          ("duration_s", "Infinity"),
+                                          ("duration_s", "1e999")])
+def test_non_finite_number_names_key_and_line(tmp_path, capsys, key, literal):
+    scn = tmp_path / "case.scn"
+    scn.write_text('{"system": {\n'
+                   f'  "{key}": {literal}\n'
+                   '}, "attack": {"family": "static", "type": "DI",\n'
+                   '  "magnitude_percent": 8.0}}\n')
+    assert cli.main(["simulate", str(scn), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{scn}:2 (key {key!r})" in err
+    assert "finite" in err
+
+
+def test_horizon_not_whole_steps_is_config_error(tmp_path, capsys):
+    scn = write_scenario(tmp_path, system={"dt_s": 0.3, "duration_s": 1.0})
+    assert cli.main(["simulate", scn, "--out-dir", str(tmp_path)]) == 2
+    assert "(key 'duration_s')" in capsys.readouterr().err
+
+
+def test_failed_report_write_leaves_no_trace(tmp_path, capsys):
+    # the report's directory does not exist, so only its write fails
+    scn = write_scenario(tmp_path, output={"report_json": "gone/r.json"})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", scn, "--out-dir", str(out)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert list(out.iterdir()) == []  # no trace CSV, no temp file
+
+
 def test_missing_family_is_config_error(tmp_path, capsys):
     scn = write_scenario(tmp_path, raw={"attack": {"type": "DI",
                                                    "magnitude_percent": 8.0}})

@@ -192,12 +192,22 @@ def test_slope_triggered_periodic_in_simulation(model):
 
 
 def test_simconfig_rejects_bad_values():
-    with pytest.raises(ValueError):
-        dynamics.SimConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        dynamics.SimConfig(duration=-1.0)
-    with pytest.raises(ValueError):
-        dynamics.SimConfig(coupling="spooky")
+    nan, inf = float("nan"), float("inf")
+    for kw in ({"dt": 0.0}, {"duration": -1.0}, {"coupling": "spooky"},
+               {"dt": nan}, {"duration": nan}, {"dt": inf},
+               {"duration": inf}, {"dt": 1e-300, "duration": 1e300},
+               # 0.3 s steps reach 0.9 s or 1.2 s, never the asked 1.0 s
+               {"dt": 0.3, "duration": 1.0}):
+        with pytest.raises(ValueError):
+            dynamics.SimConfig(**kw)
+
+
+# 0.7 / 0.1 = 6.999999999999999 and 1.1 / 0.1 = 11.000000000000002
+@pytest.mark.parametrize("dt, duration, steps", [(0.1, 0.7, 7),
+                                                 (0.1, 1.1, 11),
+                                                 (0.01, 0.03, 3)])
+def test_horizon_is_exact_despite_float_rounding(dt, duration, steps):
+    assert dynamics.SimConfig(dt=dt, duration=duration).n_steps == steps
 
 
 def test_machine_params_totals(model):

@@ -61,12 +61,6 @@ def test_disabled_product_commands_zero(products):
     assert reserves.command(mfrr, 48.0) == 0.0
 
 
-def test_disabled_all(products):
-    offs = reserves.disabled_all()
-    assert {p.name for p in offs} == {p.name for p in products}
-    assert all(not p.enabled for p in offs)
-
-
 def test_lag_one_second_step(products):
     ffr = by_name(products, "FFR")  # tau = 1 s
     state = reserves.make_state([ffr])
