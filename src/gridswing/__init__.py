@@ -15,7 +15,7 @@ from .netmodel import (
 )
 from .powerflow import PowerFlowSolution, DivergenceError, solve
 from .dynamics import (
-    SimConfig, SimulationTrace, DynamicState, InstabilityError, simulate,
+    SimConfig, SimulationTrace, InstabilityError, simulate,
 )
 from .reserves import ReserveProduct, default_products, analytic_residual
 from .attacks import (
@@ -35,8 +35,7 @@ __all__ = [
     "builtin_wscc9", "validate", "scheduled_generation",
     "attack_fraction_to_pu", "with_dynamic_params",
     "PowerFlowSolution", "DivergenceError", "solve",
-    "SimConfig", "SimulationTrace", "DynamicState", "InstabilityError",
-    "simulate",
+    "SimConfig", "SimulationTrace", "InstabilityError", "simulate",
     "ReserveProduct", "default_products", "analytic_residual",
     "AttackType", "AttackScenario", "EventSchedule", "compile_scenario",
     "validate_scenario",

@@ -150,7 +150,7 @@ def timing_sweep(model: NetworkModel, base: attacks.AttackScenario,
     Returns (optimal_t1, {t1: Metrics}) where optimal maximizes the largest
     absolute deviation from nominal after the reversion; ties break toward
     the earliest t1. t1 values are absolute times and must lie beyond the
-    scenario's t_start.
+    scenario's t_start and within the horizon.
     """
     if config is None:
         config = dynamics.SimConfig(duration=40.0)
@@ -160,6 +160,9 @@ def timing_sweep(model: NetworkModel, base: attacks.AttackScenario,
     for v in t1_values:
         if v <= base.t_start:
             raise ValueError(f"t1 = {v} does not follow t_start = {base.t_start}")
+        if not v <= config.duration:  # NaN fails this too
+            raise ValueError(f"t1 = {v} lies beyond the {config.duration:g} s "
+                             "horizon")
     results: dict[float, Metrics] = {}
     post_dev: dict[float, float] = {}
     for v in sorted(t1_values):

@@ -21,13 +21,16 @@ model times repeated strikes for maximum effect.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .netmodel import NetworkModel, attack_fraction_to_pu
 
 # The compiled-in case attacks bus 8 by default: one of the three load
 # centers, chosen to match the published scenario set.
 DEFAULT_TARGET_BUS = 8
+
+# Span of frequency samples a SlopeTrigger looks back over, s.
+SLOPE_WINDOW_S = 0.5
 
 
 class AttackType(enum.Enum):
@@ -88,7 +91,6 @@ class SlopePolicy:
 
     pending: tuple[tuple[int, float], ...]
     refractory_s: float
-    window_s: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -214,7 +216,7 @@ class SlopeTrigger:
         self.policy = policy
         self.f_nominal = f_nominal
         self.dt = dt
-        self.window_n = max(3, int(round(policy.window_s / dt)))
+        self.window_n = max(3, int(round(SLOPE_WINDOW_S / dt)))
         self._history: list[float] = []
         self._pending = list(policy.pending)
         self._blocked_until = -1.0

@@ -12,9 +12,10 @@ Scenario files are flat JSON documents with three sections::
 
 Only "attack" is mandatory. Validation is strict: unknown keys anywhere are
 rejected, and every diagnostic names the file, the key, and the line where
-the key appears. Trace CSVs and report JSONs are written atomically
-(temp file + rename) and byte-stable for identical runs; ``simulate``
-renames its two artifacts into place only once both are written.
+the key appears. Commands write their trace CSVs and report JSONs
+atomically (temp file + rename), byte-stable for identical runs;
+``simulate`` renames its two artifacts into place only once both are
+written.
 
 Exit codes: 0 success, 2 configuration error, 3 power-flow non-convergence,
 4 dynamic instability.
@@ -63,7 +64,6 @@ class RunConfig:
     trace_csv: str | None = None
     report_json: str | None = None
     model_ref: str = "wscc9"
-    national_total_mw: float | None = None
 
 
 def _key_line(text: str, key: str) -> int | None:
@@ -159,12 +159,11 @@ def parse_scenario(path: str):
     if cfg.reserves not in _RESERVE_PRESETS:
         raise ScenarioError(path, "reserves", _key_line(text, "reserves"),
                             f"expected one of {_RESERVE_PRESETS}")
-    if "national_total_mw" in system:
-        cfg.national_total_mw = float(system["national_total_mw"])
-        if cfg.national_total_mw <= 0:
-            raise ScenarioError(path, "national_total_mw",
-                                _key_line(text, "national_total_mw"),
-                                "must be positive")
+    national_total_mw = system.get("national_total_mw")
+    if national_total_mw is not None and national_total_mw <= 0:
+        raise ScenarioError(path, "national_total_mw",
+                            _key_line(text, "national_total_mw"),
+                            "must be positive")
     if cfg.dt_s <= 0:
         raise ScenarioError(path, "dt_s", _key_line(text, "dt_s"),
                             "must be positive")
@@ -190,8 +189,8 @@ def parse_scenario(path: str):
         except (OSError, ValueError) as exc:
             raise ScenarioError(path, "model", _key_line(text, "model"),
                                 str(exc)) from exc
-    if cfg.national_total_mw is not None:
-        model = replace(model, national_total_mw=cfg.national_total_mw)
+    if national_total_mw is not None:
+        model = replace(model, national_total_mw=float(national_total_mw))
 
     for key in ("family", "type"):
         if key not in atk:
@@ -225,11 +224,6 @@ def parse_scenario(path: str):
         raise ScenarioError(path, key, _key_line(text, key),
                             "; ".join(problems))
     return model, scenario, cfg
-
-
-def _write_text(data: str, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(data)
 
 
 def _write_together(*writes) -> None:
@@ -267,12 +261,13 @@ def write_trace_csv(trace: dynamics.SimulationTrace, path: str) -> None:
                  trace.p_attack[k], trace.p_reserve_up[k],
                  trace.p_reserve_down[k]]
         rows.append(",".join(f"{c:.6f}" for c in cells))
-    _write_together((_write_text, "\n".join(rows) + "\n", path))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(rows) + "\n")
 
 
 def write_report_json(report: dict, path: str) -> None:
-    _write_together((_write_text,
-                     json.dumps(report, indent=2, sort_keys=True) + "\n", path))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _resolved_config(model, scenario, cfg: RunConfig) -> dict:
@@ -404,6 +399,9 @@ def _parse_float_list(spec: str, what: str) -> list[float]:
             from None
     if not vals:
         raise ScenarioError(spec, None, None, f"empty {what} list")
+    if not all(map(math.isfinite, vals)):
+        raise ScenarioError(spec, None, None,
+                            f"{what} values must be finite numbers")
     return vals
 
 
@@ -443,7 +441,7 @@ def _cmd_sweep(args) -> int:
         }
         print(f"optimal reversion time: {optimal:g} s")
     report_path = _out_path(args, cfg.report_json, f"{stem}_sweep.json")
-    write_report_json(report, report_path)
+    _write_together((write_report_json, report, report_path))
     print(f"report: {report_path}")
     return EXIT_OK
 
@@ -482,7 +480,7 @@ def _cmd_calibrate(args) -> int:
         "quality_warning": params.quality_warning,
     }
     path = _out_path(args, None, "calibrated_params.json")
-    write_report_json(report, path)
+    _write_together((write_report_json, report, path))
     print(f"r_droop {params.r_droop:g}, t_g {params.t_g:g} s, d {params.d:g}; "
           f"residual {params.objective_residual:.4f} Hz^2")
     if params.quality_warning:
@@ -512,8 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridswing",
         description="Transient frequency simulation of aggregated load attacks")
-    parser.add_argument("--seedless", action="store_true",
-                        help="reserved; all runs are deterministic already")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_pf = sub.add_parser("powerflow", help="solve and print the operating point")
@@ -573,19 +569,13 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except ScenarioError as exc:
+    except powerflow.DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+        return EXIT_POWERFLOW
+    except dynamics.InstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, RuntimeError) as exc:
-        if isinstance(exc, powerflow.DivergenceError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_POWERFLOW
-        if isinstance(exc, dynamics.InstabilityError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_UNSTABLE
+        return EXIT_UNSTABLE
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -58,23 +58,6 @@ class InstabilityError(RuntimeError):
         self.trace = trace
 
 
-@dataclass(frozen=True)
-class ReducedNetwork:
-    """Admittance view from behind the transient reactances."""
-
-    y_red: np.ndarray  # (m, m) complex, couples the machine internal nodes
-
-
-@dataclass
-class DynamicState:
-    time: float
-    delta: np.ndarray  # rotor angle, rad
-    d_omega: np.ndarray  # speed deviation, pu of synchronous
-    p_m: np.ndarray  # mechanical power, pu
-    e_int: np.ndarray  # internal EMF magnitude, pu
-    loads_p: np.ndarray  # effective demand per bus, pu
-
-
 def step_index(t: float, dt: float) -> int:
     """Index of the first step boundary at or after time t.
 
@@ -119,7 +102,6 @@ class SimulationTrace:
     p_reserve_down: np.ndarray  # pu, <= 0
     events: tuple  # (time, label) pairs actually applied
     dt: float
-    gen_buses: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.t)
@@ -139,8 +121,9 @@ def machine_params(model: NetworkModel):
 
 
 def build_reduced(model: NetworkModel, pf: PowerFlowSolution,
-                  loads_p: np.ndarray) -> ReducedNetwork:
-    """Kron-reduce the network to machine internal nodes.
+                  loads_p: np.ndarray) -> np.ndarray:
+    """Kron-reduce the network to the (m, m) complex admittance matrix that
+    couples the machine internal nodes, seen from behind xd'.
 
     Loads convert to admittances at the pre-attack operating voltage from
     pf, so a demand change delta_p maps to delta_y = delta_p / |V0|^2 and
@@ -165,16 +148,14 @@ def build_reduced(model: NetworkModel, pf: PowerFlowSolution,
         conn[i, j] = y_g[i]
         ybus[j, j] += y_g[i]
 
-    v_recovery = np.linalg.solve(ybus, conn.T)
-    y_red = np.diag(y_g) - conn @ v_recovery
-    return ReducedNetwork(y_red=y_red)
+    return np.diag(y_g) - conn @ np.linalg.solve(ybus, conn.T)
 
 
-def electrical_power(red: ReducedNetwork, e_int: np.ndarray,
+def electrical_power(y_red: np.ndarray, e_int: np.ndarray,
                      delta: np.ndarray) -> np.ndarray:
     """Machine electrical powers for angles of shape (m,) or (lanes, m)."""
     ev = e_int * np.exp(1j * delta)
-    return (ev * np.conj(ev @ red.y_red.T)).real
+    return (ev * np.conj(ev @ y_red.T)).real
 
 
 def base_loads(model: NetworkModel) -> np.ndarray:
@@ -186,10 +167,10 @@ def base_loads(model: NetworkModel) -> np.ndarray:
     return p
 
 
-def init_state(model: NetworkModel,
-               pf: PowerFlowSolution | None = None) -> DynamicState:
-    """Equilibrium state: EMFs from the power flow, p_m balancing exactly.
+def init_state(model: NetworkModel, pf: PowerFlowSolution | None = None):
+    """Equilibrium (delta, e_int, p_m, y_red) at nominal speed.
 
+    EMFs come from the power flow and y_red is the base-load reduction.
     Mechanical power is set to the reduced-network electrical power at the
     initial angles rather than to the dispatch, so with no disturbance the
     state is a fixed point of the integrator and the trace holds nominal.
@@ -207,30 +188,20 @@ def init_state(model: NetworkModel,
     xd = np.array([g.xd_t for g in model.generators])
     e = v_t + 1j * xd * i_t
 
-    loads_p = base_loads(model)
-    red = build_reduced(model, pf, loads_p)
+    y_red = build_reduced(model, pf, base_loads(model))
     delta = np.angle(e)
     e_int = np.abs(e)
-    p_m = electrical_power(red, e_int, delta)
-    return DynamicState(time=0.0, delta=delta,
-                        d_omega=np.zeros(len(model.generators)),
-                        p_m=p_m, e_int=e_int, loads_p=loads_p)
-
-
-def coi_frequency(model: NetworkModel, state: DynamicState) -> float:
-    _, h_sys, _, _, _, _ = machine_params(model)
-    return model.f_nominal * (1.0 + float(h_sys @ state.d_omega) / h_sys.sum())
+    return delta, e_int, electrical_power(y_red, e_int, delta), y_red
 
 
 class _Linearization:
     """Frozen small-signal electrical model around the base-load operating
-    point that red0 encodes."""
+    point that y_red0 encodes."""
 
-    def __init__(self, model, pf, red0, e_int, delta0):
+    def __init__(self, model, pf, y_red0, e_int, delta0):
         self.delta0 = delta0.copy()
-        self.pe0 = electrical_power(red0, e_int, delta0)
-        yr = red0.y_red
-        g, b = yr.real, yr.imag
+        self.pe0 = electrical_power(y_red0, e_int, delta0)
+        g, b = y_red0.real, y_red0.imag
         th = delta0[:, None] - delta0[None, :]
         ee = e_int[:, None] * e_int[None, :]
         # dPe_i/ddelta_j, j != i: E_i E_j (G sin - B cos); the diagonal
@@ -274,9 +245,9 @@ def _lockstep(models, pf: PowerFlowSolution,
     Reserves and the slope trigger act on one frequency: one lane only.
 
     At each boundary k = 0 .. n_steps: apply the events due (each snaps to
-    the first boundary at or after its time; later ones never apply), let
-    the slope trigger release one, advance the reserve lags with the
-    boundary frequency, and yield (k, t, f_coi, d_omega, p_attack,
+    the first boundary at or after its time; those past the horizon never
+    apply), let the slope trigger release one, advance the reserve lags
+    with the boundary frequency, and yield (k, t, f_coi, d_omega, p_attack,
     (p_reserve_up, p_reserve_down), applied); then integrate to the next
     boundary with reserves held. The caller enforces the speed guard.
     """
@@ -298,19 +269,16 @@ def _lockstep(models, pf: PowerFlowSolution,
     mva_share = mva / mva.sum()
     mw_to_pu = scheduled_generation(model) / model.national_total_mw
 
-    state = init_state(model, pf)
-    p_ref = state.p_m
-    e_int = state.e_int
-    loads_p = state.loads_p
-    delta = np.tile(state.delta, reps)
+    delta0, e_int, p_ref, y_red = init_state(model, pf)
+    loads_p = base_loads(model)
+    delta = np.tile(delta0, reps)
     d_omega = np.zeros_like(delta)
-    p_m = np.tile(state.p_m, reps)
-    red = build_reduced(model, pf, loads_p)
+    p_m = np.tile(p_ref, reps)
     lin = None
     attack_by_bus: dict[int, float] = {}
     idx = model.bus_index()
     if config.coupling == "linear":
-        lin = _Linearization(model, pf, red, e_int, state.delta)
+        lin = _Linearization(model, pf, y_red, e_int, delta0)
         attack_by_bus = {idx[ld.bus]: 0.0 for ld in model.loads}
 
     dt = config.dt
@@ -320,14 +288,14 @@ def _lockstep(models, pf: PowerFlowSolution,
     for ev in sorted(schedule.events, key=lambda e: e.time):
         if model.load_at(ev.bus) is None:
             raise ValueError(f"event targets bus {ev.bus} which has no load")
-        k = step_index(ev.time, dt)
-        if k <= n_steps:
-            by_step.setdefault(k, []).append(ev)
+        if ev.time > config.duration:
+            continue  # never applies, and t / dt may be too large to snap
+        by_step.setdefault(step_index(ev.time, dt), []).append(ev)
 
     trigger = None
     if schedule.policy is not None:
         trigger = _attacks.SlopeTrigger(schedule.policy, f_nom, dt)
-    res_state = _reserves.make_state(products)
+    outputs = np.zeros(len(products))  # MW per product, signed
     p_reserve = (0.0, 0.0)
     p_res = 0.0  # per machine once reserves respond
     p_attack = 0.0
@@ -335,19 +303,19 @@ def _lockstep(models, pf: PowerFlowSolution,
     label = schedule.label or "event"
 
     def apply(bus: int, delta_p: float, t_now: float):
-        nonlocal red, p_attack
+        nonlocal y_red, p_attack
         j = idx[bus]
         loads_p[j] += delta_p
         p_attack += delta_p
         if lin is None:
-            red = build_reduced(model, pf, loads_p)
+            y_red = build_reduced(model, pf, loads_p)
         else:
             attack_by_bus[j] += delta_p
         applied.append((t_now, f"{label} {delta_p:+.4f} pu @ bus {bus}"))
 
     def rhs(dl, dw, pm):
         if lin is None:
-            pe = electrical_power(red, e_int, dl)
+            pe = electrical_power(y_red, e_int, dl)
         else:
             pe = lin.pe(dl, attack_by_bus)
         return (omega_s * dw,
@@ -365,12 +333,15 @@ def _lockstep(models, pf: PowerFlowSolution,
                 apply(*fired, t_now)
         if products:
             f_hz = float(f_coi)
-            cmds = {p.name: _reserves.command(p, f_hz) for p in products}
-            res_state = _reserves.respond(res_state, cmds, dt, products)
-            p_res = mva_share * (sum(res_state.values()) * mw_to_pu)
-            p_reserve = (
-                sum(v for v in res_state.values() if v > 0) * mw_to_pu,
-                sum(v for v in res_state.values() if v < 0) * mw_to_pu)
+            outputs = _reserves.respond(
+                outputs, [_reserves.command(p, f_hz) for p in products],
+                products, dt)
+            # Python's left-to-right sums: np.sum's pairwise order could
+            # round differently.
+            mw = outputs.tolist()
+            p_res = mva_share * (sum(mw) * mw_to_pu)
+            p_reserve = (sum(v for v in mw if v > 0) * mw_to_pu,
+                         sum(v for v in mw if v < 0) * mw_to_pu)
 
         yield k, t_now, f_coi, d_omega, p_attack, p_reserve, applied
         if k == n_steps:
@@ -422,7 +393,7 @@ def simulate(model: NetworkModel,
             t=t_arr[:n], f_coi=f_coi_arr[:n], f_gen=f_gen_arr[:n],
             p_attack=p_atk_arr[:n], p_reserve_up=p_up_arr[:n],
             p_reserve_down=p_dn_arr[:n], events=tuple(applied),
-            dt=config.dt, gen_buses=tuple(g.bus for g in model.generators))
+            dt=config.dt)
 
     for k, t_now, f_coi, d_omega, p_attack, p_reserve, applied in _lockstep(
             [model], pf, schedule, config):

@@ -174,11 +174,11 @@ def validate(model: NetworkModel) -> list[str]:
         if ln.x == 0.0 and ln.r == 0.0:
             problems.append(f"line {ln.from_bus}-{ln.to_bus}: zero impedance")
 
-    gen_buses = set()
+    machine_buses = set()
     for g in model.generators:
         if g.bus not in known:
             problems.append(f"generator at unknown bus {g.bus}")
-        gen_buses.add(g.bus)
+        machine_buses.add(g.bus)
         if g.h <= 0 or g.mva_base <= 0 or g.xd_t <= 0:
             problems.append(f"generator bus {g.bus}: h, mva_base, xd_t must be positive")
         if g.p_set < 0:
@@ -197,7 +197,7 @@ def validate(model: NetworkModel) -> list[str]:
             problems.append(f"load at unknown bus {ld.bus}")
         if ld.p < 0:
             problems.append(f"load bus {ld.bus}: negative demand")
-        if ld.bus in gen_buses:
+        if ld.bus in machine_buses:
             problems.append(f"load bus {ld.bus}: load and generator share a bus")
 
     # Every bus must be reachable over the line graph.

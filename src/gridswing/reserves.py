@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class ReserveProduct:
@@ -81,25 +83,15 @@ def command(product: ReserveProduct, f_hz: float) -> float:
     return -math.copysign(cap * frac, dev)
 
 
-def make_state(products) -> dict[str, float]:
-    """Zero-output state for a product list."""
-    return {p.name: 0.0 for p in products}
-
-
-def respond(state: dict[str, float], commands: dict[str, float], dt: float,
-            products) -> dict[str, float]:
+def respond(outputs: np.ndarray, commands, products, dt: float) -> np.ndarray:
     """Advance each product output one step toward its command.
 
-    Exact first-order update, out += (cmd - out) * (1 - exp(-dt/tau)), so the
-    trajectory is independent of how dt subdivides the horizon.
+    outputs and commands are MW, aligned with products. Exact first-order
+    update, out += (cmd - out) * (1 - exp(-dt/tau)), so the trajectory is
+    independent of how dt subdivides the horizon.
     """
-    out = dict(state)
-    for p in products:
-        if p.name not in out:
-            continue
-        alpha = 1.0 - math.exp(-dt / p.response_time)
-        out[p.name] = out[p.name] + (commands.get(p.name, 0.0) - out[p.name]) * alpha
-    return out
+    alpha = np.array([1.0 - math.exp(-dt / p.response_time) for p in products])
+    return outputs + (np.asarray(commands) - outputs) * alpha
 
 
 # Products slower than this are restoration reserves (aFRR, mFRR); they

@@ -13,7 +13,7 @@ def fake_trace(f, dt=0.01):
     return dynamics.SimulationTrace(
         t=np.arange(n) * dt, f_coi=f, f_gen=np.repeat(f[:, None], 3, axis=1),
         p_attack=np.zeros(n), p_reserve_up=np.zeros(n),
-        p_reserve_down=np.zeros(n), events=(), dt=dt, gen_buses=(1, 2, 3))
+        p_reserve_down=np.zeros(n), events=(), dt=dt)
 
 
 def test_metrics_constant_trace():

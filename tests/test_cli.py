@@ -1,5 +1,6 @@
 """End-to-end command line behaviour: artifacts, diagnostics, exit codes."""
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -217,6 +218,29 @@ def test_sweep_timings(tmp_path, capsys):
     assert "optimal" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, values, message", [
+    ("--timings", "inf", "finite"),
+    ("--timings", "nan", "finite"),
+    ("--magnitudes", "4,inf", "finite"),
+    ("--timings", "3,50", "horizon"),
+])
+def test_sweep_rejects_unusable_values(tmp_path, capfd, flag, values, message):
+    scn = write_scenario(tmp_path)
+    assert cli.main(["sweep", scn, flag, values,
+                     "--out-dir", str(tmp_path)]) == 2
+    err = capfd.readouterr().err  # fd-level, so LAPACK's own noise shows
+    assert message in err
+    assert "Traceback" not in err and "DLASCL" not in err
+
+
+def test_event_too_late_to_snap_is_dropped(tmp_path):
+    scn = write_scenario(tmp_path, system={"duration_s": 0.05},
+                         attack={"t_start": 1e308})
+    assert cli.main(["simulate", scn, "--out-dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "case_report.json").read_text())
+    assert doc["events"] == []
+
+
 def test_sweep_requires_exactly_one_mode(tmp_path):
     scn = write_scenario(tmp_path)
     assert cli.main(["sweep", scn]) == 2
@@ -253,14 +277,6 @@ def test_feasibility_unknown_year(capsys):
     assert "no forecast" in capsys.readouterr().err
 
 
-def test_seedless_flag_accepted_bare(capsys):
-    assert cli.main(["--seedless", "powerflow"]) == 0
-
-
-def test_seedless_flag_rejects_value(capsys):
-    assert cli.main(["--seedless=yes", "powerflow"]) == 2
-
-
 def test_missing_scenario_file(tmp_path, capsys):
     assert cli.main(["simulate", str(tmp_path / "nope.scn")]) == 2
 
@@ -283,3 +299,44 @@ def test_shipped_switching_scenario_runs(tmp_path):
     assert cli.main(["simulate", scn, "--out-dir", str(tmp_path),
                      "--duration", "20"]) == 0
     assert (tmp_path / "switching_di_8_trace.csv").exists()
+
+
+# sha256 of <stem>_trace.csv and of the report without config.output,
+# dumped with sort_keys; captured with numpy 2.4.6. Another numpy may round
+# the reductions differently and change the last printed digit.
+GOLDEN = {
+    "combination_di_8": (
+        "0708d3c843b7592ec56906076d8e16c3fa6bbc10d402c139351469429a4f249a",
+        "8b559eba39f66a1a2a94f429ec07885565d6c83116fba7b3fb2eba609b7f29a8"),
+    "national_1400mw": (
+        "1f72fc6a74e401e510260f9736282e0fa5de70f0b6e056f2a5fcb58edbb8c640",
+        "4c1e2bf962310d405c2b0a02fdbeccd9d01eb30a198937f4f17a4abbcd613664"),
+    "periodic_di_8": (
+        "eed0902df108d623a751c3acfab639dffeed7b54acd617784b7379bf490bc84a",
+        "5a2d89e02357542071df04a7d87e5f2288cf8063f2c9b7ba59c1e7e40d9a5ac7"),
+    "periodic_slope_trigger": (
+        "936e17afde7a211d608035fac14b62d40a638c2189454db0f3d176991681764a",
+        "bfd35fa4783dfee7dce3f8f67c8a2ea5df2e23f63cda0500065740c01b414bda"),
+    "static_di_12": (
+        "515b78e7db43a752e328e7af9b86f885be5c33991f8d066c1e2270e285132840",
+        "34fc9bb2db8021da631a35b615cf5b04b6bf481d12a14144dd44830f73e56101"),
+    "static_dr_12_reserves": (
+        "afaa0c57b3bbfd3c3c9f245d103f358d8d3a0c999ecf066b91b628cedb5fa6bd",
+        "9469053acf33a318cf215a1bc63450af78239c2e1333f6d09f901a8115c487ac"),
+    "switching_di_8": (
+        "b4505f30c42d340228844f36310ce33806107439d0955fb50c1d5dc2731b7c64",
+        "33e384c18b7688fafb77d58f46d4f86fd2c6e103ac63ec3ae113902c90b2599b"),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(GOLDEN))
+def test_shipped_scenario_golden_hashes(tmp_path, stem):
+    here = os.path.dirname(os.path.abspath(__file__))
+    scn = os.path.join(here, "..", "scenarios", f"{stem}.scn")
+    assert cli.main(["simulate", scn, "--out-dir", str(tmp_path)]) == 0
+    trace = (tmp_path / f"{stem}_trace.csv").read_bytes()
+    report = json.loads((tmp_path / f"{stem}_report.json").read_text())
+    del report["config"]["output"]
+    dumped = json.dumps(report, sort_keys=True).encode()
+    assert (hashlib.sha256(trace).hexdigest(),
+            hashlib.sha256(dumped).hexdigest()) == GOLDEN[stem]

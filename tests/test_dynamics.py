@@ -23,14 +23,14 @@ def test_equilibrium_is_a_fixed_point(model):
 
 
 def test_init_state_matches_dispatch(model, pf):
-    st = dynamics.init_state(model, pf)
+    delta, e_int, p_m, y_red = dynamics.init_state(model, pf)
     idx = model.bus_index()
     dispatch = np.array([pf.p_inj[idx[g.bus]] for g in model.generators])
-    assert st.p_m == pytest.approx(dispatch, abs=1e-9)
-    red = dynamics.build_reduced(model, pf, dynamics.base_loads(model))
-    pe = dynamics.electrical_power(red, st.e_int, st.delta)
-    assert pe == pytest.approx(st.p_m, abs=1e-9)
-    assert dynamics.coi_frequency(model, st) == pytest.approx(50.0)
+    assert p_m == pytest.approx(dispatch, abs=1e-9)
+    base = dynamics.build_reduced(model, pf, dynamics.base_loads(model))
+    assert np.array_equal(y_red, base)
+    pe = dynamics.electrical_power(y_red, e_int, delta)
+    assert pe == pytest.approx(p_m, abs=1e-9)
 
 
 def _kron_pe_by_hand(model, pf, loads_p, e_int, delta):
@@ -58,13 +58,13 @@ def test_initial_rocof_matches_power_jump(model, pf):
     over 2H. The jump is smaller than the commanded 0.252 pu because the
     voltage dip instantly sheds part of the other constant-admittance loads.
     """
-    st = dynamics.init_state(model, pf)
+    delta, e_int, _, _ = dynamics.init_state(model, pf)
     idx = model.bus_index()
     base = dynamics.base_loads(model)
     post = base.copy()
     post[idx[8]] += 0.252
-    dpe = (_kron_pe_by_hand(model, pf, post, st.e_int, st.delta).sum()
-           - _kron_pe_by_hand(model, pf, base, st.e_int, st.delta).sum())
+    dpe = (_kron_pe_by_hand(model, pf, post, e_int, delta).sum()
+           - _kron_pe_by_hand(model, pf, base, e_int, delta).sum())
     _, h_sys, _, _, _, _ = dynamics.machine_params(model)
     predicted = -dpe / (2 * h_sys.sum()) * 50.0
 
@@ -107,12 +107,36 @@ def test_event_snaps_to_next_boundary(model):
     assert tr.events[0][0] == pytest.approx(1.01)
 
 
+def test_base_reduction_is_built_once(model, pf, monkeypatch):
+    loads = []
+
+    def counting(model, pf, loads_p):
+        loads.append(loads_p.copy())
+        return build(model, pf, loads_p)
+
+    build = dynamics.build_reduced
+    monkeypatch.setattr(dynamics, "build_reduced", counting)
+    dynamics.simulate(model, make_schedule(model),
+                      dynamics.SimConfig(duration=2.0), pf)
+    assert len(loads) == 2  # the base network, then the one 8 % event
+    assert np.array_equal(loads[0], dynamics.base_loads(model))
+
+
 def test_event_beyond_horizon_is_skipped(model):
     sch = attacks.EventSchedule(events=(attacks.Event(100.0, 8, 0.1),))
     tr = dynamics.simulate(model, sch, dynamics.SimConfig(duration=2.0))
     assert tr.events == ()
     assert np.all(tr.p_attack == 0.0)
     assert np.max(np.abs(tr.f_coi - 50.0)) < 1e-9
+
+
+@pytest.mark.parametrize("t_event", [1.995, 2.0])
+def test_event_on_last_boundary_applies(model, t_event):
+    sch = attacks.EventSchedule(events=(attacks.Event(t_event, 8, 0.1),))
+    tr = dynamics.simulate(model, sch, dynamics.SimConfig(duration=2.0))
+    assert [t for t, _ in tr.events] == [pytest.approx(2.0)]
+    assert tr.p_attack[-1] == pytest.approx(0.1)
+    assert tr.p_attack[-2] == 0.0
 
 
 def test_switching_prefix_equals_static(model):

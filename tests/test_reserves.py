@@ -1,6 +1,7 @@
 """Reserve product curves, activation lag, and the static residual arithmetic."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -63,19 +64,19 @@ def test_disabled_product_commands_zero(products):
 
 def test_lag_one_second_step(products):
     ffr = by_name(products, "FFR")  # tau = 1 s
-    state = reserves.make_state([ffr])
-    out = reserves.respond(state, {"FFR": 100.0}, dt=1.0, products=[ffr])
-    assert out["FFR"] == pytest.approx(100.0 * (1 - math.exp(-1)), abs=1e-9)
+    out = reserves.respond(np.zeros(1), [100.0], [ffr], dt=1.0)
+    assert out[0] == pytest.approx(100.0 * (1 - math.exp(-1)), abs=1e-9)
 
 
 def test_lag_split_invariance(products):
     """Two half steps land exactly where one full step does."""
-    full = reserves.respond(reserves.make_state(products),
-                            {"FCR-N": 200.0}, dt=0.5, products=products)
-    half = reserves.respond(reserves.make_state(products),
-                            {"FCR-N": 200.0}, dt=0.25, products=products)
-    half = reserves.respond(half, {"FCR-N": 200.0}, dt=0.25, products=products)
-    assert half["FCR-N"] == pytest.approx(full["FCR-N"], abs=1e-12)
+    cmds = [200.0 if p.name == "FCR-N" else 0.0 for p in products]
+    zero = np.zeros(len(products))
+    full = reserves.respond(zero, cmds, products, dt=0.5)
+    half = reserves.respond(zero, cmds, products, dt=0.25)
+    half = reserves.respond(half, cmds, products, dt=0.25)
+    assert half == pytest.approx(full, abs=1e-12)
+    assert full[[p.name for p in products].index("FCR-N")] > 0.0
 
 
 @given(st.floats(min_value=-600, max_value=600),
@@ -83,9 +84,8 @@ def test_lag_split_invariance(products):
        st.floats(min_value=1e-3, max_value=10.0))
 def test_lag_is_a_contraction(start, cmd, dt):
     prods = [p for p in reserves.default_products() if p.name == "FCR-N"]
-    state = {"FCR-N": start}
-    out = reserves.respond(state, {"FCR-N": cmd}, dt=dt, products=prods)
-    assert abs(out["FCR-N"] - cmd) <= abs(start - cmd) + 1e-9
+    out = reserves.respond(np.array([start]), [cmd], prods, dt=dt)
+    assert abs(out[0] - cmd) <= abs(start - cmd) + 1e-9
 
 
 def test_residual_frequency_raising_attack(products):
