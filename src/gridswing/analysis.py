@@ -44,8 +44,11 @@ def metrics(trace: dynamics.SimulationTrace) -> Metrics:
     list each monitored threshold actually crossed, with the time of the
     first sample beyond it.
     """
-    f = trace.f_coi
-    t = trace.t
+    return _coi_metrics(trace.t, trace.f_coi, trace.dt)
+
+
+def _coi_metrics(t: np.ndarray, f: np.ndarray, dt: float) -> Metrics:
+    """metrics() of the COI frequency f sampled at times t, dt apart."""
     if len(f) == 0:
         raise ValueError("empty trace")
     i_nad = int(np.argmin(f))
@@ -53,7 +56,7 @@ def metrics(trace: dynamics.SimulationTrace) -> Metrics:
     settled = float(f[-1])
 
     inside = np.abs(f - settled) <= SETTLE_BAND_HZ
-    dwell_n = int(round(SETTLE_DWELL_S / trace.dt))
+    dwell_n = int(round(SETTLE_DWELL_S / dt))
     settle_time = None
     if len(f) > dwell_n:
         # earliest index opening a full in-band dwell window
@@ -107,33 +110,59 @@ def _ols(points):
     return float(coef[0]), float(coef[1]), r2
 
 
+def _sweep_lanes(model: NetworkModel, schedules,
+                 config: dynamics.SimConfig):
+    """Run each schedule as one lane of a single lockstep batch.
+
+    Returns the COI frequency as a (samples, lanes) array and, per lane,
+    the time its run first leaves the speed guard (what simulate would
+    raise InstabilityError with), or None. A lane past the guard keeps
+    integrating with the others; its later samples are not used.
+    """
+    n_samp = config.n_steps + 1
+    if not schedules:
+        return np.empty((n_samp, 0)), []
+    f = np.empty((n_samp, len(schedules)))
+    speed = np.empty_like(f)  # largest machine speed deviation, pu
+    for k, _, f_coi, d_omega, *_ in dynamics._lockstep(
+            [model] * len(schedules), powerflow.solve(model), schedules,
+            config):
+        f[k] = f_coi
+        speed[k] = np.abs(d_omega).max(axis=-1)
+    out = speed > dynamics.SPEED_GUARD_PU
+    first = out.argmax(axis=0)
+    return f, [k * config.dt if out[k, lane] else None
+               for lane, k in enumerate(first.tolist())]
+
+
 def magnitude_sweep(model: NetworkModel, attack_type: attacks.AttackType,
                     magnitudes, config: dynamics.SimConfig | None = None,
                     target_bus=None) -> SweepFit:
     """Static attacks over a magnitude list, fitted to a line.
 
     The extracted response is the nadir for demand-increase-like types and
-    the zenith for demand-reduction-like ones. Failed runs (divergence,
-    instability) are skipped and recorded; fewer than two surviving points
-    raises FitError. The fit is order-independent: points are sorted by
-    magnitude before fitting.
+    the zenith for demand-reduction-like ones. Every magnitude is one lane
+    of a single lockstep batch. Runs that leave the speed guard are skipped
+    and recorded; fewer than two surviving points raises FitError. The fit
+    is order-independent: points are sorted by magnitude before fitting.
     """
     if config is None:
         config = dynamics.SimConfig(duration=60.0)
     lowers = attack_type.demand_sign > 0
+    mags = [float(mag) for mag in magnitudes]
+    f, trips = _sweep_lanes(model, [
+        attacks.compile_scenario(model, attacks.AttackScenario(
+            family="static", attack_type=attack_type, magnitude_percent=mag,
+            target_bus=target_bus))
+        for mag in mags], config)
     points = []
     skipped = []
-    for mag in magnitudes:
-        sc = attacks.AttackScenario(
-            family="static", attack_type=attack_type,
-            magnitude_percent=float(mag), target_bus=target_bus)
-        try:
-            tr = dynamics.simulate(model, attacks.compile_scenario(model, sc),
-                                   config)
-            mx = metrics(tr)
-            points.append((float(mag), mx.nadir_hz if lowers else mx.zenith_hz))
-        except (dynamics.InstabilityError, powerflow.DivergenceError) as exc:
-            skipped.append((float(mag), str(exc)))
+    for mag, f_lane, trip in zip(mags, f.T, trips):
+        if trip is None:
+            points.append((mag, float(f_lane.min() if lowers
+                                      else f_lane.max())))
+        else:
+            skipped.append((mag, str(dynamics.InstabilityError(trip))))
     if len(points) < 2:
         raise FitError(
             f"only {len(points)} sweep points survived; cannot fit")
@@ -150,7 +179,9 @@ def timing_sweep(model: NetworkModel, base: attacks.AttackScenario,
     Returns (optimal_t1, {t1: Metrics}) where optimal maximizes the largest
     absolute deviation from nominal after the reversion; ties break toward
     the earliest t1. t1 values are absolute times and must lie beyond the
-    scenario's t_start and within the horizon.
+    scenario's t_start and within the horizon. Every t1 is one lane of a
+    single lockstep batch; a run that leaves the speed guard raises
+    InstabilityError.
     """
     if config is None:
         config = dynamics.SimConfig(duration=40.0)
@@ -163,14 +194,20 @@ def timing_sweep(model: NetworkModel, base: attacks.AttackScenario,
         if not v <= config.duration:  # NaN fails this too
             raise ValueError(f"t1 = {v} lies beyond the {config.duration:g} s "
                              "horizon")
+    t1_values = sorted(set(t1_values))
+    f, trips = _sweep_lanes(model, [
+        attacks.compile_scenario(model, replace(base, family="switching", t1=v))
+        for v in t1_values], config)
+    for trip in trips:
+        if trip is not None:
+            raise dynamics.InstabilityError(trip)
+    t = np.arange(len(f)) * config.dt
     results: dict[float, Metrics] = {}
     post_dev: dict[float, float] = {}
-    for v in sorted(t1_values):
-        sc = replace(base, family="switching", t1=v)
-        tr = dynamics.simulate(model, attacks.compile_scenario(model, sc), config)
-        results[v] = metrics(tr)
+    for v, f_lane in zip(t1_values, f.T):
+        results[v] = _coi_metrics(t, f_lane, config.dt)
         i0 = dynamics.step_index(v, config.dt)
-        post_dev[v] = float(np.max(np.abs(tr.f_coi[i0:] - model.f_nominal)))
+        post_dev[v] = float(np.max(np.abs(f_lane[i0:] - model.f_nominal)))
     optimal = max(sorted(post_dev), key=lambda v: (post_dev[v], -v))
     return optimal, results
 
@@ -228,8 +265,9 @@ def _grid_anchor_errors(model, anchors, r_vals, tg_vals, d_vals,
     for percent, nadir_target, settled_target in anchors:
         f_min = np.full(len(lanes), np.inf)
         unstable = np.zeros(len(lanes), dtype=bool)
+        schedule = _anchor_schedule(model, percent)
         for _, _, f_coi, d_omega, *_ in dynamics._lockstep(
-                lanes, pf, _anchor_schedule(model, percent), config):
+                lanes, pf, [schedule] * len(lanes), config):
             np.minimum(f_min, f_coi, out=f_min)
             unstable |= (np.abs(d_omega).max(axis=-1)
                          > dynamics.SPEED_GUARD_PU)
@@ -265,7 +303,8 @@ def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
     9 x 9 x 5 grid over the search box as 405 lanes of one lockstep
     integrator run per anchor; stage two runs three rounds of coordinate
     halving around the incumbent through dynamics.simulate, the same
-    integrator with one lane, which also provides the reported residual.
+    integrator with one lane. A lane's error is bit-identical to its
+    one-lane run, so the grid's incumbent error needs no scalar rerun.
     Deterministic throughout: no randomness, fixed evaluation order.
     """
     anchors = tuple(anchors)
@@ -296,7 +335,7 @@ def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
     i_r, rem = divmod(flat, len(t_grid) * len(d_grid))
     i_t, i_d = divmod(rem, len(d_grid))
     current = [float(r_grid[i_r]), float(t_grid[i_t]), float(d_grid[i_d])]
-    best_err = objective(*current)
+    best_err = float(errors[flat])  # lanes are exact: objective(*current)
 
     steps = [float(r_grid[1] - r_grid[0]), float(t_grid[1] - t_grid[0]),
              float(d_grid[1] - d_grid[0])]

@@ -15,8 +15,9 @@ Per generator i (all in system pu on the model MVA base, delta in rad):
 
 One fixed-step RK4 integrator, ``_lockstep``, serves every caller: attack
 events and reserve updates land on step boundaries, and it carries either
-one system (``simulate``) or a batch of lanes that differ only in governor
-and damping (the calibration grid) through the same expressions. Two
+one system (``simulate``) or a batch of lanes, each with its own event
+schedule, governor and damping (sweeps and the calibration grid), through
+the same expressions; every lane is bit-identical to its one-lane run. Two
 electrical couplings are available:
 
 * "network" (default): p_e from the Kron-reduced admittance matrix, rebuilt
@@ -47,10 +48,10 @@ class InstabilityError(RuntimeError):
     """Loss of synchronism: a machine speed left the SPEED_GUARD_PU band.
 
     The truncated trace up to the failing step is attached so callers can
-    inspect how the collapse developed.
+    inspect how the collapse developed; a lane of a sweep keeps none.
     """
 
-    def __init__(self, time_s: float, trace: "SimulationTrace"):
+    def __init__(self, time_s: float, trace: "SimulationTrace | None" = None):
         super().__init__(
             f"simulation unstable at t = {time_s:.2f} s: "
             f"machine speed deviation exceeded {SPEED_GUARD_PU} pu")
@@ -153,9 +154,19 @@ def build_reduced(model: NetworkModel, pf: PowerFlowSolution,
 
 def electrical_power(y_red: np.ndarray, e_int: np.ndarray,
                      delta: np.ndarray) -> np.ndarray:
-    """Machine electrical powers for angles of shape (m,) or (lanes, m)."""
+    """Machine electrical powers for angles of shape (m,) with an (m, m)
+    y_red, or (lanes, m) with a (lanes, m, m) stack.
+
+    The stacked matrix-vector product reduces each lane in the same order
+    whatever the lane count and gives the same bits as the 1-d product,
+    which one lane keeps because it is faster.
+    """
     ev = e_int * np.exp(1j * delta)
-    return (ev * np.conj(ev @ y_red.T)).real
+    if ev.ndim == 1:
+        current = y_red @ ev
+    else:
+        current = np.matmul(y_red, ev[..., None])[..., 0]
+    return (ev * np.conj(current)).real
 
 
 def base_loads(model: NetworkModel) -> np.ndarray:
@@ -233,35 +244,44 @@ class _Linearization:
         return out
 
 
-def _lockstep(models, pf: PowerFlowSolution,
-              schedule: _attacks.EventSchedule, config: SimConfig):
-    """The RK4 integrator: step lanes sharing one schedule in lockstep.
+def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
+    """The RK4 integrator: step lanes in lockstep, each with its own schedule.
 
-    models[0] is the system; further lanes are copies of it that differ
-    only in governor and damping (netmodel.with_dynamic_params), so all
-    share the initial state, events and reduced network. One lane carries
-    (m,) arrays and B lanes (B, m); the same expressions serve both by
-    broadcasting, and one lane stays 1-d because that form is faster.
-    Reserves and the slope trigger act on one frequency: one lane only.
+    Lane b runs models[b] under schedules[b]. The models share the network
+    and initial state of models[0] and may differ in governor and damping
+    (netmodel.with_dynamic_params). One lane carries (m,) state arrays and
+    an (m, m) reduced admittance, because that form is faster; B lanes carry
+    (B, m) arrays and a (B, m, m) stack whose rows change only for lanes
+    with an event. Every expression reduces each lane on its own in a fixed
+    order, so a lane's numbers do not depend on the other lanes. Reductions
+    are built once per distinct load vector. Linear coupling and the slope
+    trigger need a single lane.
 
     At each boundary k = 0 .. n_steps: apply the events due (each snaps to
     the first boundary at or after its time; those past the horizon never
     apply), let the slope trigger release one, advance the reserve lags
     with the boundary frequency, and yield (k, t, f_coi, d_omega, p_attack,
     (p_reserve_up, p_reserve_down), applied); then integrate to the next
-    boundary with reserves held. The caller enforces the speed guard.
+    boundary with reserves held. f_coi and d_omega have the state's shape;
+    p_attack and the reserve totals are (B,) arrays and applied holds a
+    list of (time, label) per lane. The caller enforces the speed guard.
     """
     model = models[0]
+    n_lanes = len(models)
+    if len(schedules) != n_lanes:
+        raise ValueError("need one schedule per lane")
+    if n_lanes > 1 and config.coupling == "linear":
+        raise ValueError("linear coupling needs a single lane")
+    if n_lanes > 1 and any(s.policy is not None for s in schedules):
+        raise ValueError("the slope trigger needs a single lane")
     products = tuple(p for p in config.reserves if p.enabled)
-    if len(models) > 1 and (products or schedule.policy is not None):
-        raise ValueError("reserves and the slope trigger need a single lane")
 
     f_nom = model.f_nominal
     omega_s = 2.0 * np.pi * f_nom
     mva, h_sys, d_sys, droop_gain, t_g, p_max = machine_params(model)
     reps = 1  # np.tile repeats: 1-d for one lane, (B, m) for B lanes
-    if len(models) > 1:
-        reps = (len(models), 1)
+    if n_lanes > 1:
+        reps = (n_lanes, 1)
         _, _, d_sys, droop_gain, t_g, _ = map(
             np.array, zip(*map(machine_params, models)))
     two_h = 2.0 * h_sys
@@ -270,7 +290,10 @@ def _lockstep(models, pf: PowerFlowSolution,
     mw_to_pu = scheduled_generation(model) / model.national_total_mw
 
     delta0, e_int, p_ref, y_red = init_state(model, pf)
-    loads_p = base_loads(model)
+    loads_p = np.tile(base_loads(model), (n_lanes, 1))
+    reduced = {loads_p[0].tobytes(): y_red}
+    if n_lanes > 1:
+        y_red = np.tile(y_red, (n_lanes, 1, 1))
     delta = np.tile(delta0, reps)
     d_omega = np.zeros_like(delta)
     p_m = np.tile(p_ref, reps)
@@ -283,35 +306,49 @@ def _lockstep(models, pf: PowerFlowSolution,
 
     dt = config.dt
     n_steps = config.n_steps
-    # Pre-bin events by destination step so the hot loop stays cheap.
+    # Pre-bin (lane, bus, delta_p) by destination step so the hot loop
+    # stays cheap; each lane's events keep their time order.
     by_step: dict[int, list] = {}
-    for ev in sorted(schedule.events, key=lambda e: e.time):
-        if model.load_at(ev.bus) is None:
-            raise ValueError(f"event targets bus {ev.bus} which has no load")
-        if ev.time > config.duration:
-            continue  # never applies, and t / dt may be too large to snap
-        by_step.setdefault(step_index(ev.time, dt), []).append(ev)
+    for lane, schedule in enumerate(schedules):
+        for ev in sorted(schedule.events, key=lambda e: e.time):
+            if model.load_at(ev.bus) is None:
+                raise ValueError(
+                    f"event targets bus {ev.bus} which has no load")
+            if ev.time > config.duration:
+                continue  # never applies, and t / dt may be too large to snap
+            by_step.setdefault(step_index(ev.time, dt), []).append(
+                (lane, ev.bus, ev.delta_p))
 
     trigger = None
-    if schedule.policy is not None:
-        trigger = _attacks.SlopeTrigger(schedule.policy, f_nom, dt)
-    outputs = np.zeros(len(products))  # MW per product, signed
-    p_reserve = (0.0, 0.0)
+    if schedules[0].policy is not None:
+        trigger = _attacks.SlopeTrigger(schedules[0].policy, f_nom, dt)
+    outputs = np.zeros((n_lanes, len(products)))  # MW per product, signed
+    p_reserve = (np.zeros(n_lanes), np.zeros(n_lanes))  # up, down; pu
     p_res = 0.0  # per machine once reserves respond
-    p_attack = 0.0
-    applied: list[tuple[float, str]] = []
-    label = schedule.label or "event"
+    if products:
+        res_rows = np.zeros((n_lanes, len(mva)))
+        p_res = res_rows.reshape(delta.shape)  # a view of res_rows
+    p_attack = np.zeros(n_lanes)
+    applied: list[list[tuple[float, str]]] = [[] for _ in schedules]
+    labels = [s.label or "event" for s in schedules]
 
-    def apply(bus: int, delta_p: float, t_now: float):
-        nonlocal y_red, p_attack
+    def apply(lane: int, bus: int, delta_p: float, t_now: float):
+        nonlocal y_red
         j = idx[bus]
-        loads_p[j] += delta_p
-        p_attack += delta_p
+        loads_p[lane, j] += delta_p
+        p_attack[lane] += delta_p
         if lin is None:
-            y_red = build_reduced(model, pf, loads_p)
+            key = loads_p[lane].tobytes()
+            if key not in reduced:
+                reduced[key] = build_reduced(model, pf, loads_p[lane].copy())
+            if n_lanes == 1:
+                y_red = reduced[key]
+            else:
+                y_red[lane] = reduced[key]
         else:
             attack_by_bus[j] += delta_p
-        applied.append((t_now, f"{label} {delta_p:+.4f} pu @ bus {bus}"))
+        applied[lane].append(
+            (t_now, f"{labels[lane]} {delta_p:+.4f} pu @ bus {bus}"))
 
     def rhs(dl, dw, pm):
         if lin is None:
@@ -324,24 +361,24 @@ def _lockstep(models, pf: PowerFlowSolution,
 
     for k in range(n_steps + 1):
         t_now = k * dt
-        for ev in by_step.get(k, ()):
-            apply(ev.bus, ev.delta_p, t_now)
-        f_coi = f_nom * (1.0 + (d_omega @ h_sys) / h_total)
+        for lane, bus, delta_p in by_step.get(k, ()):
+            apply(lane, bus, delta_p, t_now)
+        f_coi = f_nom * (1.0 + np.vecdot(d_omega, h_sys) / h_total)
         if trigger is not None and not trigger.exhausted:
             fired = trigger.observe(t_now, float(f_coi))
             if fired is not None:
-                apply(*fired, t_now)
+                apply(0, *fired, t_now)
         if products:
-            f_hz = float(f_coi)
+            f_lanes = [float(f_coi)] if n_lanes == 1 else f_coi.tolist()
             outputs = _reserves.respond(
-                outputs, [_reserves.command(p, f_hz) for p in products],
-                products, dt)
-            # Python's left-to-right sums: np.sum's pairwise order could
-            # round differently.
-            mw = outputs.tolist()
-            p_res = mva_share * (sum(mw) * mw_to_pu)
-            p_reserve = (sum(v for v in mw if v > 0) * mw_to_pu,
-                         sum(v for v in mw if v < 0) * mw_to_pu)
+                outputs, [[_reserves.command(p, f_hz) for p in products]
+                          for f_hz in f_lanes], products, dt)
+            # Python's left-to-right sums per lane: np.sum's pairwise order
+            # could round differently.
+            for lane, mw in enumerate(outputs.tolist()):
+                np.multiply(mva_share, sum(mw) * mw_to_pu, out=res_rows[lane])
+                p_reserve[0][lane] = sum(v for v in mw if v > 0) * mw_to_pu
+                p_reserve[1][lane] = sum(v for v in mw if v < 0) * mw_to_pu
 
         yield k, t_now, f_coi, d_omega, p_attack, p_reserve, applied
         if k == n_steps:
@@ -395,13 +432,14 @@ def simulate(model: NetworkModel,
             p_reserve_down=p_dn_arr[:n], events=tuple(applied),
             dt=config.dt)
 
-    for k, t_now, f_coi, d_omega, p_attack, p_reserve, applied in _lockstep(
-            [model], pf, schedule, config):
+    for k, t_now, f_coi, d_omega, p_attack, (p_up, p_dn), applied in \
+            _lockstep([model], pf, [schedule], config):
         t_arr[k] = t_now
         f_coi_arr[k] = f_coi
         f_gen_arr[k] = f_nom * (1.0 + d_omega)
-        p_atk_arr[k] = p_attack
-        p_up_arr[k], p_dn_arr[k] = p_reserve
+        p_atk_arr[k] = p_attack[0]
+        p_up_arr[k] = p_up[0]
+        p_dn_arr[k] = p_dn[0]
         if np.max(np.abs(d_omega)) > SPEED_GUARD_PU:
-            raise InstabilityError(t_now, trace(k + 1, applied))
-    return trace(n_samp, applied)
+            raise InstabilityError(t_now, trace(k + 1, applied[0]))
+    return trace(n_samp, applied[0])

@@ -86,7 +86,8 @@ def command(product: ReserveProduct, f_hz: float) -> float:
 def respond(outputs: np.ndarray, commands, products, dt: float) -> np.ndarray:
     """Advance each product output one step toward its command.
 
-    outputs and commands are MW, aligned with products. Exact first-order
+    outputs and commands are MW with products on the last axis, so a
+    (lanes, products) batch advances element by element. Exact first-order
     update, out += (cmd - out) * (1 - exp(-dt/tau)), so the trajectory is
     independent of how dt subdivides the horizon.
     """

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridswing import analysis, attacks, dynamics, netmodel
+from gridswing import analysis, attacks, dynamics, netmodel, reserves
 from gridswing.attacks import AttackType
 
 
@@ -180,8 +180,8 @@ def test_calibrate_anchor_validation(model):
 
 
 def test_grid_stage_matches_scalar_objective(model):
-    """The vectorized coarse pass must agree with the authoritative
-    integrator at shared parameter points."""
+    """The vectorized coarse pass must agree bit for bit with the
+    authoritative integrator at shared parameter points."""
     anchors = analysis.DEFAULT_ANCHORS
     r_vals, tg_vals, d_vals = [0.03, 0.08], [1.0, 5.0], [0.5]
     grid = analysis._grid_anchor_errors(model, anchors, r_vals, tg_vals,
@@ -193,7 +193,7 @@ def test_grid_stage_matches_scalar_objective(model):
             for d in d_vals:
                 scalar = analysis._anchor_error(
                     netmodel.with_dynamic_params(model, r, tg, d), anchors, cfg)
-                assert grid[flat] == pytest.approx(scalar, abs=1e-9)
+                assert grid[flat] == scalar
                 flat += 1
 
 
@@ -210,12 +210,100 @@ def test_grid_lanes_are_independent(model):
     permuted = analysis._grid_anchor_errors(
         model, anchors, [r_vals[i] for i in perm], tg_vals, d_vals,
         dt=0.01, duration=10.0)
-    assert np.allclose(permuted.reshape(3, 2, 2), grid[perm],
-                       rtol=0, atol=1e-12)
-    one = analysis._grid_anchor_errors(
-        model, anchors, [0.05], [5.0], [0.5], dt=0.01, duration=10.0)
-    assert one.shape == (1,)
-    assert abs(one[0] - grid[1, 1, 1]) <= 1e-12
+    assert np.array_equal(permuted.reshape(3, 2, 2), grid[perm])
+    for i_r, i_t, i_d in [(1, 1, 1), (2, 1, 0)]:  # (2, 1, 0): box corner
+        one = analysis._grid_anchor_errors(
+            model, anchors, [r_vals[i_r]], [tg_vals[i_t]], [d_vals[i_d]],
+            dt=0.01, duration=10.0)
+        assert one.shape == (1,)
+        assert one[0] == grid[i_r, i_t, i_d]
+
+
+SWEEP_MAGNITUDES = (2.0, 4.0, 6.0, 8.0, 9.4, 12.0, 14.0)
+SHORT = dynamics.SimConfig(duration=2.0)
+
+
+def sweep_schedule(model, mag):
+    return attacks.compile_scenario(model, attacks.AttackScenario(
+        family="static", attack_type=AttackType.DEMAND_INCREASE,
+        magnitude_percent=mag))
+
+
+@pytest.fixture(scope="module")
+def single_runs(model):
+    """f_coi of each sweep magnitude's own simulate run over SHORT."""
+    return {mag: dynamics.simulate(model, sweep_schedule(model, mag),
+                                   SHORT).f_coi
+            for mag in SWEEP_MAGNITUDES}
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.permutations(SWEEP_MAGNITUDES).flatmap(
+    lambda mags: st.integers(1, len(mags)).map(lambda n: mags[:n])))
+def test_sweep_lanes_are_exact(model, single_runs, mags):
+    """Any subset and order of magnitude-sweep lanes gives each lane the
+    bits of its own simulate run."""
+    f, trips = analysis._sweep_lanes(
+        model, [sweep_schedule(model, mag) for mag in mags], SHORT)
+    assert f.shape == (201, len(mags))
+    assert trips == [None] * len(mags)
+    for lane, mag in enumerate(mags):
+        assert np.array_equal(f[:, lane], single_runs[mag])
+
+
+def test_sweep_skip_matches_single_run_instability(model):
+    config = quick_cfg(10.0)
+    fit = analysis.magnitude_sweep(model, AttackType.DEMAND_REDUCTION,
+                                   [60.0, 200.0, 100.0], config)
+    with pytest.raises(dynamics.InstabilityError) as exc:
+        dynamics.simulate(model, attacks.compile_scenario(
+            model, attacks.AttackScenario(
+                family="static", attack_type=AttackType.DEMAND_REDUCTION,
+                magnitude_percent=200.0)), config)
+    assert fit.skipped == ((200.0, str(exc.value)),)
+
+
+def test_unstable_timing_sweep_raises_like_its_single_run(model):
+    config = quick_cfg(10.0)
+    base = base_switching(attack_type=AttackType.DEMAND_REDUCTION,
+                          magnitude_percent=200.0)
+    with pytest.raises(dynamics.InstabilityError) as single:
+        dynamics.simulate(model, attacks.compile_scenario(model, base), config)
+    with pytest.raises(dynamics.InstabilityError) as swept:
+        analysis.timing_sweep(model, base, [8.0, 9.0], config)
+    assert str(swept.value) == str(single.value)
+    assert swept.value.time_s == single.value.time_s
+
+
+def test_timing_sweep_matches_single_runs(model):
+    config = quick_cfg(20.0)
+    t1s = [6.0, 3.0, 10.0]
+    _, results = analysis.timing_sweep(model, base_switching(), t1s, config)
+    assert sorted(results) == sorted(t1s)
+    for v in t1s:
+        tr = dynamics.simulate(model, attacks.compile_scenario(
+            model, base_switching(t1=v)), config)
+        assert results[v] == analysis.metrics(tr)
+
+
+def test_reserve_sweep_matches_single_runs(model):
+    """Reserve lags per lane: every lane's trace and sweep point equal its
+    own run with the full reserve stack."""
+    config = dynamics.SimConfig(duration=10.0,
+                                reserves=reserves.default_products())
+    mags = [12.0, 4.0, 8.0]
+    schedules = [attacks.compile_scenario(model, attacks.AttackScenario(
+        family="static", attack_type=AttackType.DEMAND_REDUCTION,
+        magnitude_percent=mag)) for mag in mags]
+    singles = {mag: dynamics.simulate(model, sch, config)
+               for mag, sch in zip(mags, schedules)}
+    f, _ = analysis._sweep_lanes(model, schedules, config)
+    for lane, mag in enumerate(mags):
+        assert np.array_equal(f[:, lane], singles[mag].f_coi)
+    fit = analysis.magnitude_sweep(model, AttackType.DEMAND_REDUCTION, mags,
+                                   config)
+    for mag, zenith in fit.points:
+        assert zenith == analysis.metrics(singles[mag]).zenith_hz
 
 
 def test_feasibility_2025_large_attack():

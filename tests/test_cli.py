@@ -340,3 +340,30 @@ def test_shipped_scenario_golden_hashes(tmp_path, stem):
     dumped = json.dumps(report, sort_keys=True).encode()
     assert (hashlib.sha256(trace).hexdigest(),
             hashlib.sha256(dumped).hexdigest()) == GOLDEN[stem]
+
+
+# sha256 of <stem>_sweep.json without config.output, dumped with sort_keys;
+# captured from the one-run-per-point sweeps with numpy 2.4.6.
+GOLDEN_SWEEPS = {
+    "timing": (
+        "switching_di_8", ["--timings", "3,4,5,6,7,8,9,10,11,12,13,14,15,16"],
+        "5e396a71e12d8a95804c7530ab7a49b6120821f3b18173136dba3492fe09850c"),
+    "magnitude": (
+        "static_di_12", ["--magnitudes", "4,6,8,9.4,12,14", "--duration", "60"],
+        "6dde256f5295975b060c3d3049668d0f046d92e38e9aaf52ae3a637bf1fd5825"),
+    "reserves": (
+        "static_dr_12_reserves", ["--magnitudes", "4,8,12"],
+        "eec7df5ca60b8622660ea4f54cf4a1dc3f06781446a074e08dc2742050a582ae"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SWEEPS))
+def test_sweep_golden_hashes(tmp_path, case):
+    stem, flags, digest = GOLDEN_SWEEPS[case]
+    here = os.path.dirname(os.path.abspath(__file__))
+    scn = os.path.join(here, "..", "scenarios", f"{stem}.scn")
+    assert cli.main(["sweep", scn, *flags, "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / f"{stem}_sweep.json").read_text())
+    del report["config"]["output"]
+    dumped = json.dumps(report, sort_keys=True).encode()
+    assert hashlib.sha256(dumped).hexdigest() == digest

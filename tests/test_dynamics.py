@@ -107,7 +107,11 @@ def test_event_snaps_to_next_boundary(model):
     assert tr.events[0][0] == pytest.approx(1.01)
 
 
-def test_base_reduction_is_built_once(model, pf, monkeypatch):
+@pytest.mark.parametrize("kw", [{}, {"family": "periodic", "interval": 0.2,
+                                      "count": 2}], ids=["static", "periodic"])
+def test_base_reduction_is_built_once(model, pf, monkeypatch, kw):
+    """One reduction per distinct load vector: the base network and the
+    attacked one, however often a periodic attack switches between them."""
     loads = []
 
     def counting(model, pf, loads_p):
@@ -116,9 +120,10 @@ def test_base_reduction_is_built_once(model, pf, monkeypatch):
 
     build = dynamics.build_reduced
     monkeypatch.setattr(dynamics, "build_reduced", counting)
-    dynamics.simulate(model, make_schedule(model),
-                      dynamics.SimConfig(duration=2.0), pf)
-    assert len(loads) == 2  # the base network, then the one 8 % event
+    tr = dynamics.simulate(model, make_schedule(model, **kw),
+                           dynamics.SimConfig(duration=2.0), pf)
+    assert len(tr.events) == (4 if kw else 1)
+    assert len(loads) == 2
     assert np.array_equal(loads[0], dynamics.base_loads(model))
 
 
@@ -241,3 +246,16 @@ def test_machine_params_totals(model):
     assert gain.sum() == pytest.approx(70.9375)
     assert np.all(d_sys == 0.0)
     assert p_max.tolist() == [2.5, 3.0, 2.7]
+
+
+@pytest.mark.parametrize("coupling, schedule_kw, feature", [
+    ("linear", {}, "linear coupling"),
+    ("network", {"family": "periodic", "interval": 8.0, "count": 2,
+                 "trigger": "slope"}, "slope trigger"),
+], ids=["linear", "slope"])
+def test_single_lane_features_reject_batches(model, pf, coupling,
+                                             schedule_kw, feature):
+    sch = make_schedule(model, **schedule_kw)
+    config = dynamics.SimConfig(duration=1.0, coupling=coupling)
+    with pytest.raises(ValueError, match=feature):
+        next(dynamics._lockstep([model, model], pf, [sch, sch], config))
