@@ -123,16 +123,14 @@ def _sweep_lanes(model: NetworkModel, schedules,
     if not schedules:
         return np.empty((n_samp, 0)), []
     f = np.empty((n_samp, len(schedules)))
-    speed = np.empty_like(f)  # largest machine speed deviation, pu
+    trip = np.full(len(schedules), -1)  # first sample past the guard
     for k, _, f_coi, d_omega, *_ in dynamics._lockstep(
             [model] * len(schedules), powerflow.solve(model), schedules,
             config):
         f[k] = f_coi
-        speed[k] = np.abs(d_omega).max(axis=-1)
-    out = speed > dynamics.SPEED_GUARD_PU
-    first = out.argmax(axis=0)
-    return f, [k * config.dt if out[k, lane] else None
-               for lane, k in enumerate(first.tolist())]
+        trip[(trip < 0) & (np.abs(d_omega).max(axis=-1)
+                           > dynamics.SPEED_GUARD_PU)] = k
+    return f, [k * config.dt if k >= 0 else None for k in trip.tolist()]
 
 
 def magnitude_sweep(model: NetworkModel, attack_type: attacks.AttackType,
@@ -142,9 +140,13 @@ def magnitude_sweep(model: NetworkModel, attack_type: attacks.AttackType,
 
     The extracted response is the nadir for demand-increase-like types and
     the zenith for demand-reduction-like ones. Every magnitude is one lane
-    of a single lockstep batch. Runs that leave the speed guard are skipped
-    and recorded; fewer than two surviving points raises FitError. The fit
-    is order-independent: points are sorted by magnitude before fitting.
+    of a single lockstep batch over one power flow, so only network
+    coupling is supported (linear coupling raises ValueError for more than
+    one magnitude) and a base case whose power flow diverges raises
+    DivergenceError, as simulate does. Runs that leave the speed guard are
+    skipped and recorded; fewer than two surviving points raises FitError.
+    The fit is order-independent: points are sorted by magnitude before
+    fitting.
     """
     if config is None:
         config = dynamics.SimConfig(duration=60.0)
@@ -180,8 +182,9 @@ def timing_sweep(model: NetworkModel, base: attacks.AttackScenario,
     absolute deviation from nominal after the reversion; ties break toward
     the earliest t1. t1 values are absolute times and must lie beyond the
     scenario's t_start and within the horizon. Every t1 is one lane of a
-    single lockstep batch; a run that leaves the speed guard raises
-    InstabilityError.
+    single lockstep batch over one power flow, so only network coupling is
+    supported (linear coupling raises ValueError for more than one t1); a
+    run that leaves the speed guard raises InstabilityError.
     """
     if config is None:
         config = dynamics.SimConfig(duration=40.0)
@@ -303,8 +306,7 @@ def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
     9 x 9 x 5 grid over the search box as 405 lanes of one lockstep
     integrator run per anchor; stage two runs three rounds of coordinate
     halving around the incumbent through dynamics.simulate, the same
-    integrator with one lane. A lane's error is bit-identical to its
-    one-lane run, so the grid's incumbent error needs no scalar rerun.
+    integrator with one lane, which also provides the reported residual.
     Deterministic throughout: no randomness, fixed evaluation order.
     """
     anchors = tuple(anchors)
@@ -335,7 +337,7 @@ def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
     i_r, rem = divmod(flat, len(t_grid) * len(d_grid))
     i_t, i_d = divmod(rem, len(d_grid))
     current = [float(r_grid[i_r]), float(t_grid[i_t]), float(d_grid[i_d])]
-    best_err = float(errors[flat])  # lanes are exact: objective(*current)
+    best_err = objective(*current)
 
     steps = [float(r_grid[1] - r_grid[0]), float(t_grid[1] - t_grid[0]),
              float(d_grid[1] - d_grid[0])]

@@ -170,7 +170,8 @@ def test_powerflow_subcommand(capsys):
     assert out.count("\n") >= 10  # one row per bus plus headers
 
 
-def test_powerflow_divergence_exit_code(tmp_path, capsys):
+def write_diverging_case(tmp_path):
+    """A case ten times the built-in load, whose power flow diverges."""
     m = netmodel.builtin_wscc9()
     heavy = dataclasses.replace(
         m,
@@ -183,7 +184,24 @@ def test_powerflow_divergence_exit_code(tmp_path, capsys):
                     for ld in m.loads))
     case = tmp_path / "heavy.json"
     netmodel.to_file(heavy, str(case))
-    assert cli.main(["powerflow", str(case)]) == 3
+    return str(case)
+
+
+def test_powerflow_divergence_exit_code(tmp_path, capsys):
+    assert cli.main(["powerflow", write_diverging_case(tmp_path)]) == 3
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate"],
+    ["sweep", "--magnitudes", "4,8"],
+    ["sweep", "--timings", "3,4"],
+], ids=["simulate", "magnitudes", "timings"])
+def test_diverging_base_case_exit_code(tmp_path, capsys, args):
+    write_diverging_case(tmp_path)
+    scn = write_scenario(tmp_path, system={"model": "heavy.json"})
+    rc = cli.main([args[0], scn, *args[1:], "--out-dir", str(tmp_path)])
+    assert rc == 3
     assert "error" in capsys.readouterr().err
 
 
