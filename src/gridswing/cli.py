@@ -27,9 +27,12 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import analysis, attacks, dynamics, netmodel, powerflow, reserves
 
@@ -39,6 +42,7 @@ EXIT_POWERFLOW = 3
 EXIT_UNSTABLE = 4
 
 _RESERVE_PRESETS = ("off", "default")
+_CSV_CHUNK_ROWS = 4096
 
 
 class ScenarioError(ValueError):
@@ -66,11 +70,27 @@ class RunConfig:
     model_ref: str = "wscc9"
 
 
-def _key_line(text: str, key: str) -> int | None:
-    needle = f'"{key}"'
-    for i, ln in enumerate(text.splitlines(), start=1):
-        if needle in ln:
-            return i
+# A JSON string, followed by its colon when it is a key, or a bracket.
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"(\s*:)?|[][{}]')
+
+
+def _key_line(text: str, key: str, section: str | None = None) -> int | None:
+    """Line of key in the valid JSON document text: among the top-level
+    keys, or among the keys of the top-level object section."""
+    want = [None] if section is None else [None, section]
+    path = []  # the key that opened each enclosing container, or None
+    last_key = None
+    for tok in _JSON_TOKEN.finditer(text):
+        if tok.group() in ("{", "["):
+            path.append(last_key)
+            last_key = None
+        elif tok.group() in ("}", "]"):
+            path.pop()
+            last_key = None
+        elif tok.group(1) is not None:
+            last_key = json.loads(tok.group()[:-len(tok.group(1))])
+            if last_key == key and path == want:
+                return text.count("\n", 0, tok.start()) + 1
     return None
 
 
@@ -105,17 +125,17 @@ def _check_section(path, text, name, section, allowed):
                             f"section {name!r} must be an object")
     for key, value in section.items():
         if key not in allowed:
-            raise ScenarioError(path, key, _key_line(text, key),
+            raise ScenarioError(path, key, _key_line(text, key, name),
                                 f"unknown key in {name!r} section")
         expected = allowed[key]
         if isinstance(value, bool) or not isinstance(value, expected):
             want = expected.__name__ if isinstance(expected, type) else \
                 "/".join(t.__name__ for t in expected)
-            raise ScenarioError(path, key, _key_line(text, key),
+            raise ScenarioError(path, key, _key_line(text, key, name),
                                 f"expected {want}, got {value!r}")
         # json accepts NaN, Infinity and out-of-range literals like 1e999
         if isinstance(value, float) and not math.isfinite(value):
-            raise ScenarioError(path, key, _key_line(text, key),
+            raise ScenarioError(path, key, _key_line(text, key, name),
                                 f"expected a finite number, got {value!r}")
 
 
@@ -157,23 +177,27 @@ def parse_scenario(path: str):
     cfg.duration_s = float(system.get("duration_s", cfg.duration_s))
     cfg.reserves = system.get("reserves", cfg.reserves)
     if cfg.reserves not in _RESERVE_PRESETS:
-        raise ScenarioError(path, "reserves", _key_line(text, "reserves"),
+        raise ScenarioError(path, "reserves",
+                            _key_line(text, "reserves", "system"),
                             f"expected one of {_RESERVE_PRESETS}")
     national_total_mw = system.get("national_total_mw")
     if national_total_mw is not None and national_total_mw <= 0:
         raise ScenarioError(path, "national_total_mw",
-                            _key_line(text, "national_total_mw"),
+                            _key_line(text, "national_total_mw", "system"),
                             "must be positive")
     if cfg.dt_s <= 0:
-        raise ScenarioError(path, "dt_s", _key_line(text, "dt_s"),
+        raise ScenarioError(path, "dt_s",
+                            _key_line(text, "dt_s", "system"),
                             "must be positive")
     if cfg.duration_s <= 0:
-        raise ScenarioError(path, "duration_s", _key_line(text, "duration_s"),
+        raise ScenarioError(path, "duration_s",
+                            _key_line(text, "duration_s", "system"),
                             "must be positive")
     try:
         dynamics.SimConfig(dt=cfg.dt_s, duration=cfg.duration_s)
     except ValueError as exc:  # the horizon is not a whole number of steps
-        raise ScenarioError(path, "duration_s", _key_line(text, "duration_s"),
+        raise ScenarioError(path, "duration_s",
+                            _key_line(text, "duration_s", "system"),
                             str(exc)) from None
     cfg.trace_csv = output.get("trace_csv")
     cfg.report_json = output.get("report_json")
@@ -187,7 +211,8 @@ def parse_scenario(path: str):
         try:
             model = netmodel.from_file(model_path)
         except (OSError, ValueError) as exc:
-            raise ScenarioError(path, "model", _key_line(text, "model"),
+            raise ScenarioError(path, "model",
+                                _key_line(text, "model", "system"),
                                 str(exc)) from exc
     if national_total_mw is not None:
         model = replace(model, national_total_mw=float(national_total_mw))
@@ -200,7 +225,7 @@ def parse_scenario(path: str):
         atype = attacks.AttackType(atk["type"])
     except ValueError:
         raise ScenarioError(
-            path, "type", _key_line(text, "type"),
+            path, "type", _key_line(text, "type", "attack"),
             f"unknown attack type {atk['type']!r}; "
             f"expected one of {[t.value for t in attacks.AttackType]}") from None
     scenario = attacks.AttackScenario(
@@ -221,8 +246,10 @@ def parse_scenario(path: str):
         # falling back to the section itself.
         key = next((k for k in _ATTACK_KEYS
                     if any(k in p for p in problems)), "attack")
-        raise ScenarioError(path, key, _key_line(text, key),
-                            "; ".join(problems))
+        raise ScenarioError(
+            path, key,
+            _key_line(text, key, None if key == "attack" else "attack"),
+            "; ".join(problems))
     return model, scenario, cfg
 
 
@@ -250,19 +277,24 @@ def _write_together(*writes) -> None:
 
 
 def write_trace_csv(trace: dynamics.SimulationTrace, path: str) -> None:
-    """Serialize a trace with a fixed 6-decimal format; byte-stable."""
+    """Serialize a trace with a fixed 6-decimal format; byte-stable.
+
+    Rows are formatted from Python floats a chunk at a time, so the text
+    and the float lists of the whole trace are never held at once.
+    """
     n_gen = trace.f_gen.shape[1]
     header = ("t_s,f_coi_hz,"
               + ",".join(f"f_gen{i + 1}_hz" for i in range(n_gen))
               + ",p_attack_pu,p_reserve_up_pu,p_reserve_down_pu")
-    rows = [header]
-    for k in range(len(trace.t)):
-        cells = [trace.t[k], trace.f_coi[k], *trace.f_gen[k],
-                 trace.p_attack[k], trace.p_reserve_up[k],
-                 trace.p_reserve_down[k]]
-        rows.append(",".join(f"{c:.6f}" for c in cells))
+    table = np.column_stack([trace.t, trace.f_coi, trace.f_gen,
+                             trace.p_attack, trace.p_reserve_up,
+                             trace.p_reserve_down])
+    row = ",".join(["%.6f"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write(header + "\n")
+        for start in range(0, len(table), _CSV_CHUNK_ROWS):
+            fh.write("".join(row % tuple(cells) for cells in
+                             table[start:start + _CSV_CHUNK_ROWS].tolist()))
 
 
 def write_report_json(report: dict, path: str) -> None:
@@ -335,6 +367,18 @@ def _out_path(args, cfg_path: str | None, default_name: str) -> str:
     return os.path.join(out_dir, default_name)
 
 
+def _horizon_error(args, config: dynamics.SimConfig) -> ScenarioError:
+    """Diagnostic for a run whose sample arrays numpy could not allocate,
+    pointing at the --duration flag or at the file's duration_s."""
+    msg = (f"{config.n_steps + 1} samples at dt = {config.dt:g} s "
+           "do not fit in memory")
+    if args.duration is not None:
+        return ScenarioError(f"--duration {args.duration:g}", None, None, msg)
+    with open(args.scenario, encoding="utf-8") as fh:
+        line = _key_line(fh.read(), "duration_s", "system")
+    return ScenarioError(args.scenario, "duration_s", line, msg)
+
+
 def _reserve_set(name: str):
     return reserves.default_products() if name == "default" else ()
 
@@ -371,7 +415,10 @@ def _cmd_simulate(args) -> int:
     sim_cfg = dynamics.SimConfig(dt=cfg.dt_s, duration=cfg.duration_s,
                                  reserves=_reserve_set(cfg.reserves))
     pf = powerflow.solve(model)
-    trace = dynamics.simulate(model, schedule, sim_cfg, pf)
+    try:
+        trace = dynamics.simulate(model, schedule, sim_cfg, pf)
+    except MemoryError:
+        raise _horizon_error(args, sim_cfg) from None
     mx = analysis.metrics(trace)
     report = {
         "config": _resolved_config(model, scenario, cfg),
@@ -413,8 +460,12 @@ def _cmd_sweep(args) -> int:
                                  reserves=_reserve_set(cfg.reserves))
     if args.magnitudes:
         mags = _parse_float_list(args.magnitudes, "magnitude")
-        fit = analysis.magnitude_sweep(model, scenario.attack_type, mags,
-                                       sim_cfg, target_bus=scenario.target_bus)
+        try:
+            fit = analysis.magnitude_sweep(
+                model, scenario.attack_type, mags, sim_cfg,
+                target_bus=scenario.target_bus)
+        except MemoryError:
+            raise _horizon_error(args, sim_cfg) from None
         report = {
             "sweep": "magnitude",
             "config": _resolved_config(model, scenario, cfg),
@@ -430,7 +481,11 @@ def _cmd_sweep(args) -> int:
               f"R^2 {fit.r_squared:.5f}")
     else:
         t1s = _parse_float_list(args.timings, "timing")
-        optimal, per_t1 = analysis.timing_sweep(model, scenario, t1s, sim_cfg)
+        try:
+            optimal, per_t1 = analysis.timing_sweep(model, scenario, t1s,
+                                                    sim_cfg)
+        except MemoryError:
+            raise _horizon_error(args, sim_cfg) from None
         report = {
             "sweep": "timing",
             "config": _resolved_config(model, scenario, cfg),

@@ -257,14 +257,26 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     are built once per distinct load vector. Linear coupling and the slope
     trigger need a single lane.
 
+    Buffers, all allocated once per run: the state y is one (3, *lanes)
+    array, lanes being (m,) or (B, m), with rows delta, d_omega and p_m.
+    The four slopes k1..k4, the stage input and the accumulator share that
+    layout, so each stage input and the final combination take one call
+    over all three rows, and rhs multiplies d_omega once by the stacked
+    (omega_s, D, droop_gain) and divides rows 1 and 2 once by the stacked
+    (2H, T_g). Every product and sum keeps the operands and the order of
+    the per-variable RK4 formulas, so the numbers are those of that form.
+
     At each boundary k = 0 .. n_steps: apply the events due (each snaps to
     the first boundary at or after its time; those past the horizon never
     apply), let the slope trigger release one, advance the reserve lags
     with the boundary frequency, and yield (k, t, f_coi, d_omega, p_attack,
     (p_reserve_up, p_reserve_down), applied); then integrate to the next
-    boundary with reserves held. f_coi and d_omega have the state's shape;
-    p_attack and the reserve totals are (B,) arrays and applied holds a
-    list of (time, label) per lane. The caller enforces the speed guard.
+    boundary with reserves held. d_omega has the lanes' shape and f_coi
+    one value per lane; p_attack and the reserve totals are (B,) arrays
+    and applied holds a list of (time, label) per lane. d_omega is a view
+    of y and, like p_attack and the reserve totals, is updated in place,
+    so the next step overwrites what was yielded: copy what must outlive
+    it. The caller enforces the speed guard.
     """
     model = models[0]
     n_lanes = len(models)
@@ -279,24 +291,31 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     f_nom = model.f_nominal
     omega_s = 2.0 * np.pi * f_nom
     mva, h_sys, d_sys, droop_gain, t_g, p_max = machine_params(model)
-    reps = 1  # np.tile repeats: 1-d for one lane, (B, m) for B lanes
     if n_lanes > 1:
-        reps = (n_lanes, 1)
         _, _, d_sys, droop_gain, t_g, _ = map(
             np.array, zip(*map(machine_params, models)))
-    two_h = 2.0 * h_sys
+    lane_shape = t_g.shape  # (m,) for one lane, (B, m) for B lanes
     h_total = h_sys.sum()
     mva_share = mva / mva.sum()
     mw_to_pu = scheduled_generation(model) / model.national_total_mw
+
+    def stacked(*rows):
+        return np.stack([np.broadcast_to(r, lane_shape) for r in rows])
 
     delta0, e_int, p_ref, y_red = init_state(model, pf)
     loads_p = np.tile(base_loads(model), (n_lanes, 1))
     reduced = {loads_p[0].tobytes(): y_red}
     if n_lanes > 1:
         y_red = np.tile(y_red, (n_lanes, 1, 1))
-    delta = np.tile(delta0, reps)
-    d_omega = np.zeros_like(delta)
-    p_m = np.tile(p_ref, reps)
+    y = stacked(delta0, 0.0, p_ref)
+    _, d_omega, p_m = y_rows = tuple(y)
+    k1, k2, k3, k4, stage, acc = (np.empty_like(y) for _ in range(6))
+    stage_rows = tuple(stage)
+    # Each slope buffer with its rows 1, 2 and 1: for rhs.
+    s1, s2, s3, s4 = ((k, k[1], k[2], k[1:]) for k in (k1, k2, k3, k4))
+    rates = stacked(omega_s, d_sys, droop_gain)
+    lags = stacked(2.0 * h_sys, t_g)
+    spare = np.empty(lane_shape)
     lin = None
     attack_by_bus: dict[int, float] = {}
     idx = model.bus_index()
@@ -327,7 +346,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     p_res = 0.0  # per machine once reserves respond
     if products:
         res_rows = np.zeros((n_lanes, len(mva)))
-        p_res = res_rows.reshape(delta.shape)  # a view of res_rows
+        p_res = res_rows.reshape(lane_shape)  # a view of res_rows
     p_attack = np.zeros(n_lanes)
     applied: list[list[tuple[float, str]]] = [[] for _ in schedules]
     labels = [s.label or "event" for s in schedules]
@@ -350,15 +369,23 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
         applied[lane].append(
             (t_now, f"{labels[lane]} {delta_p:+.4f} pu @ bus {bus}"))
 
-    def rhs(dl, dw, pm):
+    def rhs(src, slopes):
+        """Write the slopes at the state rows src into slopes[0]."""
+        dl, dw, pm = src
+        k, k_dw, k_pm, k_tail = slopes
         if lin is None:
             pe = electrical_power(y_red, e_int, dl)
         else:
             pe = lin.pe(dl, attack_by_bus)
-        return (omega_s * dw,
-                (pm + p_res - pe - d_sys * dw) / two_h,
-                (p_ref - droop_gain * dw - pm) / t_g)
+        np.multiply(rates, dw, out=k)  # omega_s dw, D dw, droop_gain dw
+        np.add(pm, p_res, out=spare)
+        np.subtract(spare, pe, out=spare)
+        np.subtract(spare, k_dw, out=k_dw)
+        np.subtract(p_ref, k_pm, out=k_pm)
+        np.subtract(k_pm, pm, out=k_pm)
+        np.divide(k_tail, lags, out=k_tail)
 
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     for k in range(n_steps + 1):
         t_now = k * dt
         for lane, bus, delta_p in by_step.get(k, ()):
@@ -385,16 +412,25 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
             return
 
         # RK4 over [t, t+dt] with constant reserves and admittances
-        k1 = rhs(delta, d_omega, p_m)
-        k2 = rhs(delta + 0.5 * dt * k1[0], d_omega + 0.5 * dt * k1[1],
-                 p_m + 0.5 * dt * k1[2])
-        k3 = rhs(delta + 0.5 * dt * k2[0], d_omega + 0.5 * dt * k2[1],
-                 p_m + 0.5 * dt * k2[2])
-        k4 = rhs(delta + dt * k3[0], d_omega + dt * k3[1], p_m + dt * k3[2])
-        delta = delta + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        d_omega = d_omega + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        p_m = p_m + (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        np.clip(p_m, 0.0, p_max, out=p_m)
+        rhs(y_rows, s1)
+        np.multiply(k1, half_dt, out=stage)
+        np.add(y, stage, out=stage)
+        rhs(stage_rows, s2)
+        np.multiply(k2, half_dt, out=stage)
+        np.add(y, stage, out=stage)
+        rhs(stage_rows, s3)
+        np.multiply(k3, dt, out=stage)
+        np.add(y, stage, out=stage)
+        rhs(stage_rows, s4)
+        np.multiply(k2, 2, out=acc)
+        np.add(k1, acc, out=acc)
+        np.multiply(k3, 2, out=k3)
+        np.add(acc, k3, out=acc)
+        np.add(acc, k4, out=acc)
+        np.multiply(acc, sixth_dt, out=acc)
+        np.add(y, acc, out=y)
+        np.maximum(p_m, 0.0, out=p_m)
+        np.minimum(p_m, p_max, out=p_m)
 
 
 def simulate(model: NetworkModel,
@@ -440,6 +476,6 @@ def simulate(model: NetworkModel,
         p_atk_arr[k] = p_attack[0]
         p_up_arr[k] = p_up[0]
         p_dn_arr[k] = p_dn[0]
-        if np.max(np.abs(d_omega)) > SPEED_GUARD_PU:
+        if any(abs(w) > SPEED_GUARD_PU for w in d_omega.tolist()):
             raise InstabilityError(t_now, trace(k + 1, applied[0]))
     return trace(n_samp, applied[0])

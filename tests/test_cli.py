@@ -4,9 +4,10 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
-from gridswing import cli, netmodel
+from gridswing import cli, dynamics, netmodel
 
 HEADER = ("t_s,f_coi_hz,f_gen1_hz,f_gen2_hz,f_gen3_hz,"
           "p_attack_pu,p_reserve_up_pu,p_reserve_down_pu")
@@ -88,6 +89,76 @@ def test_non_finite_number_names_key_and_line(tmp_path, capsys, key, literal):
     err = capsys.readouterr().err
     assert f"{scn}:2 (key {key!r})" in err
     assert "finite" in err
+
+
+def test_key_line_is_found_in_its_section(tmp_path, capsys):
+    # "family" is also an attack key, and the attack section comes first
+    scn = tmp_path / "case.scn"
+    scn.write_text('{\n'
+                   ' "attack": {"family": "static", "type": "DI",'
+                   ' "magnitude_percent": 8.0},\n'
+                   ' "system": {"family": "x"}\n'
+                   '}\n')
+    assert cli.main(["simulate", str(scn)]) == 2
+    assert f"{scn}:3 (key 'family')" in capsys.readouterr().err
+
+
+def test_key_line_skips_strings_and_other_sections():
+    text = ('{"attack": {"type": "{\\"dt_s\\": [", "family": "static"},\n'
+            ' "system": {"model": "dt_s",\n'
+            '  "dt_s": 0.01}}\n')
+    assert cli._key_line(text, "dt_s", "system") == 3
+    assert cli._key_line(text, "family", "attack") == 1
+    assert cli._key_line(text, "family", "system") is None
+    assert cli._key_line(text, "system") == 2
+    assert cli._key_line(text, "dt_s") is None
+
+
+@pytest.mark.parametrize("args, system, where", [
+    (["simulate", "--duration", "1e15"], {}, "--duration 1e+15:"),
+    (["sweep", "--magnitudes", "4,8", "--duration", "1e15"], {},
+     "--duration 1e+15:"),
+    (["sweep", "--timings", "3,4", "--duration", "1e15"], {},
+     "--duration 1e+15:"),
+    (["simulate"], {"duration_s": 1e15}, ":3 (key 'duration_s'):"),
+], ids=["simulate", "magnitudes", "timings", "file"])
+def test_horizon_too_long_for_memory(tmp_path, capsys, args, system, where):
+    # numpy refuses 1e17 samples at once, without allocating any of them
+    scn = write_scenario(tmp_path, system=system)
+    rc = cli.main([args[0], scn, *args[1:], "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert where in err and "do not fit in memory" in err
+
+
+def old_trace_csv(trace):
+    """The per-cell formatter write_trace_csv replaced: the reference."""
+    rows = [HEADER]
+    for k in range(len(trace.t)):
+        cells = [trace.t[k], trace.f_coi[k], *trace.f_gen[k],
+                 trace.p_attack[k], trace.p_reserve_up[k],
+                 trace.p_reserve_down[k]]
+        rows.append(",".join(f"{c:.6f}" for c in cells))
+    return "\n".join(rows) + "\n"
+
+
+def test_trace_csv_matches_per_cell_format(tmp_path):
+    rng = np.random.default_rng(6)
+    n = 2 * cli._CSV_CHUNK_ROWS + 7
+    cols = rng.normal(scale=rng.choice([1e-7, 1.0, 50.0, 1e15], (n, 8)))
+    special = [-4e-7, -0.0, 0.0, 5e-7, -5e-7, 1.0000005, 0.1234565,
+               -2.0000015, 49.9999995, 1e300, -1e17, 2.0 ** 60, 1e-320]
+    cols[:len(special), :] = np.array(special)[:, None]
+    trace = dynamics.SimulationTrace(
+        t=cols[:, 0], f_coi=cols[:, 1], f_gen=cols[:, 2:5],
+        p_attack=cols[:, 5], p_reserve_up=cols[:, 6],
+        p_reserve_down=cols[:, 7], events=(), dt=0.01)
+    path = tmp_path / "trace.csv"
+    cli.write_trace_csv(trace, str(path))
+    text = path.read_text()
+    assert text.count("\n") == 1 + n
+    assert "-0.000000," in text
+    assert text == old_trace_csv(trace)
 
 
 def test_horizon_not_whole_steps_is_config_error(tmp_path, capsys):
@@ -372,14 +443,38 @@ GOLDEN_SWEEPS = {
     "reserves": (
         "static_dr_12_reserves", ["--magnitudes", "4,8,12"],
         "eec7df5ca60b8622660ea4f54cf4a1dc3f06781446a074e08dc2742050a582ae"),
+    # On write_capped_case's model the 12 % lane holds machine 3 at its
+    # governor ceiling from 3.85 s and the 1000 % lane drives machines 2
+    # and 3 to zero mechanical power from 6.09 s; no lane leaves the speed
+    # guard. Pins the ceiling clip at both ends; captured with the
+    # per-variable RK4 arithmetic and np.clip.
+    "saturation": (
+        None, ["--magnitudes", "4,12,1000"],
+        "cdbfb4d297c2d5153f988aff62d8bb425aaedf21000c41a93ff5d4282e858164"),
 }
+
+
+def write_capped_case(tmp_path):
+    """A 20 s static DI scenario on the built-in case with machine 3's
+    governor ceiling at 0.9 pu, just above its 0.85 pu dispatch."""
+    m = netmodel.builtin_wscc9()
+    *rest, g3 = m.generators
+    capped = dataclasses.replace(m, generators=(*rest, dataclasses.replace(
+        g3, governor=dataclasses.replace(g3.governor, p_max=0.9))))
+    netmodel.to_file(capped, str(tmp_path / "capped.json"))
+    return write_scenario(tmp_path, "capped.scn",
+                          system={"model": "capped.json", "duration_s": 20.0})
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_SWEEPS))
 def test_sweep_golden_hashes(tmp_path, case):
     stem, flags, digest = GOLDEN_SWEEPS[case]
-    here = os.path.dirname(os.path.abspath(__file__))
-    scn = os.path.join(here, "..", "scenarios", f"{stem}.scn")
+    if stem is None:
+        scn = write_capped_case(tmp_path)
+        stem = "capped"
+    else:
+        here = os.path.dirname(os.path.abspath(__file__))
+        scn = os.path.join(here, "..", "scenarios", f"{stem}.scn")
     assert cli.main(["sweep", scn, *flags, "--out-dir", str(tmp_path)]) == 0
     report = json.loads((tmp_path / f"{stem}_sweep.json").read_text())
     del report["config"]["output"]
