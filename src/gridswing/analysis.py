@@ -410,8 +410,8 @@ def feasibility(attack_mw: float, year: int,
     """
     if forecast is None:
         forecast = default_forecast()
-    if attack_mw < 0:
-        raise ValueError("attack_mw must be non-negative")
+    if not 0 <= attack_mw < np.inf:
+        raise ValueError("attack_mw must be finite and non-negative")
     if year not in forecast.totals_mw:
         raise ValueError(
             f"no forecast for {year}; have {sorted(forecast.totals_mw)}")

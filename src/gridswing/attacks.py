@@ -112,12 +112,12 @@ def resolve_target(model: NetworkModel, target: int | str | None) -> int:
     if target == "largest":
         loads = sorted(model.loads, key=lambda ld: (-ld.p, ld.bus))
         if not loads:
-            raise ValueError("model has no loads to attack")
+            raise ValueError("target_bus 'largest': the model has no loads")
         return loads[0].bus
     if isinstance(target, bool) or not isinstance(target, int):
-        raise ValueError(f"bad target {target!r}: expected bus id or 'largest'")
+        raise ValueError(f"target_bus {target!r}: not a bus id or 'largest'")
     if model.load_at(target) is None:
-        raise ValueError(f"bus {target} carries no load; nothing to aggregate")
+        raise ValueError(f"target_bus {target} carries no load")
     return target
 
 

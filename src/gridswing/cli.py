@@ -10,12 +10,14 @@ Scenario files are flat JSON documents with three sections::
       "output": {"trace_csv": "run_trace.csv", "report_json": "run_report.json"}
     }
 
-Only "attack" is mandatory. Validation is strict: unknown keys anywhere are
-rejected, and every diagnostic names the file, the key, and the line where
-the key appears. Commands write their trace CSVs and report JSONs
-atomically (temp file + rename), byte-stable for identical runs;
-``simulate`` renames its two artifacts into place only once both are
-written.
+Only "attack" is mandatory. The flags --dt, --duration, --reserves and
+--target-bus replace system.dt_s, system.duration_s, system.reserves and
+attack.target_bus before any check runs. Validation is strict: unknown keys
+anywhere are rejected, and every diagnostic names the flag and its value,
+or the file, the key, and the line where the key appears. Commands write
+their trace CSVs and report JSONs atomically (temp file + rename),
+byte-stable for identical runs; ``simulate`` renames its two artifacts into
+place only once both are written.
 
 Exit codes: 0 success, 2 configuration error, 3 power-flow non-convergence,
 4 dynamic instability.
@@ -46,7 +48,8 @@ _CSV_CHUNK_ROWS = 4096
 
 
 class ScenarioError(ValueError):
-    """Configuration problem with file/key/line context attached."""
+    """Configuration problem located at the flag that set the value, or at
+    the file, line and key."""
 
     def __init__(self, path: str, key: str | None, line: int | None, msg: str):
         where = path
@@ -55,19 +58,16 @@ class ScenarioError(ValueError):
         if key is not None:
             where += f" (key {key!r})"
         super().__init__(f"{where}: {msg}")
-        self.path = path
-        self.key = key
-        self.line = line
 
 
 @dataclass
 class RunConfig:
-    dt_s: float = 0.01
-    duration_s: float = 40.0
-    reserves: str = "off"
-    trace_csv: str | None = None
-    report_json: str | None = None
-    model_ref: str = "wscc9"
+    dt_s: float
+    duration_s: float
+    reserves: str
+    trace_csv: str | None
+    report_json: str | None
+    model_ref: str
 
 
 # A JSON string, followed by its colon when it is a key, or a bracket.
@@ -117,139 +117,162 @@ _OUTPUT_KEYS = {
     "trace_csv": str,
     "report_json": str,
 }
+_ANCHOR_KEYS = {
+    "percent": (int, float),
+    "nadir_hz": (int, float, type(None)),
+    "settled_hz": (int, float, type(None)),
+}
+
+# The flags that replace a scenario file value: (section, key) -> flag.
+_FLAG_KEYS = {
+    ("system", "dt_s"): "--dt",
+    ("system", "duration_s"): "--duration",
+    ("system", "reserves"): "--reserves",
+    ("attack", "target_bus"): "--target-bus",
+}
 
 
-def _check_section(path, text, name, section, allowed):
-    if not isinstance(section, dict):
-        raise ScenarioError(path, name, _key_line(text, name),
-                            f"section {name!r} must be an object")
-    for key, value in section.items():
-        if key not in allowed:
-            raise ScenarioError(path, key, _key_line(text, key, name),
-                                f"unknown key in {name!r} section")
-        expected = allowed[key]
-        if isinstance(value, bool) or not isinstance(value, expected):
-            want = expected.__name__ if isinstance(expected, type) else \
-                "/".join(t.__name__ for t in expected)
-            raise ScenarioError(path, key, _key_line(text, key, name),
-                                f"expected {want}, got {value!r}")
-        # json accepts NaN, Infinity and out-of-range literals like 1e999
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ScenarioError(path, key, _key_line(text, key, name),
-                                f"expected a finite number, got {value!r}")
+def _flag_error(flag: str, value, msg: str) -> ScenarioError:
+    shown = f"{value:g}" if isinstance(value, float) else value
+    return ScenarioError(f"{flag} {shown}", None, None, msg)
 
 
-def parse_scenario(path: str):
-    """Load and fully validate a scenario file.
+class _Source:
+    """A run's inputs as given: a JSON file's text and the flags (flag ->
+    value, see _FLAG_KEYS) that replace some of its values."""
 
-    Returns (NetworkModel, AttackScenario, RunConfig); raises ScenarioError
-    with file/key/line context on any problem.
-    """
+    def __init__(self, path: str, text: str, flags: dict | None = None):
+        self.path = path
+        self.text = text
+        self.flags = flags or {}
+
+    def error(self, section: str | None, key: str, msg: str) -> ScenarioError:
+        """msg placed at the flag that set key of section, else at the
+        key's line in the file (a top-level key when section is None)."""
+        flag = _FLAG_KEYS.get((section, key))
+        if flag in self.flags:
+            return _flag_error(flag, self.flags[flag], msg)
+        return ScenarioError(self.path, key, _key_line(self.text, key, section),
+                             msg)
+
+    def checked(self, name: str, section, allowed: dict,
+                required: tuple = ()) -> dict:
+        """The object section with its flags applied, once it has its
+        required keys, only allowed keys, values of their keys' types
+        (booleans are not numbers) and only numbers that are finite floats."""
+        if not isinstance(section, dict):
+            raise self.error(None, name, f"section {name!r} must be an object")
+        section = {**section, **{key: self.flags[flag]
+                                 for (sec, key), flag in _FLAG_KEYS.items()
+                                 if sec == name and flag in self.flags}}
+        for key in required:
+            if key not in section:
+                raise self.error(name, key,
+                                 f"missing required {name} key {key!r}")
+        for key, value in section.items():
+            if key not in allowed:
+                raise self.error(name, key, f"unknown key in {name!r} section")
+            expected = allowed[key]
+            if isinstance(value, bool) or not isinstance(value, expected):
+                want = expected.__name__ if isinstance(expected, type) else \
+                    "/".join(t.__name__ for t in expected)
+                raise self.error(name, key, f"expected {want}, got {value!r}")
+            # json accepts NaN, Infinity, 1e999 and integers of any size;
+            # the comparison is exact for ints and false for NaN
+            if isinstance(value, (int, float)) \
+                    and not abs(value) <= sys.float_info.max:
+                raise self.error(name, key,
+                                 f"expected a finite number, got {value!r}")
+        return section
+
+
+def _read_json(path: str):
+    """The text of a JSON file and the document it holds."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ScenarioError(path, None, None, f"cannot read: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return text, json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(path, None, exc.lineno,
                             f"invalid JSON: {exc.msg}") from exc
+
+
+def parse_scenario(path: str, flags: dict | None = None):
+    """Load a scenario file, replace its values by flags (flag -> value,
+    the flags of _FLAG_KEYS) and validate the result once.
+
+    Returns (NetworkModel, AttackScenario, RunConfig); raises ScenarioError
+    at the flag that set a bad value, or at the file's line and key.
+    """
+    text, doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ScenarioError(path, None, 1, "top level must be an object")
+    src = _Source(path, text, flags)
     for key in doc:
         if key not in ("system", "attack", "output"):
-            raise ScenarioError(path, key, _key_line(text, key),
-                                "unknown top-level section")
+            raise src.error(None, key, "unknown top-level section")
     if "attack" not in doc:
-        raise ScenarioError(path, "attack", None, "missing 'attack' section")
+        raise src.error(None, "attack", "missing 'attack' section")
+    system = src.checked("system", doc.get("system", {}), _SYSTEM_KEYS)
+    atk = src.checked("attack", doc["attack"], _ATTACK_KEYS,
+                      required=("family", "type"))
+    output = src.checked("output", doc.get("output", {}), _OUTPUT_KEYS)
 
-    system = doc.get("system", {})
-    atk = doc["attack"]
-    output = doc.get("output", {})
-    _check_section(path, text, "system", system, _SYSTEM_KEYS)
-    _check_section(path, text, "attack", atk, _ATTACK_KEYS)
-    _check_section(path, text, "output", output, _OUTPUT_KEYS)
-
-    cfg = RunConfig()
-    cfg.model_ref = system.get("model", "wscc9")
-    cfg.dt_s = float(system.get("dt_s", cfg.dt_s))
-    cfg.duration_s = float(system.get("duration_s", cfg.duration_s))
-    cfg.reserves = system.get("reserves", cfg.reserves)
-    if cfg.reserves not in _RESERVE_PRESETS:
-        raise ScenarioError(path, "reserves",
-                            _key_line(text, "reserves", "system"),
-                            f"expected one of {_RESERVE_PRESETS}")
-    national_total_mw = system.get("national_total_mw")
-    if national_total_mw is not None and national_total_mw <= 0:
-        raise ScenarioError(path, "national_total_mw",
-                            _key_line(text, "national_total_mw", "system"),
-                            "must be positive")
-    if cfg.dt_s <= 0:
-        raise ScenarioError(path, "dt_s",
-                            _key_line(text, "dt_s", "system"),
-                            "must be positive")
-    if cfg.duration_s <= 0:
-        raise ScenarioError(path, "duration_s",
-                            _key_line(text, "duration_s", "system"),
-                            "must be positive")
+    preset = system.get("reserves", "off")
+    if preset not in _RESERVE_PRESETS:
+        raise src.error("system", "reserves",
+                        f"expected one of {_RESERVE_PRESETS}")
+    for key in ("national_total_mw", "dt_s", "duration_s"):
+        if key in system and system[key] <= 0:
+            raise src.error("system", key, "must be positive")
     try:
-        dynamics.SimConfig(dt=cfg.dt_s, duration=cfg.duration_s)
+        timing = dynamics.SimConfig(**{
+            arg: float(system[key])
+            for key, arg in (("dt_s", "dt"), ("duration_s", "duration"))
+            if key in system})
     except ValueError as exc:  # the horizon is not a whole number of steps
-        raise ScenarioError(path, "duration_s",
-                            _key_line(text, "duration_s", "system"),
-                            str(exc)) from None
-    cfg.trace_csv = output.get("trace_csv")
-    cfg.report_json = output.get("report_json")
+        raise src.error("system", "duration_s", str(exc)) from None
 
-    if cfg.model_ref == "wscc9":
+    model_ref = system.get("model", "wscc9")
+    if model_ref == "wscc9":
         model = netmodel.builtin_wscc9()
     else:
-        model_path = cfg.model_ref
-        if not os.path.isabs(model_path):
-            model_path = os.path.join(os.path.dirname(path) or ".", model_path)
+        # relative to the scenario file; join keeps an absolute model_ref
+        model_path = os.path.join(os.path.dirname(path), model_ref)
         try:
             model = netmodel.from_file(model_path)
         except (OSError, ValueError) as exc:
-            raise ScenarioError(path, "model",
-                                _key_line(text, "model", "system"),
-                                str(exc)) from exc
-    if national_total_mw is not None:
-        model = replace(model, national_total_mw=float(national_total_mw))
+            raise src.error("system", "model", str(exc)) from exc
+    if "national_total_mw" in system:
+        model = replace(model,
+                        national_total_mw=float(system["national_total_mw"]))
 
-    for key in ("family", "type"):
-        if key not in atk:
-            raise ScenarioError(path, key, None,
-                                f"missing required attack key {key!r}")
     try:
         atype = attacks.AttackType(atk["type"])
     except ValueError:
-        raise ScenarioError(
-            path, "type", _key_line(text, "type", "attack"),
+        raise src.error(
+            "attack", "type",
             f"unknown attack type {atk['type']!r}; "
             f"expected one of {[t.value for t in attacks.AttackType]}") from None
-    scenario = attacks.AttackScenario(
-        family=atk["family"],
-        attack_type=atype,
-        magnitude_percent=atk.get("magnitude_percent"),
-        magnitude_mw=atk.get("magnitude_mw"),
-        target_bus=atk.get("target_bus"),
-        t_start=float(atk.get("t_start", 1.0)),
-        t1=float(atk["t1"]) if "t1" in atk else None,
-        interval=float(atk["interval"]) if "interval" in atk else None,
-        count=atk.get("count"),
-        trigger=atk.get("trigger", "time"),
-    )
+    scenario = attacks.AttackScenario(attack_type=atype, **{
+        key: float(value) if key in ("t_start", "t1", "interval") else value
+        for key, value in atk.items() if key != "type"})
     problems = attacks.validate_scenario(model, scenario)
     if problems:
-        # Anchor the diagnostic to the first attack key the message mentions,
+        # Place the diagnostic at the first attack key the problems name,
         # falling back to the section itself.
         key = next((k for k in _ATTACK_KEYS
                     if any(k in p for p in problems)), "attack")
-        raise ScenarioError(
-            path, key,
-            _key_line(text, key, None if key == "attack" else "attack"),
-            "; ".join(problems))
+        raise src.error(None if key == "attack" else "attack", key,
+                        "; ".join(problems))
+    cfg = RunConfig(dt_s=timing.dt, duration_s=timing.duration,
+                    reserves=preset,
+                    trace_csv=output.get("trace_csv"),
+                    report_json=output.get("report_json"),
+                    model_ref=model_ref)
     return model, scenario, cfg
 
 
@@ -311,22 +334,14 @@ def _resolved_config(model, scenario, cfg: RunConfig) -> dict:
             "duration_s": cfg.duration_s,
             "reserves": cfg.reserves,
         },
+        # the attack keys other than type name AttackScenario fields
         "attack": {
-            "family": scenario.family,
+            **{key: getattr(scenario, key) for key in _ATTACK_KEYS
+               if key != "type"},
             "type": scenario.attack_type.value,
-            "magnitude_percent": scenario.magnitude_percent,
-            "magnitude_mw": scenario.magnitude_mw,
             "target_bus": attacks.resolve_target(model, scenario.target_bus),
-            "t_start": scenario.t_start,
-            "t1": scenario.t1,
-            "interval": scenario.interval,
-            "count": scenario.count,
-            "trigger": scenario.trigger,
         },
-        "output": {
-            "trace_csv": cfg.trace_csv,
-            "report_json": cfg.report_json,
-        },
+        "output": {key: getattr(cfg, key) for key in _OUTPUT_KEYS},
     }
 
 
@@ -344,27 +359,17 @@ def _metrics_dict(mx: analysis.Metrics) -> dict:
     }
 
 
-def _apply_overrides(scenario, cfg: RunConfig, args) -> tuple:
-    if getattr(args, "dt", None) is not None:
-        cfg.dt_s = args.dt
-    if getattr(args, "duration", None) is not None:
-        cfg.duration_s = args.duration
-    if getattr(args, "reserves", None) is not None:
-        cfg.reserves = args.reserves
-    if getattr(args, "target_bus", None) is not None:
-        tb = args.target_bus
-        scenario = replace(scenario,
-                           target_bus=tb if tb == "largest" else int(tb))
-    return scenario, cfg
-
-
 def _out_path(args, cfg_path: str | None, default_name: str) -> str:
     out_dir = getattr(args, "out_dir", None) or "."
     os.makedirs(out_dir, exist_ok=True)
-    if cfg_path:
-        return cfg_path if os.path.isabs(cfg_path) \
-            else os.path.join(out_dir, cfg_path)
-    return os.path.join(out_dir, default_name)
+    # join keeps an absolute path from the scenario file as it is
+    return os.path.join(out_dir, cfg_path or default_name)
+
+
+def _flags(args) -> dict:
+    """The flags of _FLAG_KEYS given on the command line, with values."""
+    return {flag: value for flag in _FLAG_KEYS.values()
+            if (value := getattr(args, flag[2:].replace("-", "_"))) is not None}
 
 
 def _horizon_error(args, config: dynamics.SimConfig) -> ScenarioError:
@@ -372,11 +377,9 @@ def _horizon_error(args, config: dynamics.SimConfig) -> ScenarioError:
     pointing at the --duration flag or at the file's duration_s."""
     msg = (f"{config.n_steps + 1} samples at dt = {config.dt:g} s "
            "do not fit in memory")
-    if args.duration is not None:
-        return ScenarioError(f"--duration {args.duration:g}", None, None, msg)
-    with open(args.scenario, encoding="utf-8") as fh:
-        line = _key_line(fh.read(), "duration_s", "system")
-    return ScenarioError(args.scenario, "duration_s", line, msg)
+    text, _ = _read_json(args.scenario)
+    return _Source(args.scenario, text, _flags(args)).error(
+        "system", "duration_s", msg)
 
 
 def _reserve_set(name: str):
@@ -400,11 +403,7 @@ def _cmd_powerflow(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    model, scenario, cfg = parse_scenario(args.scenario)
-    scenario, cfg = _apply_overrides(scenario, cfg, args)
-    problems = attacks.validate_scenario(model, scenario)
-    if problems:
-        raise ScenarioError(args.scenario, "attack", None, "; ".join(problems))
+    model, scenario, cfg = parse_scenario(args.scenario, _flags(args))
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
     trace_path = _out_path(args, cfg.trace_csv, f"{stem}_trace.csv")
     report_path = _out_path(args, cfg.report_json, f"{stem}_report.json")
@@ -437,29 +436,26 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _parse_float_list(spec: str, what: str) -> list[float]:
+def _parse_float_list(flag: str, spec: str) -> list[float]:
     try:
         vals = [float(tok) for tok in spec.split(",") if tok.strip() != ""]
     except ValueError:
-        raise ScenarioError(spec, None, None,
-                            f"bad {what} list; expected comma-separated numbers") \
-            from None
+        raise _flag_error(flag, spec,
+                          "expected comma-separated numbers") from None
     if not vals:
-        raise ScenarioError(spec, None, None, f"empty {what} list")
+        raise _flag_error(flag, spec, "empty list")
     if not all(map(math.isfinite, vals)):
-        raise ScenarioError(spec, None, None,
-                            f"{what} values must be finite numbers")
+        raise _flag_error(flag, spec, "values must be finite numbers")
     return vals
 
 
 def _cmd_sweep(args) -> int:
-    model, scenario, cfg = parse_scenario(args.scenario)
-    scenario, cfg = _apply_overrides(scenario, cfg, args)
+    model, scenario, cfg = parse_scenario(args.scenario, _flags(args))
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
     sim_cfg = dynamics.SimConfig(dt=cfg.dt_s, duration=cfg.duration_s,
                                  reserves=_reserve_set(cfg.reserves))
     if args.magnitudes:
-        mags = _parse_float_list(args.magnitudes, "magnitude")
+        mags = _parse_float_list("--magnitudes", args.magnitudes)
         try:
             fit = analysis.magnitude_sweep(
                 model, scenario.attack_type, mags, sim_cfg,
@@ -480,7 +476,7 @@ def _cmd_sweep(args) -> int:
         print(f"slope {fit.slope:.4f} Hz/%, intercept {fit.intercept:.4f} Hz, "
               f"R^2 {fit.r_squared:.5f}")
     else:
-        t1s = _parse_float_list(args.timings, "timing")
+        t1s = _parse_float_list("--timings", args.timings)
         try:
             optimal, per_t1 = analysis.timing_sweep(model, scenario, t1s,
                                                     sim_cfg)
@@ -506,20 +502,21 @@ def _load_anchors(spec: str):
         return analysis.DEFAULT_ANCHORS
     if spec == "incident":
         return analysis.INCIDENT_ANCHORS
-    try:
-        with open(spec, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        anchors = tuple(
-            (float(a["percent"]),
-             None if a.get("nadir_hz") is None else float(a["nadir_hz"]),
-             None if a.get("settled_hz") is None else float(a["settled_hz"]))
-            for a in raw)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
+    text, raw = _read_json(spec)
+    if not isinstance(raw, list) or not raw:
         raise ScenarioError(spec, None, None,
-                            f"cannot load anchors: {exc}") from exc
-    if not anchors:
-        raise ScenarioError(spec, None, None, "anchor file is empty")
-    return anchors
+                            "expected a non-empty list of anchors")
+    anchors = []
+    for i, anchor in enumerate(raw, start=1):
+        src = _Source(f"{spec} anchor {i}", text)
+        anchor = src.checked("anchor", anchor, _ANCHOR_KEYS,
+                             required=("percent",))
+        if anchor["percent"] <= 0:
+            raise src.error("anchor", "percent", "must be positive")
+        anchors.append((float(anchor["percent"]), *(
+            None if anchor.get(key) is None else float(anchor[key])
+            for key in ("nadir_hz", "settled_hz"))))
+    return tuple(anchors)
 
 
 def _cmd_calibrate(args) -> int:
@@ -578,7 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulation length override, s")
     common.add_argument("--reserves", choices=_RESERVE_PRESETS, default=None,
                         help="reserve preset override")
+    # a bus id when the value is digits; else the scenario check takes it
     common.add_argument("--target-bus", default=None,
+                        type=lambda s: int(s) if s.isdecimal() else s,
                         help="attack target override: bus id or 'largest'")
     common.add_argument("--out-dir", default=None,
                         help="directory for output artifacts")

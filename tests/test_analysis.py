@@ -336,6 +336,9 @@ def test_feasibility_argument_errors():
         analysis.feasibility(100.0, 2040)
     with pytest.raises(ValueError, match="non-negative"):
         analysis.feasibility(-1.0, 2025)
+    for mw in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            analysis.feasibility(mw, 2025)
 
 
 def test_default_forecast_is_consistent():

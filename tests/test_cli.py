@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gridswing import cli, dynamics, netmodel
 
@@ -89,6 +90,128 @@ def test_non_finite_number_names_key_and_line(tmp_path, capsys, key, literal):
     err = capsys.readouterr().err
     assert f"{scn}:2 (key {key!r})" in err
     assert "finite" in err
+
+
+def line_of(path, key):
+    with open(path) as fh:
+        return next(i for i, ln in enumerate(fh, start=1) if f'"{key}"' in ln)
+
+
+@pytest.mark.parametrize("section, key", [("system", "dt_s"),
+                                          ("attack", "t_start"),
+                                          ("attack", "magnitude_percent"),
+                                          ("system", "national_total_mw")])
+def test_integer_beyond_float_range_names_key_and_line(tmp_path, capsys,
+                                                        section, key):
+    scn = write_scenario(tmp_path, **{section: {key: 10 ** 400}})
+    assert cli.main(["simulate", scn, "--out-dir", str(tmp_path)]) == 2
+    assert (f"{scn}:{line_of(scn, key)} (key {key!r}): expected a finite "
+            "number" in capsys.readouterr().err)
+
+
+def test_bad_target_bus_names_its_key_and_line(tmp_path, capsys):
+    scn = write_scenario(tmp_path, attack={"target_bus": 99})
+    assert cli.main(["simulate", scn]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {scn}:{line_of(scn, 'target_bus')} (key 'target_bus'):")
+
+
+@pytest.mark.parametrize("flag, value", [("--dt", "0"), ("--dt", "nan"),
+                                         ("--duration", "0.015"),
+                                         ("--target-bus", "abc"),
+                                         ("--target-bus", "99")])
+@pytest.mark.parametrize("args", [["simulate"],
+                                  ["sweep", "--magnitudes", "4,8"]],
+                         ids=["simulate", "magnitudes"])
+def test_bad_flag_is_named_with_its_value(tmp_path, capsys, args, flag,
+                                          value):
+    scn = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    rc = cli.main([args[0], scn, *args[1:], flag, value, "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} {value}:")
+    assert not out.exists()
+
+
+def test_flag_replaces_the_file_value_before_it_is_checked(tmp_path):
+    scn = write_scenario(tmp_path, system={"dt_s": -1.0, "reserves": "lots"},
+                         attack={"target_bus": 99})
+    _, scenario, cfg = cli.parse_scenario(
+        scn, {"--dt": 0.05, "--reserves": "default", "--target-bus": 5})
+    assert (cfg.dt_s, cfg.reserves, scenario.target_bus) == (0.05, "default", 5)
+
+
+def test_bad_sweep_list_names_its_flag(tmp_path, capsys):
+    scn = write_scenario(tmp_path)
+    for flag, spec in (("--magnitudes", "4,x"), ("--timings", ",")):
+        assert cli.main(["sweep", scn, flag, spec]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} {spec}:")
+
+
+# Every kind of JSON value, with zero, negatives, NaN and Infinity literals
+# and integers beyond float range among the numbers.
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 100),
+    st.integers(2 ** 1024, 2 ** 1400), st.floats(),
+    st.text(max_size=6), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.sampled_from([0, 0.0, -1.0, 0.015, 10 ** 400, -10 ** 400, "static",
+                     "switching", "periodic", "combination", "SR", "largest",
+                     "slope", "default"]))
+SECTIONS = {"system": cli._SYSTEM_KEYS, "attack": cli._ATTACK_KEYS,
+            "output": cli._OUTPUT_KEYS}
+# A usable value per key, so that the later checks are reached too.
+USABLE = {"model": "wscc9", "national_total_mw": 17500.0, "dt_s": 0.01,
+          "duration_s": 5.0, "reserves": "off", "family": "periodic",
+          "type": "DI", "magnitude_percent": 8.0, "target_bus": 8,
+          "t_start": 1.0, "t1": 3.0, "interval": 2.0, "count": 2,
+          "trigger": "time", "trace_csv": "t.csv", "report_json": "r.json"}
+
+
+@st.composite
+def scenario_docs(draw):
+    """A usable scenario with some optional keys left out, then up to six
+    keys or sections, known or not, removed or set to any JSON value; one
+    draw in sixteen is any JSON value instead."""
+    if draw(st.integers(0, 15)) == 8:
+        return draw(JSON_VALUES)
+    required = {"family", "type", "magnitude_percent"}
+    doc = {name: {key: USABLE[key] for key in keys if key in USABLE
+                  and (key in required or draw(st.booleans()))}
+           for name, keys in SECTIONS.items()}
+    for _ in range(draw(st.integers(0, 6))):
+        name = draw(st.sampled_from([None, *SECTIONS]))
+        where = doc if name is None else doc.get(name)
+        if not isinstance(where, dict):
+            continue
+        key = draw(st.sampled_from([*(SECTIONS if name is None
+                                      else SECTIONS[name]), "colour"]))
+        if draw(st.booleans()):
+            where.pop(key, None)
+        else:
+            where[key] = draw(JSON_VALUES)
+    return doc
+
+
+# What argparse can hand over for each flag, with a usable value among it.
+FLAG_VALUES = st.fixed_dictionaries({}, optional={
+    "--dt": st.one_of(st.just(0.005), st.floats()),
+    "--duration": st.one_of(st.just(4.0), st.floats()),
+    "--reserves": st.sampled_from(cli._RESERVE_PRESETS),
+    "--target-bus": st.one_of(st.sampled_from([5, "largest"]), st.integers(),
+                              st.text(max_size=4))})
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=scenario_docs(), flags=FLAG_VALUES)
+def test_parse_scenario_fuzz(tmp_path, doc, flags):
+    path = tmp_path / "fuzz.scn"
+    path.write_text(json.dumps(doc))
+    try:
+        cli.parse_scenario(str(path), flags)
+    except cli.ScenarioError as exc:
+        assert str(exc).startswith((str(path), *(f"{f} " for f in flags)))
 
 
 def test_key_line_is_found_in_its_section(tmp_path, capsys):
@@ -352,6 +475,26 @@ def test_calibrate_rejects_bad_anchor_file(tmp_path):
     anchors = tmp_path / "anchors.json"
     anchors.write_text("[]")
     assert cli.main(["calibrate", "--anchors", str(anchors)]) == 2
+
+
+@pytest.mark.parametrize("anchor, key, message", [
+    ('{"percent": 12.0, "nadir_hz": NaN}', "nadir_hz", "finite"),
+    ('{"percent": 12.0, "nadir_hz": true}', "nadir_hz", "got True"),
+    ('{"percent": 0, "settled_hz": 49.8}', "percent", "positive"),
+    ('{"settled_hz": 49.8}', "percent", "missing"),
+    ('{"percent": 12.0, "nadir": 49.2}', "nadir", "unknown key"),
+], ids=["nan", "bool", "zero-percent", "no-percent", "unknown-key"])
+def test_calibrate_rejects_bad_anchor_values(tmp_path, capsys, anchor, key,
+                                             message):
+    path = tmp_path / "anchors.json"
+    path.write_text(f'[{{"percent": 8.0, "settled_hz": 49.9}},\n {anchor}]\n')
+    out = tmp_path / "out"
+    assert cli.main(["calibrate", "--anchors", str(path),
+                     "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} anchor 2 (key {key!r}):")
+    assert message in err
+    assert not out.exists()  # no report, and no simulation before the check
 
 
 def test_feasibility_emits_json(capsys):
