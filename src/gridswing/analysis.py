@@ -128,8 +128,13 @@ def _sweep_lanes(model: NetworkModel, schedules,
             [model] * len(schedules), powerflow.solve(model), schedules,
             config):
         f[k] = f_coi
-        trip[(trip < 0) & (np.abs(d_omega).max(axis=-1)
-                           > dynamics.SPEED_GUARD_PU)] = k
+        speed = np.abs(d_omega)
+        # One global test per step; a NaN fails it and takes the per-lane
+        # path, where fmax skips it: simulate trips on the other machines
+        # of a lane and never on a NaN.
+        if not speed.max() <= dynamics.SPEED_GUARD_PU:
+            trip[(trip < 0) & (np.fmax.reduce(speed, axis=-1)
+                               > dynamics.SPEED_GUARD_PU)] = k
     return f, [k * config.dt if k >= 0 else None for k in trip.tolist()]
 
 
@@ -267,13 +272,15 @@ def _grid_anchor_errors(model, anchors, r_vals, tg_vals, d_vals,
     errors = np.zeros(len(lanes))
     for percent, nadir_target, settled_target in anchors:
         f_min = np.full(len(lanes), np.inf)
-        unstable = np.zeros(len(lanes), dtype=bool)
+        # Running elementwise max of |d_omega|; fmax skips NaN, so a NaN
+        # speed trips nothing, as in simulate.
+        speed_max = np.zeros((len(lanes), len(model.generators)))
         schedule = _anchor_schedule(model, percent)
         for _, _, f_coi, d_omega, *_ in dynamics._lockstep(
                 lanes, pf, [schedule] * len(lanes), config):
             np.minimum(f_min, f_coi, out=f_min)
-            unstable |= (np.abs(d_omega).max(axis=-1)
-                         > dynamics.SPEED_GUARD_PU)
+            np.fmax(speed_max, np.abs(d_omega), out=speed_max)
+        unstable = speed_max.max(axis=-1) > dynamics.SPEED_GUARD_PU
         if nadir_target is not None:
             errors += (f_min - nadir_target) ** 2
         if settled_target is not None:

@@ -198,6 +198,8 @@ def _read_json(path: str):
     except json.JSONDecodeError as exc:
         raise ScenarioError(path, None, exc.lineno,
                             f"invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal too long to convert
+        raise ScenarioError(path, None, None, f"invalid JSON: {exc}") from exc
 
 
 def parse_scenario(path: str, flags: dict | None = None):

@@ -264,7 +264,9 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     over all three rows, and rhs multiplies d_omega once by the stacked
     (omega_s, D, droop_gain) and divides rows 1 and 2 once by the stacked
     (2H, T_g). Every product and sum keeps the operands and the order of
-    the per-variable RK4 formulas, so the numbers are those of that form.
+    the per-variable RK4 formulas, so the numbers are those of that form;
+    without reserves rhs forms p_m - p_e without adding a zero reserve
+    term first. The reserve lag factors are computed once per run.
 
     At each boundary k = 0 .. n_steps: apply the events due (each snaps to
     the first boundary at or after its time; those past the horizon never
@@ -325,6 +327,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
 
     dt = config.dt
     n_steps = config.n_steps
+    alpha = _reserves.lag_factors(products, dt)
     # Pre-bin (lane, bus, delta_p) by destination step so the hot loop
     # stays cheap; each lane's events keep their time order.
     by_step: dict[int, list] = {}
@@ -343,7 +346,6 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
         trigger = _attacks.SlopeTrigger(schedules[0].policy, f_nom, dt)
     outputs = np.zeros((n_lanes, len(products)))  # MW per product, signed
     p_reserve = (np.zeros(n_lanes), np.zeros(n_lanes))  # up, down; pu
-    p_res = 0.0  # per machine once reserves respond
     if products:
         res_rows = np.zeros((n_lanes, len(mva)))
         p_res = res_rows.reshape(lane_shape)  # a view of res_rows
@@ -378,8 +380,11 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
         else:
             pe = lin.pe(dl, attack_by_bus)
         np.multiply(rates, dw, out=k)  # omega_s dw, D dw, droop_gain dw
-        np.add(pm, p_res, out=spare)
-        np.subtract(spare, pe, out=spare)
+        if products:
+            np.add(pm, p_res, out=spare)
+            np.subtract(spare, pe, out=spare)
+        else:
+            np.subtract(pm, pe, out=spare)
         np.subtract(spare, k_dw, out=k_dw)
         np.subtract(p_ref, k_pm, out=k_pm)
         np.subtract(k_pm, pm, out=k_pm)
@@ -399,7 +404,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
             f_lanes = [float(f_coi)] if n_lanes == 1 else f_coi.tolist()
             outputs = _reserves.respond(
                 outputs, [[_reserves.command(p, f_hz) for p in products]
-                          for f_hz in f_lanes], products, dt)
+                          for f_hz in f_lanes], alpha)
             # Python's left-to-right sums per lane: np.sum's pairwise order
             # could round differently.
             for lane, mw in enumerate(outputs.tolist()):
@@ -443,7 +448,10 @@ def simulate(model: NetworkModel,
     after their timestamp, and each sample is recorded after the events,
     slope releases and reserve updates of its boundary, so the first
     sample is exactly nominal. A machine leaving the speed guard raises
-    InstabilityError carrying the trace up to that sample.
+    InstabilityError carrying the trace up to that sample. Each boundary
+    records the raw speed deviations, f_coi and p_attack, and the reserve
+    totals only when a product is enabled; t and the machine frequencies
+    in Hz are formed once over the recorded samples.
     """
     if config is None:
         config = SimConfig()
@@ -452,30 +460,32 @@ def simulate(model: NetworkModel,
     if pf is None:
         pf = solve_pf(model)
 
-    f_nom = model.f_nominal
     n_samp = config.n_steps + 1
-    t_arr = np.empty(n_samp)
     f_coi_arr = np.empty(n_samp)
-    f_gen_arr = np.empty((n_samp, len(model.generators)))
+    d_omega_arr = np.empty((n_samp, len(model.generators)))
     p_atk_arr = np.empty(n_samp)
-    p_up_arr = np.empty(n_samp)
-    p_dn_arr = np.empty(n_samp)
+    reserves_on = any(p.enabled for p in config.reserves)
+    p_up_arr, p_dn_arr = np.zeros(n_samp), np.zeros(n_samp)
 
     def trace(n: int, applied) -> SimulationTrace:
+        """The first n samples, speeds turned into Hz in place."""
+        f_gen = d_omega_arr[:n]  # f_nom * (1.0 + d_omega)
+        np.add(1.0, f_gen, out=f_gen)
+        np.multiply(model.f_nominal, f_gen, out=f_gen)
         return SimulationTrace(
-            t=t_arr[:n], f_coi=f_coi_arr[:n], f_gen=f_gen_arr[:n],
+            t=np.arange(n) * config.dt, f_coi=f_coi_arr[:n], f_gen=f_gen,
             p_attack=p_atk_arr[:n], p_reserve_up=p_up_arr[:n],
             p_reserve_down=p_dn_arr[:n], events=tuple(applied),
             dt=config.dt)
 
     for k, t_now, f_coi, d_omega, p_attack, (p_up, p_dn), applied in \
             _lockstep([model], pf, [schedule], config):
-        t_arr[k] = t_now
         f_coi_arr[k] = f_coi
-        f_gen_arr[k] = f_nom * (1.0 + d_omega)
+        d_omega_arr[k] = d_omega
         p_atk_arr[k] = p_attack[0]
-        p_up_arr[k] = p_up[0]
-        p_dn_arr[k] = p_dn[0]
+        if reserves_on:
+            p_up_arr[k] = p_up[0]
+            p_dn_arr[k] = p_dn[0]
         if any(abs(w) > SPEED_GUARD_PU for w in d_omega.tolist()):
             raise InstabilityError(t_now, trace(k + 1, applied[0]))
     return trace(n_samp, applied[0])

@@ -281,10 +281,15 @@ def to_file(model: NetworkModel, path: str) -> None:
 
 
 def from_file(path: str) -> NetworkModel:
-    """Read a JSON case file written by :func:`to_file`."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """Read a JSON case file written by :func:`to_file`.
+
+    Raises OSError if the file cannot be opened and ValueError naming the
+    file for anything else: not UTF-8, not JSON, a number out of range or
+    a missing or mistyped field.
+    """
     try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
         model = NetworkModel(
             name=raw["name"],
             mva_base=float(raw["mva_base"]),
@@ -297,7 +302,7 @@ def from_file(path: str) -> NetworkModel:
             loads=tuple(Load(**ld) for ld in raw["loads"]),
             national_total_mw=float(raw.get("national_total_mw", 17500.0)),
         )
-    except (KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed case file {path}: {exc}") from exc
     problems = validate(model)
     if problems:

@@ -83,15 +83,21 @@ def command(product: ReserveProduct, f_hz: float) -> float:
     return -math.copysign(cap * frac, dev)
 
 
-def respond(outputs: np.ndarray, commands, products, dt: float) -> np.ndarray:
+def lag_factors(products, dt: float) -> np.ndarray:
+    """Per-product 1 - exp(-dt/tau): the share of the gap between command
+    and output that one step of dt closes."""
+    return np.array([1.0 - math.exp(-dt / p.response_time) for p in products])
+
+
+def respond(outputs: np.ndarray, commands, alpha: np.ndarray) -> np.ndarray:
     """Advance each product output one step toward its command.
 
     outputs and commands are MW with products on the last axis, so a
-    (lanes, products) batch advances element by element. Exact first-order
-    update, out += (cmd - out) * (1 - exp(-dt/tau)), so the trajectory is
+    (lanes, products) batch advances element by element; alpha is
+    lag_factors(products, dt). Exact first-order update,
+    out += (cmd - out) * (1 - exp(-dt/tau)), so the trajectory is
     independent of how dt subdivides the horizon.
     """
-    alpha = np.array([1.0 - math.exp(-dt / p.response_time) for p in products])
     return outputs + (np.asarray(commands) - outputs) * alpha
 
 

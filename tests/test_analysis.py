@@ -263,6 +263,47 @@ def test_sweep_skip_matches_single_run_instability(model):
     assert fit.skipped == ((200.0, str(exc.value)),)
 
 
+def fake_lockstep(speeds):
+    """A stand-in for dynamics._lockstep that yields the given d_omega
+    rows, one per step, at a nominal COI frequency."""
+    def run(models, pf, schedules, config):
+        n = len(models)
+        for k, w in enumerate(speeds):
+            yield (k, k * config.dt, np.full(w.shape[:-1], 50.0), w,
+                   np.zeros(n), (np.zeros(n), np.zeros(n)),
+                   [[] for _ in range(n)])
+    return run
+
+
+def test_batched_guards_trip_like_simulate_beside_nan(model, monkeypatch):
+    """A NaN speed trips nothing, but a machine past the guard beside it
+    does: lane 0 trips at step 1, lane 1 at step 2, lane 2 never."""
+    nan = float("nan")
+    speeds = np.array([
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        [[nan, 0.6, 0.0], [nan, 0.1, 0.0], [0.0, 0.0, 0.0]],
+        [[0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [nan, nan, nan]]])
+    config = dynamics.SimConfig(duration=0.02)
+    schedule = sweep_schedule(model, 8.0)
+    single = []
+    for lane in range(3):
+        monkeypatch.setattr(dynamics, "_lockstep",
+                            fake_lockstep(speeds[:, lane]))
+        try:
+            dynamics.simulate(model, schedule, config)
+            single.append(None)
+        except dynamics.InstabilityError as exc:
+            single.append(exc.time_s)
+    assert single == [0.01, 0.02, None]
+    monkeypatch.setattr(dynamics, "_lockstep", fake_lockstep(speeds))
+    _, trips = analysis._sweep_lanes(model, [schedule] * 3, config)
+    assert trips == single
+    errors = analysis._grid_anchor_errors(
+        model, analysis.DEFAULT_ANCHORS, [0.03, 0.05, 0.08], [1.0], [0.5],
+        dt=0.01, duration=0.02)
+    assert np.isinf(errors).tolist() == [True, True, False]
+
+
 def test_unstable_timing_sweep_raises_like_its_single_run(model):
     config = quick_cfg(10.0)
     base = base_switching(attack_type=AttackType.DEMAND_REDUCTION,

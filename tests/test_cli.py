@@ -340,6 +340,42 @@ def test_invalid_json_reports_line(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+def test_overlong_integer_literal_names_the_file(tmp_path, capsys):
+    """An integer literal past Python's 4300-digit conversion limit is
+    reported as invalid JSON at the file, for scenarios and anchor files."""
+    digits = "1" * 5001
+    scn = tmp_path / "long.scn"
+    scn.write_text('{"system": {"dt_s": ' + digits + '},\n "attack": '
+                   '{"family": "static", "type": "DI"}}\n')
+    anchors = tmp_path / "anchors.json"
+    anchors.write_text('[{"percent": ' + digits + '}]\n')
+    out = tmp_path / "out"
+    for argv, path in ((["simulate", str(scn)], scn),
+                       (["calibrate", "--anchors", str(anchors)], anchors)):
+        assert cli.main([*argv, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: invalid JSON: Exceeds the limit")
+    assert not out.exists()
+
+
+def test_case_file_beyond_float_range_names_the_model_key(tmp_path, capsys):
+    """A case file whose mva_base overflows a float exits 2 at the
+    scenario's model key, and powerflow on the case exits 2 naming it."""
+    raw = json.loads(json.dumps(dataclasses.asdict(netmodel.builtin_wscc9())))
+    raw["mva_base"] = 10 ** 400
+    case = tmp_path / "huge.json"
+    case.write_text(json.dumps(raw))
+    scn = write_scenario(tmp_path, system={"model": "huge.json"})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", scn, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {scn}:4 (key 'model'): malformed case file {case}:")
+    assert not out.exists()
+    assert cli.main(["powerflow", str(case)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: malformed case file {case}:")
+
+
 def test_unknown_reserve_preset(tmp_path, capsys):
     scn = write_scenario(tmp_path, system={"reserves": "lots"})
     assert cli.main(["simulate", scn]) == 2
@@ -533,9 +569,29 @@ def test_shipped_switching_scenario_runs(tmp_path):
     assert (tmp_path / "switching_di_8_trace.csv").exists()
 
 
+# The golden hashes below assume numpy 2.4.6 on x86-64 with a fused complex
+# multiply: its complex128 multiply dispatched to X86_V3 (AVX2 with FMA3) on
+# an AVX-512 host, so (a*b).real is fma(a.re, b.re, -(a.im*b.im)). Another
+# numpy, CPU or dispatch target may round a product or a reduction
+# differently and change a printed digit; the failure message names the
+# numpy and the targets it dispatched here.
+def numpy_build() -> str:
+    simd = np.show_config(mode="dicts").get("SIMD Extensions", {})
+    try:
+        from numpy.lib.introspect import opt_func_info
+        multiply = opt_func_info(func_name="^multiply$",
+                                 signature="complex128")["multiply"]
+        multiply = next(iter(multiply.values()))["current"]
+    except (ImportError, KeyError, StopIteration):
+        multiply = "unknown"
+    return (f"numpy {np.__version__}, baseline {simd.get('baseline')}, "
+            f"dispatch targets found {simd.get('found')}, complex128 "
+            f"multiply dispatched to {multiply}; the hashes assume numpy "
+            "2.4.6 with X86_V3 (FMA3) complex multiply")
+
+
 # sha256 of <stem>_trace.csv and of the report without config.output,
-# dumped with sort_keys; captured with numpy 2.4.6. Another numpy may round
-# the reductions differently and change the last printed digit.
+# dumped with sort_keys; captured with numpy 2.4.6.
 GOLDEN = {
     "combination_di_8": (
         "0708d3c843b7592ec56906076d8e16c3fa6bbc10d402c139351469429a4f249a",
@@ -571,7 +627,7 @@ def test_shipped_scenario_golden_hashes(tmp_path, stem):
     del report["config"]["output"]
     dumped = json.dumps(report, sort_keys=True).encode()
     assert (hashlib.sha256(trace).hexdigest(),
-            hashlib.sha256(dumped).hexdigest()) == GOLDEN[stem]
+            hashlib.sha256(dumped).hexdigest()) == GOLDEN[stem], numpy_build()
 
 
 # sha256 of <stem>_sweep.json without config.output, dumped with sort_keys;
@@ -622,4 +678,4 @@ def test_sweep_golden_hashes(tmp_path, case):
     report = json.loads((tmp_path / f"{stem}_sweep.json").read_text())
     del report["config"]["output"]
     dumped = json.dumps(report, sort_keys=True).encode()
-    assert hashlib.sha256(dumped).hexdigest() == digest
+    assert hashlib.sha256(dumped).hexdigest() == digest, numpy_build()

@@ -1,4 +1,6 @@
 """Swing integration: equilibrium, inertial response, droop, events, guards."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -157,20 +159,38 @@ def test_switching_prefix_equals_static(model):
     assert static.p_attack[cut] == pytest.approx(0.252)
 
 
+# sha256 over the partial trace's t, f_coi, f_gen, p_attack, p_reserve_up
+# and p_reserve_down bytes, without and with the default reserves;
+# captured with numpy 2.4.6 before simulate recorded raw speeds.
+PARTIAL_TRACE_SHA256 = (
+    "5321ac6cb4c7171e3a20077c0ac89986021eb642d117353808d16a3c911dad18",
+    "8fcf00e38c93ed018a50ff2730984d44396004f85fe9e167bc5ba078e1382733")
+
+
 def test_instability_guard_preserves_partial_trace(model):
     # demand reduction at twice the scheduled total flips the bus into a
     # negative admittance; the frequency runs away and trips the guard
-    with pytest.raises(dynamics.InstabilityError) as exc:
-        dynamics.simulate(
-            model, make_schedule(model, attack_type=AttackType.DEMAND_REDUCTION,
-                                 magnitude_percent=200.0),
-            dynamics.SimConfig(duration=20.0))
-    err = exc.value
-    assert err.time_s > 1.0
-    assert len(err.trace) >= 2
-    assert err.trace.t[-1] == pytest.approx(err.time_s)
-    # the trace documents the runaway, not a clean horizon
-    assert err.trace.t[-1] < 20.0
+    for prods, digest in zip(((), reserves.default_products()),
+                             PARTIAL_TRACE_SHA256):
+        with pytest.raises(dynamics.InstabilityError) as exc:
+            dynamics.simulate(
+                model, make_schedule(model,
+                                     attack_type=AttackType.DEMAND_REDUCTION,
+                                     magnitude_percent=200.0),
+                dynamics.SimConfig(duration=20.0, reserves=prods))
+        err = exc.value
+        tr = err.trace
+        assert err.time_s > 1.0
+        assert len(tr) >= 2
+        assert tr.t[-1] == pytest.approx(err.time_s)
+        # the trace documents the runaway, not a clean horizon
+        assert tr.t[-1] < 20.0
+        # speeds are in Hz on the raise path too
+        assert np.all(tr.f_gen[0] == 50.0)
+        arrays = (tr.t, tr.f_coi, tr.f_gen, tr.p_attack, tr.p_reserve_up,
+                  tr.p_reserve_down)
+        assert hashlib.sha256(b"".join(
+            a.tobytes() for a in arrays)).hexdigest() == digest
 
 
 def test_reserve_columns_signed(model):

@@ -127,6 +127,30 @@ def test_from_file_rejects_malformed(tmp_path):
         netmodel.from_file(str(path))
 
 
+@pytest.mark.parametrize("text", [
+    '{"name": "x",',  # not JSON
+    '{"mva_base": ' + "1" * 5001 + "}",  # beyond int conversion's limit
+    b'{"name": "\xff"}',  # not UTF-8
+], ids=["json", "long-int", "utf8"])
+def test_from_file_names_the_file_for_unreadable_text(tmp_path, text):
+    path = tmp_path / "broken.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    with pytest.raises(ValueError, match=f"malformed case file {path}"):
+        netmodel.from_file(str(path))
+
+
+def test_from_file_names_the_file_for_a_value_beyond_float(model, tmp_path):
+    path = tmp_path / "huge.json"
+    raw = json.loads(json.dumps(dataclasses.asdict(model)))
+    raw["mva_base"] = 10 ** 400
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=f"malformed case file {path}"):
+        netmodel.from_file(str(path))
+
+
 def test_from_file_rejects_invalid(model, tmp_path):
     path = tmp_path / "invalid.json"
     raw = json.loads(json.dumps(dataclasses.asdict(model)))

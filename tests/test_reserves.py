@@ -64,7 +64,8 @@ def test_disabled_product_commands_zero(products):
 
 def test_lag_one_second_step(products):
     ffr = by_name(products, "FFR")  # tau = 1 s
-    out = reserves.respond(np.zeros(1), [100.0], [ffr], dt=1.0)
+    out = reserves.respond(np.zeros(1), [100.0],
+                           reserves.lag_factors([ffr], 1.0))
     assert out[0] == pytest.approx(100.0 * (1 - math.exp(-1)), abs=1e-9)
 
 
@@ -72,9 +73,9 @@ def test_lag_split_invariance(products):
     """Two half steps land exactly where one full step does."""
     cmds = [200.0 if p.name == "FCR-N" else 0.0 for p in products]
     zero = np.zeros(len(products))
-    full = reserves.respond(zero, cmds, products, dt=0.5)
-    half = reserves.respond(zero, cmds, products, dt=0.25)
-    half = reserves.respond(half, cmds, products, dt=0.25)
+    full = reserves.respond(zero, cmds, reserves.lag_factors(products, 0.5))
+    alpha = reserves.lag_factors(products, 0.25)
+    half = reserves.respond(reserves.respond(zero, cmds, alpha), cmds, alpha)
     assert half == pytest.approx(full, abs=1e-12)
     assert full[[p.name for p in products].index("FCR-N")] > 0.0
 
@@ -84,7 +85,8 @@ def test_lag_split_invariance(products):
        st.floats(min_value=1e-3, max_value=10.0))
 def test_lag_is_a_contraction(start, cmd, dt):
     prods = [p for p in reserves.default_products() if p.name == "FCR-N"]
-    out = reserves.respond(np.array([start]), [cmd], prods, dt=dt)
+    out = reserves.respond(np.array([start]), [cmd],
+                           reserves.lag_factors(prods, dt))
     assert abs(out[0] - cmd) <= abs(start - cmd) + 1e-9
 
 
