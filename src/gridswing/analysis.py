@@ -115,27 +115,21 @@ def _sweep_lanes(model: NetworkModel, schedules,
     """Run each schedule as one lane of a single lockstep batch.
 
     Returns the COI frequency as a (samples, lanes) array and, per lane,
-    the time its run first leaves the speed guard (what simulate would
-    raise InstabilityError with), or None. A lane past the guard keeps
-    integrating with the others; its later samples are not used.
+    the time _lockstep marked its speed guard trip at (what simulate would
+    raise InstabilityError with), or None. A tripped lane's later samples
+    mean nothing; when every lane trips, the batch ends there and the
+    array holds the samples up to the last trip.
     """
     n_samp = config.n_steps + 1
     if not schedules:
         return np.empty((n_samp, 0)), []
     f = np.empty((n_samp, len(schedules)))
-    trip = np.full(len(schedules), -1)  # first sample past the guard
-    for k, _, f_coi, d_omega, *_ in dynamics._lockstep(
+    for k, _, f_coi, *_, trip in dynamics._lockstep(
             [model] * len(schedules), powerflow.solve(model), schedules,
             config):
         f[k] = f_coi
-        speed = np.abs(d_omega)
-        # One global test per step; a NaN fails it and takes the per-lane
-        # path, where fmax skips it: simulate trips on the other machines
-        # of a lane and never on a NaN.
-        if not speed.max() <= dynamics.SPEED_GUARD_PU:
-            trip[(trip < 0) & (np.fmax.reduce(speed, axis=-1)
-                               > dynamics.SPEED_GUARD_PU)] = k
-    return f, [k * config.dt if k >= 0 else None for k in trip.tolist()]
+    return f[:k + 1], [step * config.dt if step >= 0 else None
+                       for step in trip.tolist()]
 
 
 def magnitude_sweep(model: NetworkModel, attack_type: attacks.AttackType,
@@ -262,8 +256,8 @@ def _grid_anchor_errors(model, anchors, r_vals, tg_vals, d_vals,
     Candidates, ordered r-major then t_g then d, run as lanes of the
     lockstep integrator behind dynamics.simulate, so the coarse calibration
     grid costs one batched run per anchor instead of hundreds of scalar
-    runs. A lane that leaves the speed guard scores inf, as its scalar run
-    would.
+    runs. A lane that the integrator marks as tripped scores inf, as its
+    scalar run would.
     """
     lanes = [with_dynamic_params(model, r, tg, d)
              for r in r_vals for tg in tg_vals for d in d_vals]
@@ -272,20 +266,15 @@ def _grid_anchor_errors(model, anchors, r_vals, tg_vals, d_vals,
     errors = np.zeros(len(lanes))
     for percent, nadir_target, settled_target in anchors:
         f_min = np.full(len(lanes), np.inf)
-        # Running elementwise max of |d_omega|; fmax skips NaN, so a NaN
-        # speed trips nothing, as in simulate.
-        speed_max = np.zeros((len(lanes), len(model.generators)))
         schedule = _anchor_schedule(model, percent)
-        for _, _, f_coi, d_omega, *_ in dynamics._lockstep(
+        for _, _, f_coi, *_, trip in dynamics._lockstep(
                 lanes, pf, [schedule] * len(lanes), config):
             np.minimum(f_min, f_coi, out=f_min)
-            np.fmax(speed_max, np.abs(d_omega), out=speed_max)
-        unstable = speed_max.max(axis=-1) > dynamics.SPEED_GUARD_PU
         if nadir_target is not None:
             errors += (f_min - nadir_target) ** 2
         if settled_target is not None:
             errors += (f_coi - settled_target) ** 2
-        errors[unstable] = np.inf
+        errors[trip >= 0] = np.inf
     return errors
 
 

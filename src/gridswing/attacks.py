@@ -47,15 +47,6 @@ class AttackType(enum.Enum):
         # demand; SR sheds that supply and reads as more demand.
         return {"DI": 1.0, "DR": -1.0, "SI": -1.0, "SR": 1.0}[self.value]
 
-    @property
-    def opposite(self) -> "AttackType":
-        return {
-            AttackType.DEMAND_INCREASE: AttackType.DEMAND_REDUCTION,
-            AttackType.DEMAND_REDUCTION: AttackType.DEMAND_INCREASE,
-            AttackType.SUPPLY_INCREASE: AttackType.SUPPLY_REDUCTION,
-            AttackType.SUPPLY_REDUCTION: AttackType.SUPPLY_INCREASE,
-        }[self]
-
 
 FAMILIES = ("static", "switching", "periodic", "combination")
 

@@ -62,9 +62,7 @@ class ScenarioError(ValueError):
 
 @dataclass
 class RunConfig:
-    dt_s: float
-    duration_s: float
-    reserves: str
+    reserves: str  # the preset name; the SimConfig holds its products
     trace_csv: str | None
     report_json: str | None
     model_ref: str
@@ -206,8 +204,9 @@ def parse_scenario(path: str, flags: dict | None = None):
     """Load a scenario file, replace its values by flags (flag -> value,
     the flags of _FLAG_KEYS) and validate the result once.
 
-    Returns (NetworkModel, AttackScenario, RunConfig); raises ScenarioError
-    at the flag that set a bad value, or at the file's line and key.
+    Returns (NetworkModel, AttackScenario, RunConfig, SimConfig), the
+    SimConfig with the reserve preset's products; raises ScenarioError at
+    the flag that set a bad value, or at the file's line and key.
     """
     text, doc = _read_json(path)
     if not isinstance(doc, dict):
@@ -231,7 +230,8 @@ def parse_scenario(path: str, flags: dict | None = None):
         if key in system and system[key] <= 0:
             raise src.error("system", key, "must be positive")
     try:
-        timing = dynamics.SimConfig(**{
+        sim = dynamics.SimConfig(reserves=(
+            reserves.default_products() if preset == "default" else ()), **{
             arg: float(system[key])
             for key, arg in (("dt_s", "dt"), ("duration_s", "duration"))
             if key in system})
@@ -270,12 +270,11 @@ def parse_scenario(path: str, flags: dict | None = None):
                     if any(k in p for p in problems)), "attack")
         raise src.error(None if key == "attack" else "attack", key,
                         "; ".join(problems))
-    cfg = RunConfig(dt_s=timing.dt, duration_s=timing.duration,
-                    reserves=preset,
+    cfg = RunConfig(reserves=preset,
                     trace_csv=output.get("trace_csv"),
                     report_json=output.get("report_json"),
                     model_ref=model_ref)
-    return model, scenario, cfg
+    return model, scenario, cfg, sim
 
 
 def _write_together(*writes) -> None:
@@ -327,13 +326,13 @@ def write_report_json(report: dict, path: str) -> None:
         fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def _resolved_config(model, scenario, cfg: RunConfig) -> dict:
+def _resolved_config(model, scenario, cfg: RunConfig, sim) -> dict:
     return {
         "system": {
             "model": cfg.model_ref,
             "national_total_mw": model.national_total_mw,
-            "dt_s": cfg.dt_s,
-            "duration_s": cfg.duration_s,
+            "dt_s": sim.dt,
+            "duration_s": sim.duration,
             "reserves": cfg.reserves,
         },
         # the attack keys other than type name AttackScenario fields
@@ -384,10 +383,6 @@ def _horizon_error(args, config: dynamics.SimConfig) -> ScenarioError:
         "system", "duration_s", msg)
 
 
-def _reserve_set(name: str):
-    return reserves.default_products() if name == "default" else ()
-
-
 def _cmd_powerflow(args) -> int:
     if args.case:
         model = netmodel.from_file(args.case)
@@ -405,7 +400,7 @@ def _cmd_powerflow(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    model, scenario, cfg = parse_scenario(args.scenario, _flags(args))
+    model, scenario, cfg, sim = parse_scenario(args.scenario, _flags(args))
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
     trace_path = _out_path(args, cfg.trace_csv, f"{stem}_trace.csv")
     report_path = _out_path(args, cfg.report_json, f"{stem}_report.json")
@@ -413,16 +408,14 @@ def _cmd_simulate(args) -> int:
     cfg.report_json = report_path
 
     schedule = attacks.compile_scenario(model, scenario)
-    sim_cfg = dynamics.SimConfig(dt=cfg.dt_s, duration=cfg.duration_s,
-                                 reserves=_reserve_set(cfg.reserves))
     pf = powerflow.solve(model)
     try:
-        trace = dynamics.simulate(model, schedule, sim_cfg, pf)
+        trace = dynamics.simulate(model, schedule, sim, pf)
     except MemoryError:
-        raise _horizon_error(args, sim_cfg) from None
+        raise _horizon_error(args, sim) from None
     mx = analysis.metrics(trace)
     report = {
-        "config": _resolved_config(model, scenario, cfg),
+        "config": _resolved_config(model, scenario, cfg, sim),
         "powerflow": {"iterations": pf.iterations,
                       "mismatch_norm": pf.mismatch_norm},
         "metrics": _metrics_dict(mx),
@@ -452,22 +445,32 @@ def _parse_float_list(flag: str, spec: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    model, scenario, cfg = parse_scenario(args.scenario, _flags(args))
+    model, scenario, cfg, sim = parse_scenario(args.scenario, _flags(args))
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
-    sim_cfg = dynamics.SimConfig(dt=cfg.dt_s, duration=cfg.duration_s,
-                                 reserves=_reserve_set(cfg.reserves))
-    if args.magnitudes:
-        mags = _parse_float_list("--magnitudes", args.magnitudes)
-        try:
+    by_magnitude = args.magnitudes is not None
+    flag, spec = (("--magnitudes", args.magnitudes) if by_magnitude
+                  else ("--timings", args.timings))
+    values = _parse_float_list(flag, spec)
+    try:
+        if by_magnitude:
             fit = analysis.magnitude_sweep(
-                model, scenario.attack_type, mags, sim_cfg,
+                model, scenario.attack_type, values, sim,
                 target_bus=scenario.target_bus)
-        except MemoryError:
-            raise _horizon_error(args, sim_cfg) from None
+        else:
+            optimal, per_t1 = analysis.timing_sweep(model, scenario, values,
+                                                    sim)
+    except MemoryError:
+        raise _horizon_error(args, sim) from None
+    except np.linalg.LinAlgError:
+        raise  # a singular network reduction during the run
+    except ValueError as exc:  # a list value the sweep rejects up front
+        raise _flag_error(flag, spec, str(exc)) from None
+    config = _resolved_config(model, scenario, cfg, sim)
+    if by_magnitude:
         report = {
             "sweep": "magnitude",
-            "config": _resolved_config(model, scenario, cfg),
-            "magnitudes_percent": mags,
+            "config": config,
+            "magnitudes_percent": values,
             "fit": {"slope_hz_per_percent": fit.slope,
                     "intercept_hz": fit.intercept,
                     "r_squared": fit.r_squared},
@@ -478,16 +481,10 @@ def _cmd_sweep(args) -> int:
         print(f"slope {fit.slope:.4f} Hz/%, intercept {fit.intercept:.4f} Hz, "
               f"R^2 {fit.r_squared:.5f}")
     else:
-        t1s = _parse_float_list("--timings", args.timings)
-        try:
-            optimal, per_t1 = analysis.timing_sweep(model, scenario, t1s,
-                                                    sim_cfg)
-        except MemoryError:
-            raise _horizon_error(args, sim_cfg) from None
         report = {
             "sweep": "timing",
-            "config": _resolved_config(model, scenario, cfg),
-            "t1_values_s": sorted(t1s),
+            "config": config,
+            "t1_values_s": sorted(values),
             "optimal_t1_s": optimal,
             "per_t1": {f"{v:g}": _metrics_dict(mx)
                        for v, mx in sorted(per_t1.items())},

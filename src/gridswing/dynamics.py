@@ -205,6 +205,24 @@ def init_state(model: NetworkModel, pf: PowerFlowSolution | None = None):
     return delta, e_int, electrical_power(y_red, e_int, delta), y_red
 
 
+def _mark_trips(d_omega: np.ndarray, trip: np.ndarray, k: int) -> int:
+    """The speed guard: mark boundary k in trip for each unmarked lane with
+    a machine past SPEED_GUARD_PU; return how many it marked. A NaN speed
+    trips nothing, but a machine past the guard beside it does. Only when
+    a quick test fails (one lane's Python floats, which is faster, or a
+    batch's global max, which a NaN fails too) does fmax, skipping NaN,
+    take each lane's largest speed."""
+    if d_omega.ndim == 1:
+        if not any(abs(w) > SPEED_GUARD_PU for w in d_omega.tolist()):
+            return 0
+    elif np.abs(d_omega).max() <= SPEED_GUARD_PU:
+        return 0
+    new = (trip < 0) & (np.fmax.reduce(np.abs(d_omega), axis=-1)
+                        > SPEED_GUARD_PU)
+    trip[new] = k
+    return int(np.count_nonzero(new))
+
+
 class _Linearization:
     """Frozen small-signal electrical model around the base-load operating
     point that y_red0 encodes."""
@@ -271,14 +289,15 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     At each boundary k = 0 .. n_steps: apply the events due (each snaps to
     the first boundary at or after its time; those past the horizon never
     apply), let the slope trigger release one, advance the reserve lags
-    with the boundary frequency, and yield (k, t, f_coi, d_omega, p_attack,
-    (p_reserve_up, p_reserve_down), applied); then integrate to the next
-    boundary with reserves held. d_omega has the lanes' shape and f_coi
-    one value per lane; p_attack and the reserve totals are (B,) arrays
-    and applied holds a list of (time, label) per lane. d_omega is a view
-    of y and, like p_attack and the reserve totals, is updated in place,
-    so the next step overwrites what was yielded: copy what must outlive
-    it. The caller enforces the speed guard.
+    with the boundary frequency, apply the speed guard (_mark_trips), and
+    yield (k, t, f_coi, d_omega, p_attack, (p_reserve_up, p_reserve_down),
+    applied, trip); then integrate to the next boundary with reserves
+    held. d_omega has the lanes' shape and f_coi one value per lane;
+    p_attack, the reserve totals and trip (each lane's first boundary past
+    the guard, or -1) are (B,) arrays, updated in place like d_omega (a
+    view of y): copy what must outlive the step. applied holds a list of
+    (time, label) per lane. A tripped lane's later numbers mean nothing;
+    the run ends after the boundary where the last live lane trips.
     """
     model = models[0]
     n_lanes = len(models)
@@ -351,6 +370,8 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
         p_res = res_rows.reshape(lane_shape)  # a view of res_rows
     p_attack = np.zeros(n_lanes)
     applied: list[list[tuple[float, str]]] = [[] for _ in schedules]
+    trip = np.full(n_lanes, -1)
+    live = n_lanes
     labels = [s.label or "event" for s in schedules]
 
     def apply(lane: int, bus: int, delta_p: float, t_now: float):
@@ -412,8 +433,9 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
                 p_reserve[0][lane] = sum(v for v in mw if v > 0) * mw_to_pu
                 p_reserve[1][lane] = sum(v for v in mw if v < 0) * mw_to_pu
 
-        yield k, t_now, f_coi, d_omega, p_attack, p_reserve, applied
-        if k == n_steps:
+        live -= _mark_trips(d_omega, trip, k)
+        yield k, t_now, f_coi, d_omega, p_attack, p_reserve, applied, trip
+        if k == n_steps or not live:
             return
 
         # RK4 over [t, t+dt] with constant reserves and admittances
@@ -447,7 +469,7 @@ def simulate(model: NetworkModel,
     One lane of _lockstep: events snap to the first step boundary at or
     after their timestamp, and each sample is recorded after the events,
     slope releases and reserve updates of its boundary, so the first
-    sample is exactly nominal. A machine leaving the speed guard raises
+    sample is exactly nominal. A speed guard trip ends the run and raises
     InstabilityError carrying the trace up to that sample. Each boundary
     records the raw speed deviations, f_coi and p_attack, and the reserve
     totals only when a product is enabled; t and the machine frequencies
@@ -478,7 +500,7 @@ def simulate(model: NetworkModel,
             p_reserve_down=p_dn_arr[:n], events=tuple(applied),
             dt=config.dt)
 
-    for k, t_now, f_coi, d_omega, p_attack, (p_up, p_dn), applied in \
+    for k, t_now, f_coi, d_omega, p_attack, (p_up, p_dn), applied, trip in \
             _lockstep([model], pf, [schedule], config):
         f_coi_arr[k] = f_coi
         d_omega_arr[k] = d_omega
@@ -486,6 +508,6 @@ def simulate(model: NetworkModel,
         if reserves_on:
             p_up_arr[k] = p_up[0]
             p_dn_arr[k] = p_dn[0]
-        if any(abs(w) > SPEED_GUARD_PU for w in d_omega.tolist()):
-            raise InstabilityError(t_now, trace(k + 1, applied[0]))
+    if trip[0] >= 0:
+        raise InstabilityError(t_now, trace(k + 1, applied[0]))
     return trace(n_samp, applied[0])

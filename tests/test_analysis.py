@@ -263,21 +263,21 @@ def test_sweep_skip_matches_single_run_instability(model):
     assert fit.skipped == ((200.0, str(exc.value)),)
 
 
-def fake_lockstep(speeds):
-    """A stand-in for dynamics._lockstep that yields the given d_omega
-    rows, one per step, at a nominal COI frequency."""
-    def run(models, pf, schedules, config):
-        n = len(models)
-        for k, w in enumerate(speeds):
-            yield (k, k * config.dt, np.full(w.shape[:-1], 50.0), w,
-                   np.zeros(n), (np.zeros(n), np.zeros(n)),
-                   [[] for _ in range(n)])
-    return run
+GUARD = dynamics._mark_trips
 
 
-def test_batched_guards_trip_like_simulate_beside_nan(model, monkeypatch):
+def feed_speeds(monkeypatch, speeds):
+    """Make the speed guard of the real integrator see speeds[k] at
+    boundary k instead of the integrated d_omega."""
+    monkeypatch.setattr(dynamics, "_mark_trips",
+                        lambda d_omega, trip, k: GUARD(speeds[k], trip, k))
+
+
+def test_guard_trips_beside_nan_in_every_form(model, monkeypatch):
     """A NaN speed trips nothing, but a machine past the guard beside it
-    does: lane 0 trips at step 1, lane 1 at step 2, lane 2 never."""
+    does: lane 0 trips at step 1, lane 1 at step 2, lane 2 never. The
+    one-lane form decides simulate, the batched form the sweep's trip
+    times and the grid's inf."""
     nan = float("nan")
     speeds = np.array([
         [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
@@ -287,21 +287,52 @@ def test_batched_guards_trip_like_simulate_beside_nan(model, monkeypatch):
     schedule = sweep_schedule(model, 8.0)
     single = []
     for lane in range(3):
-        monkeypatch.setattr(dynamics, "_lockstep",
-                            fake_lockstep(speeds[:, lane]))
+        feed_speeds(monkeypatch, speeds[:, lane])
         try:
             dynamics.simulate(model, schedule, config)
             single.append(None)
         except dynamics.InstabilityError as exc:
             single.append(exc.time_s)
     assert single == [0.01, 0.02, None]
-    monkeypatch.setattr(dynamics, "_lockstep", fake_lockstep(speeds))
+    feed_speeds(monkeypatch, speeds)
     _, trips = analysis._sweep_lanes(model, [schedule] * 3, config)
     assert trips == single
     errors = analysis._grid_anchor_errors(
         model, analysis.DEFAULT_ANCHORS, [0.03, 0.05, 0.08], [1.0], [0.5],
         dt=0.01, duration=0.02)
     assert np.isinf(errors).tolist() == [True, True, False]
+
+
+def test_all_tripped_batch_stops_at_its_last_trip(model, monkeypatch):
+    """A batch whose lanes have all tripped integrates no further, and
+    its skip reasons are the single runs' messages."""
+    config = dynamics.SimConfig(duration=60.0)
+    mags = [200.0, 400.0]
+    single = []
+    for mag in mags:
+        with pytest.raises(dynamics.InstabilityError) as exc:
+            dynamics.simulate(model, attacks.compile_scenario(
+                model, attacks.AttackScenario(
+                    family="static", attack_type=AttackType.DEMAND_REDUCTION,
+                    magnitude_percent=mag)), config)
+        single.append(exc.value)
+    assert [e.time_s for e in single] == pytest.approx([5.20, 4.36])
+    seen = []  # (k, trip) of each boundary
+    lockstep = dynamics._lockstep
+
+    def counted(*args):
+        for out in lockstep(*args):
+            seen.append((out[0], out[-1]))
+            yield out
+
+    monkeypatch.setattr(dynamics, "_lockstep", counted)
+    with pytest.raises(analysis.FitError):
+        analysis.magnitude_sweep(model, AttackType.DEMAND_REDUCTION, mags,
+                                 config)
+    assert [k for k, _ in seen] == list(range(521))
+    reasons = [str(dynamics.InstabilityError(k * config.dt))
+               for k in seen[-1][1].tolist()]
+    assert reasons == [str(e) for e in single]
 
 
 def test_unstable_timing_sweep_raises_like_its_single_run(model):

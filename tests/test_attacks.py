@@ -37,8 +37,6 @@ def test_type_signs():
     assert AttackType.DEMAND_REDUCTION.demand_sign == -1.0
     assert AttackType.SUPPLY_INCREASE.demand_sign == -1.0
     assert AttackType.SUPPLY_REDUCTION.demand_sign == 1.0
-    assert AttackType.DEMAND_INCREASE.opposite is AttackType.DEMAND_REDUCTION
-    assert AttackType.SUPPLY_INCREASE.opposite is AttackType.SUPPLY_REDUCTION
 
 
 def test_compile_static(model):

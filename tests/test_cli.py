@@ -136,16 +136,29 @@ def test_bad_flag_is_named_with_its_value(tmp_path, capsys, args, flag,
 def test_flag_replaces_the_file_value_before_it_is_checked(tmp_path):
     scn = write_scenario(tmp_path, system={"dt_s": -1.0, "reserves": "lots"},
                          attack={"target_bus": 99})
-    _, scenario, cfg = cli.parse_scenario(
+    _, scenario, cfg, sim = cli.parse_scenario(
         scn, {"--dt": 0.05, "--reserves": "default", "--target-bus": 5})
-    assert (cfg.dt_s, cfg.reserves, scenario.target_bus) == (0.05, "default", 5)
+    assert (sim.dt, cfg.reserves, scenario.target_bus) == (0.05, "default", 5)
 
 
 def test_bad_sweep_list_names_its_flag(tmp_path, capsys):
     scn = write_scenario(tmp_path)
-    for flag, spec in (("--magnitudes", "4,x"), ("--timings", ",")):
+    for flag, spec in (("--magnitudes", "4,x"), ("--magnitudes", ""),
+                       ("--magnitudes", "0,4"), ("--timings", ","),
+                       ("--timings", "0.5,3"), ("--timings", "3,50")):
         assert cli.main(["sweep", scn, flag, spec]) == 2
         assert capsys.readouterr().err.startswith(f"error: {flag} {spec}:")
+
+
+def test_sweep_run_error_keeps_its_message(tmp_path, capsys, monkeypatch):
+    """A LinAlgError is a ValueError, but one from a run names no flag."""
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli.analysis, "magnitude_sweep", singular)
+    assert cli.main(["sweep", write_scenario(tmp_path),
+                     "--magnitudes", "4,8"]) == 2
+    assert capsys.readouterr().err == "error: Singular matrix\n"
 
 
 # Every kind of JSON value, with zero, negatives, NaN and Infinity literals
@@ -555,10 +568,10 @@ def test_shipped_scenarios_parse():
     shipped = sorted(glob.glob(os.path.join(here, "..", "scenarios", "*.scn")))
     assert len(shipped) >= 6
     for path in shipped:
-        model, scenario, cfg = cli.parse_scenario(path)
+        model, scenario, cfg, sim = cli.parse_scenario(path)
         assert scenario.family in ("static", "switching", "periodic",
                                    "combination")
-        assert cfg.duration_s > 0
+        assert sim.duration > 0
 
 
 def test_shipped_switching_scenario_runs(tmp_path):
