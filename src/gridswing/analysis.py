@@ -132,29 +132,31 @@ def _sweep_lanes(model: NetworkModel, schedules,
                        for step in trip.tolist()]
 
 
-def magnitude_sweep(model: NetworkModel, attack_type: attacks.AttackType,
-                    magnitudes, config: dynamics.SimConfig | None = None,
-                    target_bus=None) -> SweepFit:
+def magnitude_sweep(model: NetworkModel, base: attacks.AttackScenario,
+                    magnitudes, config: dynamics.SimConfig | None = None
+                    ) -> SweepFit:
     """Static attacks over a magnitude list, fitted to a line.
 
-    The extracted response is the nadir for demand-increase-like types and
-    the zenith for demand-reduction-like ones. Every magnitude is one lane
-    of a single lockstep batch over one power flow, so only network
-    coupling is supported (linear coupling raises ValueError for more than
-    one magnitude) and a base case whose power flow diverges raises
+    Each point is base as a time-triggered static attack of that percent,
+    so it keeps the scenario's type, target and t_start. The extracted
+    response is the nadir for demand-increase-like types and the zenith for
+    demand-reduction-like ones. Every magnitude is one lane of a single
+    lockstep batch over one power flow, so only network coupling is
+    supported (linear coupling raises ValueError for more than one
+    magnitude) and a base case whose power flow diverges raises
     DivergenceError, as simulate does. Runs that leave the speed guard are
-    skipped and recorded; fewer than two surviving points raises FitError.
-    The fit is order-independent: points are sorted by magnitude before
-    fitting.
+    skipped and recorded; fewer than two surviving points raises FitError,
+    whose message lists each skipped magnitude with its reason. The fit is
+    order-independent: points are sorted by magnitude before fitting.
     """
     if config is None:
         config = dynamics.SimConfig(duration=60.0)
-    lowers = attack_type.demand_sign > 0
+    lowers = base.attack_type.demand_sign > 0
     mags = [float(mag) for mag in magnitudes]
     f, trips = _sweep_lanes(model, [
-        attacks.compile_scenario(model, attacks.AttackScenario(
-            family="static", attack_type=attack_type, magnitude_percent=mag,
-            target_bus=target_bus))
+        attacks.compile_scenario(model, replace(
+            base, family="static", magnitude_percent=mag, magnitude_mw=None,
+            trigger="time"))
         for mag in mags], config)
     points = []
     skipped = []
@@ -166,7 +168,8 @@ def magnitude_sweep(model: NetworkModel, attack_type: attacks.AttackType,
             skipped.append((mag, str(dynamics.InstabilityError(trip))))
     if len(points) < 2:
         raise FitError(
-            f"only {len(points)} sweep points survived; cannot fit")
+            f"only {len(points)} sweep points survived; cannot fit"
+            + "".join(f"; {mag:g} %: {reason}" for mag, reason in skipped))
     points.sort(key=lambda p: p[0])
     slope, intercept, r2 = _ols(points)
     return SweepFit(slope=slope, intercept=intercept, r_squared=r2,
@@ -314,7 +317,7 @@ def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
         if a[1] is None and a[2] is None:
             raise ValueError(f"anchor {a!r} has no targets")
 
-    final_cfg = dynamics.SimConfig(dt=0.01, duration=40.0)
+    final_cfg = dynamics.SimConfig()
 
     def objective(r, tg, d):
         return _anchor_error(with_dynamic_params(model, r, tg, d),
@@ -396,16 +399,14 @@ class FeasibilityReport:
     demand_share_percent: float
 
 
-def feasibility(attack_mw: float, year: int,
-                forecast: FlexibilityForecast | None = None) -> FeasibilityReport:
+def feasibility(attack_mw: float, year: int) -> FeasibilityReport:
     """Whether an attack of the given size is resourceable in a horizon year.
 
     Feasible when the attack does not exceed the total controllable
     flexibility; sufficient_classes lists each single asset class that
     could carry the attack alone.
     """
-    if forecast is None:
-        forecast = default_forecast()
+    forecast = default_forecast()
     if not 0 <= attack_mw < np.inf:
         raise ValueError("attack_mw must be finite and non-negative")
     if year not in forecast.totals_mw:

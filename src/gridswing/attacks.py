@@ -112,45 +112,51 @@ def resolve_target(model: NetworkModel, target: int | str | None) -> int:
     return target
 
 
-def validate_scenario(model: NetworkModel, sc: AttackScenario) -> list[str]:
-    """Collect every problem with a scenario; empty list means usable."""
+def validate_scenario(model: NetworkModel,
+                      sc: AttackScenario) -> list[tuple[str, str]]:
+    """Collect every problem with a scenario as (field, message) pairs,
+    naming the AttackScenario field at fault; an empty list means usable."""
     errs = []
     if sc.family not in FAMILIES:
-        errs.append(f"unknown family {sc.family!r}")
+        errs.append(("family", f"unknown family {sc.family!r}"))
     if not isinstance(sc.attack_type, AttackType):
-        errs.append(f"attack_type must be an AttackType, got {sc.attack_type!r}")
+        errs.append(("attack_type", "attack_type must be an AttackType, "
+                                    f"got {sc.attack_type!r}"))
     given = [m for m in (sc.magnitude_percent, sc.magnitude_mw) if m is not None]
     if len(given) != 1:
-        errs.append("exactly one of magnitude_percent / magnitude_mw is required")
+        errs.append(("magnitude_percent", "exactly one of "
+                     "magnitude_percent / magnitude_mw is required"))
     elif given[0] <= 0:
-        errs.append("magnitude must be positive")
+        errs.append(("magnitude_percent" if sc.magnitude_mw is None
+                     else "magnitude_mw", "magnitude must be positive"))
     try:
         resolve_target(model, sc.target_bus)
     except ValueError as exc:
-        errs.append(str(exc))
+        errs.append(("target_bus", str(exc)))
     if sc.t_start < 0:
-        errs.append("t_start must be non-negative")
+        errs.append(("t_start", "t_start must be non-negative"))
     if sc.family == "switching":
         if sc.t1 is None:
-            errs.append("switching needs t1")
+            errs.append(("t1", "switching needs t1"))
         elif sc.t1 <= sc.t_start:
-            errs.append("t1 must come after t_start")
+            errs.append(("t1", "t1 must come after t_start"))
     if sc.family in ("periodic", "combination"):
         if sc.interval is None or sc.interval <= 0:
-            errs.append(f"{sc.family} needs a positive interval")
+            errs.append(("interval", f"{sc.family} needs a positive interval"))
         if sc.count is None or sc.count < 1:
-            errs.append(f"{sc.family} needs count >= 1")
+            errs.append(("count", f"{sc.family} needs count >= 1"))
     if sc.trigger not in ("time", "slope"):
-        errs.append(f"unknown trigger {sc.trigger!r}")
+        errs.append(("trigger", f"unknown trigger {sc.trigger!r}"))
     if sc.trigger == "slope" and sc.family in ("static", "switching"):
-        errs.append("slope trigger only applies to repeated attacks")
+        errs.append(("trigger",
+                     "slope trigger only applies to repeated attacks"))
     return errs
 
 
 def compile_scenario(model: NetworkModel, sc: AttackScenario) -> EventSchedule:
     errs = validate_scenario(model, sc)
     if errs:
-        raise ValueError("; ".join(errs))
+        raise ValueError("; ".join(msg for _, msg in errs))
     bus = resolve_target(model, sc.target_bus)
     step = attack_fraction_to_pu(
         model, percent=sc.magnitude_percent, mw=sc.magnitude_mw)

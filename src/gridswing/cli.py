@@ -32,7 +32,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -58,14 +58,6 @@ class ScenarioError(ValueError):
         if key is not None:
             where += f" (key {key!r})"
         super().__init__(f"{where}: {msg}")
-
-
-@dataclass
-class RunConfig:
-    reserves: str  # the preset name; the SimConfig holds its products
-    trace_csv: str | None
-    report_json: str | None
-    model_ref: str
 
 
 # A JSON string, followed by its colon when it is a key, or a bracket.
@@ -204,9 +196,12 @@ def parse_scenario(path: str, flags: dict | None = None):
     """Load a scenario file, replace its values by flags (flag -> value,
     the flags of _FLAG_KEYS) and validate the result once.
 
-    Returns (NetworkModel, AttackScenario, RunConfig, SimConfig), the
-    SimConfig with the reserve preset's products; raises ScenarioError at
-    the flag that set a bad value, or at the file's line and key.
+    Returns (NetworkModel, AttackScenario, SimConfig, config): the
+    SimConfig holds the reserve preset's products, and config is the
+    report's "config" section, every key resolved to the value the run
+    uses. Raises ScenarioError at the flag that set a bad value, or at the
+    file's line and key; an attack problem is placed at the key that
+    validate_scenario names for it.
     """
     text, doc = _read_json(path)
     if not isinstance(doc, dict):
@@ -264,17 +259,22 @@ def parse_scenario(path: str, flags: dict | None = None):
         for key, value in atk.items() if key != "type"})
     problems = attacks.validate_scenario(model, scenario)
     if problems:
-        # Place the diagnostic at the first attack key the problems name,
-        # falling back to the section itself.
-        key = next((k for k in _ATTACK_KEYS
-                    if any(k in p for p in problems)), "attack")
-        raise src.error(None if key == "attack" else "attack", key,
-                        "; ".join(problems))
-    cfg = RunConfig(reserves=preset,
-                    trace_csv=output.get("trace_csv"),
-                    report_json=output.get("report_json"),
-                    model_ref=model_ref)
-    return model, scenario, cfg, sim
+        raise src.error("attack", problems[0][0],
+                        "; ".join(msg for _, msg in problems))
+    config = {
+        "system": {"model": model_ref,
+                   "national_total_mw": model.national_total_mw,
+                   "dt_s": sim.dt, "duration_s": sim.duration,
+                   "reserves": preset},
+        # the attack keys other than type name AttackScenario fields
+        "attack": {**{key: getattr(scenario, key) for key in _ATTACK_KEYS
+                      if key != "type"},
+                   "type": atype.value,
+                   "target_bus": attacks.resolve_target(model,
+                                                        scenario.target_bus)},
+        "output": {key: output.get(key) for key in _OUTPUT_KEYS},
+    }
+    return model, scenario, sim, config
 
 
 def _write_together(*writes) -> None:
@@ -326,38 +326,10 @@ def write_report_json(report: dict, path: str) -> None:
         fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def _resolved_config(model, scenario, cfg: RunConfig, sim) -> dict:
-    return {
-        "system": {
-            "model": cfg.model_ref,
-            "national_total_mw": model.national_total_mw,
-            "dt_s": sim.dt,
-            "duration_s": sim.duration,
-            "reserves": cfg.reserves,
-        },
-        # the attack keys other than type name AttackScenario fields
-        "attack": {
-            **{key: getattr(scenario, key) for key in _ATTACK_KEYS
-               if key != "type"},
-            "type": scenario.attack_type.value,
-            "target_bus": attacks.resolve_target(model, scenario.target_bus),
-        },
-        "output": {key: getattr(cfg, key) for key in _OUTPUT_KEYS},
-    }
-
-
 def _metrics_dict(mx: analysis.Metrics) -> dict:
-    return {
-        "nadir_hz": mx.nadir_hz,
-        "nadir_time_s": mx.nadir_time_s,
-        "zenith_hz": mx.zenith_hz,
-        "zenith_time_s": mx.zenith_time_s,
-        "settled_f_hz": mx.settled_f_hz,
-        "settle_time_s": mx.settle_time_s,
-        "violations": [{"threshold_hz": th, "first_crossing_s": tt}
-                       for th, tt in mx.violations],
-        "oscillation_hz": mx.oscillation_hz,
-    }
+    return {**asdict(mx),
+            "violations": [{"threshold_hz": th, "first_crossing_s": tt}
+                           for th, tt in mx.violations]}
 
 
 def _out_path(args, cfg_path: str | None, default_name: str) -> str:
@@ -400,12 +372,13 @@ def _cmd_powerflow(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    model, scenario, cfg, sim = parse_scenario(args.scenario, _flags(args))
+    model, scenario, sim, config = parse_scenario(args.scenario, _flags(args))
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
-    trace_path = _out_path(args, cfg.trace_csv, f"{stem}_trace.csv")
-    report_path = _out_path(args, cfg.report_json, f"{stem}_report.json")
-    cfg.trace_csv = trace_path
-    cfg.report_json = report_path
+    out = config["output"]
+    trace_path = out["trace_csv"] = _out_path(args, out["trace_csv"],
+                                              f"{stem}_trace.csv")
+    report_path = out["report_json"] = _out_path(args, out["report_json"],
+                                                  f"{stem}_report.json")
 
     schedule = attacks.compile_scenario(model, scenario)
     pf = powerflow.solve(model)
@@ -415,7 +388,7 @@ def _cmd_simulate(args) -> int:
         raise _horizon_error(args, sim) from None
     mx = analysis.metrics(trace)
     report = {
-        "config": _resolved_config(model, scenario, cfg, sim),
+        "config": config,
         "powerflow": {"iterations": pf.iterations,
                       "mismatch_norm": pf.mismatch_norm},
         "metrics": _metrics_dict(mx),
@@ -445,7 +418,7 @@ def _parse_float_list(flag: str, spec: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    model, scenario, cfg, sim = parse_scenario(args.scenario, _flags(args))
+    model, scenario, sim, config = parse_scenario(args.scenario, _flags(args))
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
     by_magnitude = args.magnitudes is not None
     flag, spec = (("--magnitudes", args.magnitudes) if by_magnitude
@@ -453,9 +426,7 @@ def _cmd_sweep(args) -> int:
     values = _parse_float_list(flag, spec)
     try:
         if by_magnitude:
-            fit = analysis.magnitude_sweep(
-                model, scenario.attack_type, values, sim,
-                target_bus=scenario.target_bus)
+            fit = analysis.magnitude_sweep(model, scenario, values, sim)
         else:
             optimal, per_t1 = analysis.timing_sweep(model, scenario, values,
                                                     sim)
@@ -463,9 +434,9 @@ def _cmd_sweep(args) -> int:
         raise _horizon_error(args, sim) from None
     except np.linalg.LinAlgError:
         raise  # a singular network reduction during the run
-    except ValueError as exc:  # a list value the sweep rejects up front
+    # a list value the sweep rejects up front, or too few points to fit
+    except (ValueError, analysis.FitError) as exc:
         raise _flag_error(flag, spec, str(exc)) from None
-    config = _resolved_config(model, scenario, cfg, sim)
     if by_magnitude:
         report = {
             "sweep": "magnitude",
@@ -490,7 +461,8 @@ def _cmd_sweep(args) -> int:
                        for v, mx in sorted(per_t1.items())},
         }
         print(f"optimal reversion time: {optimal:g} s")
-    report_path = _out_path(args, cfg.report_json, f"{stem}_sweep.json")
+    report_path = _out_path(args, config["output"]["report_json"],
+                            f"{stem}_sweep.json")
     _write_together((write_report_json, report, report_path))
     print(f"report: {report_path}")
     return EXIT_OK

@@ -15,6 +15,10 @@ import numpy as np
 
 from .netmodel import NetworkModel
 
+# Newton converges below a TOL pu mismatch, or fails after MAX_ITER steps.
+TOL = 1e-8
+MAX_ITER = 50
+
 
 class DivergenceError(RuntimeError):
     """Raised when Newton iteration fails to reach tolerance.
@@ -83,13 +87,10 @@ def _injections(ybus, v, theta):
     return s.real, s.imag
 
 
-def mismatch(model: NetworkModel, v: np.ndarray, theta: np.ndarray,
-             ybus: np.ndarray | None = None):
+def mismatch(model: NetworkModel, v: np.ndarray, theta: np.ndarray):
     """Scheduled-minus-calculated (P, Q) per bus at a trial voltage."""
-    if ybus is None:
-        ybus = build_ybus(model)
     p_sched, q_sched = scheduled_injections(model)
-    p_calc, q_calc = _injections(ybus, v, theta)
+    p_calc, q_calc = _injections(build_ybus(model), v, theta)
     return p_sched - p_calc, q_sched - q_calc
 
 
@@ -115,8 +116,7 @@ def _jacobian(ybus, v, theta, ang, pq):
     return np.vstack([top, bot])
 
 
-def solve(model: NetworkModel, tol: float = 1e-8,
-          max_iter: int = 50) -> PowerFlowSolution:
+def solve(model: NetworkModel) -> PowerFlowSolution:
     """Newton-Raphson from a flat start with PV-to-PQ limit switching."""
     n = len(model.buses)
     idx = model.bus_index()
@@ -139,7 +139,7 @@ def solve(model: NetworkModel, tol: float = 1e-8,
     q_clamped: dict[int, float] = {}
     norm = np.inf
     total_iter = 0
-    while total_iter < max_iter:
+    while total_iter < MAX_ITER:
         total_iter += 1
         p_calc, q_calc = _injections(ybus, v, theta)
         dp = p_sched - p_calc
@@ -152,7 +152,7 @@ def solve(model: NetworkModel, tol: float = 1e-8,
         if not np.isfinite(norm) or norm > 1e8:
             raise DivergenceError(norm, total_iter)
 
-        if norm < tol:
+        if norm < TOL:
             # Converged for the current bus typing; enforce Q limits before
             # accepting. Generator Q is net injection minus the load share.
             switched = False
@@ -184,4 +184,4 @@ def solve(model: NetworkModel, tol: float = 1e-8,
         if np.any(v <= 0):
             raise DivergenceError(norm, total_iter)
 
-    raise DivergenceError(norm, max_iter)
+    raise DivergenceError(norm, MAX_ITER)

@@ -116,23 +116,20 @@ class ResidualReport:
     products: tuple[str, ...]
 
 
-def analytic_residual(attack_mw: float, direction: str,
-                      products=None) -> ResidualReport:
+def analytic_residual(attack_mw: float, direction: str) -> ResidualReport:
     """Static reserve balance for an attack, ignoring dynamics.
 
     ``direction`` is "raises_f" (demand reduction) or "lowers_f" (demand
-    increase). Counteracting capacity sums the enabled containment products
-    able to push the other way; with the default set a frequency-raising
-    attack faces FCR-N plus downward FCR-D, 782 MW in total.
+    increase). Counteracting capacity sums the enabled default containment
+    products able to push the other way: a frequency-raising attack faces
+    FCR-N plus downward FCR-D, 782 MW in total.
     """
     if direction not in ("raises_f", "lowers_f"):
         raise ValueError(f"bad direction {direction!r}")
     if attack_mw < 0:
         raise ValueError("attack_mw must be non-negative")
-    if products is None:
-        products = default_products()
     needed = "down" if direction == "raises_f" else "up"
-    chosen = [p for p in products
+    chosen = [p for p in default_products()
               if p.enabled and p.response_time <= _CONTAINMENT_MAX_RESPONSE_S
               and p.direction in (needed, "both")]
     cap = sum(p.capacity_mw for p in chosen)

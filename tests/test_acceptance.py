@@ -100,7 +100,8 @@ def test_c03_static_di12_depth(calibrated_model):
 def test_c04_linear_law(calibrated_model):
     t0 = time.perf_counter()
     fit = analysis.magnitude_sweep(
-        calibrated_model, AttackType.DEMAND_INCREASE,
+        calibrated_model, attacks.AttackScenario(
+            family="static", attack_type=AttackType.DEMAND_INCREASE),
         [4.0, 6.0, 8.0, 9.4, 12.0, 14.0],
         config=dynamics.SimConfig(duration=60.0))
     elapsed = time.perf_counter() - t0

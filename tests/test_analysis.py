@@ -1,4 +1,6 @@
 """Metrics, sweeps, calibration, and feasibility reporting."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,20 +65,28 @@ def quick_cfg(duration=30.0):
     return dynamics.SimConfig(duration=duration)
 
 
+def static(attack_type, **kw):
+    """A static attack with no magnitude yet: a magnitude sweep's base."""
+    return attacks.AttackScenario(family="static", attack_type=attack_type,
+                                  **kw)
+
+
 def test_magnitude_sweep_orders_points(model):
-    fit = analysis.magnitude_sweep(model, AttackType.DEMAND_INCREASE,
+    fit = analysis.magnitude_sweep(model, static(AttackType.DEMAND_INCREASE),
                                    [8.0, 4.0], config=quick_cfg())
     assert [p for p, _ in fit.points] == [4.0, 8.0]
     assert fit.slope < 0
-    swapped = analysis.magnitude_sweep(model, AttackType.DEMAND_INCREASE,
-                                       [4.0, 8.0], config=quick_cfg())
+    swapped = analysis.magnitude_sweep(
+        model, static(AttackType.DEMAND_INCREASE), [4.0, 8.0],
+        config=quick_cfg())
     assert swapped.points == fit.points
 
 
 def test_magnitude_sweep_skips_unstable_runs(model):
     # overdriving a 1 pu load bus far into net export destabilizes the case
-    fit = analysis.magnitude_sweep(model, AttackType.DEMAND_REDUCTION,
-                                   [60.0, 100.0, 200.0], config=quick_cfg(10.0))
+    fit = analysis.magnitude_sweep(
+        model, static(AttackType.DEMAND_REDUCTION), [60.0, 100.0, 200.0],
+        config=quick_cfg(10.0))
     assert len(fit.points) == 2
     assert len(fit.skipped) == 1
     assert fit.skipped[0][0] == 200.0
@@ -84,15 +94,32 @@ def test_magnitude_sweep_skips_unstable_runs(model):
 
 def test_magnitude_sweep_needs_two_points(model):
     with pytest.raises(analysis.FitError):
-        analysis.magnitude_sweep(model, AttackType.DEMAND_INCREASE,
+        analysis.magnitude_sweep(model, static(AttackType.DEMAND_INCREASE),
                                  [8.0], config=quick_cfg(10.0))
 
 
 def test_magnitude_sweep_reduction_tracks_zenith(model):
-    fit = analysis.magnitude_sweep(model, AttackType.DEMAND_REDUCTION,
+    fit = analysis.magnitude_sweep(model, static(AttackType.DEMAND_REDUCTION),
                                    [4.0, 8.0], config=quick_cfg())
     assert fit.slope > 0  # zenith climbs with magnitude
     assert all(hz > 50.0 for _, hz in fit.points)
+
+
+def test_magnitude_sweep_runs_the_scenario_it_is_given(model):
+    """Each point is the base scenario at that percent: same type, target
+    and start, so its nadir equals a simulate of that point; the family,
+    trigger and megawatt size of the base are not carried over."""
+    config = quick_cfg(20.0)
+    base = static(AttackType.DEMAND_INCREASE, t_start=12.0, target_bus=5)
+    fit = analysis.magnitude_sweep(model, base, [12.0, 4.0], config)
+    for mag, nadir in fit.points:
+        tr = dynamics.simulate(model, attacks.compile_scenario(
+            model, replace(base, magnitude_percent=mag)), config)
+        assert nadir == analysis.metrics(tr).nadir_hz
+    periodic = replace(base, family="periodic", magnitude_mw=1400.0,
+                       interval=2.0, count=3, trigger="slope")
+    assert analysis.magnitude_sweep(model, periodic, [12.0, 4.0],
+                                    config) == fit
 
 
 def base_switching(**kw):
@@ -253,7 +280,7 @@ def test_sweep_lanes_are_exact(model, single_runs, mags):
 
 def test_sweep_skip_matches_single_run_instability(model):
     config = quick_cfg(10.0)
-    fit = analysis.magnitude_sweep(model, AttackType.DEMAND_REDUCTION,
+    fit = analysis.magnitude_sweep(model, static(AttackType.DEMAND_REDUCTION),
                                    [60.0, 200.0, 100.0], config)
     with pytest.raises(dynamics.InstabilityError) as exc:
         dynamics.simulate(model, attacks.compile_scenario(
@@ -327,8 +354,8 @@ def test_all_tripped_batch_stops_at_its_last_trip(model, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_lockstep", counted)
     with pytest.raises(analysis.FitError):
-        analysis.magnitude_sweep(model, AttackType.DEMAND_REDUCTION, mags,
-                                 config)
+        analysis.magnitude_sweep(
+            model, static(AttackType.DEMAND_REDUCTION), mags, config)
     assert [k for k, _ in seen] == list(range(521))
     reasons = [str(dynamics.InstabilityError(k * config.dt))
                for k in seen[-1][1].tolist()]
@@ -372,8 +399,8 @@ def test_reserve_sweep_matches_single_runs(model):
     f, _ = analysis._sweep_lanes(model, schedules, config)
     for lane, mag in enumerate(mags):
         assert np.array_equal(f[:, lane], singles[mag].f_coi)
-    fit = analysis.magnitude_sweep(model, AttackType.DEMAND_REDUCTION, mags,
-                                   config)
+    fit = analysis.magnitude_sweep(
+        model, static(AttackType.DEMAND_REDUCTION), mags, config)
     for mag, zenith in fit.points:
         assert zenith == analysis.metrics(singles[mag]).zenith_hz
 

@@ -106,27 +106,33 @@ def test_validate_collects_all_problems(model):
         family="periodic", attack_type=AttackType.DEMAND_INCREASE,
         interval=-4.0, count=0)
     errs = attacks.validate_scenario(model, bad)
-    assert any("magnitude" in e for e in errs)
-    assert any("interval" in e for e in errs)
-    assert any("count" in e for e in errs)
+    assert ("magnitude_percent", "exactly one of magnitude_percent / "
+            "magnitude_mw is required") in errs
+    assert ("interval", "periodic needs a positive interval") in errs
+    assert ("count", "periodic needs count >= 1") in errs
 
 
 def test_validate_family_and_trigger(model):
     errs = attacks.validate_scenario(model, sc(family="resonant"))
-    assert any("unknown family" in e for e in errs)
+    assert errs == [("family", "unknown family 'resonant'")]
     errs = attacks.validate_scenario(model, sc(trigger="slope"))
-    assert any("slope trigger" in e for e in errs)
+    assert errs == [("trigger",
+                     "slope trigger only applies to repeated attacks")]
 
 
 def test_validate_switching_ordering(model):
     errs = attacks.validate_scenario(model, sc(family="switching", t1=0.5))
-    assert any("t1" in e for e in errs)
+    assert errs == [("t1", "t1 must come after t_start")]
 
 
 def test_validate_both_magnitudes(model):
     errs = attacks.validate_scenario(
         model, sc(magnitude_percent=8.0, magnitude_mw=1400.0))
-    assert any("exactly one" in e for e in errs)
+    assert errs == [("magnitude_percent", "exactly one of magnitude_percent / "
+                     "magnitude_mw is required")]
+    errs = attacks.validate_scenario(
+        model, sc(magnitude_percent=None, magnitude_mw=-5.0))
+    assert errs == [("magnitude_mw", "magnitude must be positive")]
 
 
 def test_compile_raises_on_invalid(model):

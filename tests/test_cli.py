@@ -116,6 +116,22 @@ def test_bad_target_bus_names_its_key_and_line(tmp_path, capsys):
         f"error: {scn}:{line_of(scn, 'target_bus')} (key 'target_bus'):")
 
 
+@pytest.mark.parametrize("attack, key, msg", [
+    ({"magnitude_percent": -3.0}, "magnitude_percent",
+     "magnitude must be positive"),
+    ({"family": "switching", "magnitude_percent": -3.0, "t1": 0.5},
+     "magnitude_percent",
+     "magnitude must be positive; t1 must come after t_start"),
+    ({"family": "switching", "t1": 0.5}, "t1", "t1 must come after t_start"),
+], ids=["magnitude", "magnitude-and-t1", "t1"])
+def test_attack_problem_names_its_key_and_line(tmp_path, capsys, attack, key,
+                                               msg):
+    scn = write_scenario(tmp_path, attack=attack)
+    assert cli.main(["simulate", scn]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {scn}:{line_of(scn, key)} (key {key!r}): {msg}\n"
+
+
 @pytest.mark.parametrize("flag, value", [("--dt", "0"), ("--dt", "nan"),
                                          ("--duration", "0.015"),
                                          ("--target-bus", "abc"),
@@ -136,9 +152,10 @@ def test_bad_flag_is_named_with_its_value(tmp_path, capsys, args, flag,
 def test_flag_replaces_the_file_value_before_it_is_checked(tmp_path):
     scn = write_scenario(tmp_path, system={"dt_s": -1.0, "reserves": "lots"},
                          attack={"target_bus": 99})
-    _, scenario, cfg, sim = cli.parse_scenario(
+    _, scenario, sim, config = cli.parse_scenario(
         scn, {"--dt": 0.05, "--reserves": "default", "--target-bus": 5})
-    assert (sim.dt, cfg.reserves, scenario.target_bus) == (0.05, "default", 5)
+    assert (sim.dt, config["system"]["reserves"], scenario.target_bus) == \
+        (0.05, "default", 5)
 
 
 def test_bad_sweep_list_names_its_flag(tmp_path, capsys):
@@ -148,6 +165,15 @@ def test_bad_sweep_list_names_its_flag(tmp_path, capsys):
                        ("--timings", "0.5,3"), ("--timings", "3,50")):
         assert cli.main(["sweep", scn, flag, spec]) == 2
         assert capsys.readouterr().err.startswith(f"error: {flag} {spec}:")
+    # both lanes trip, at 5.20 and 4.36 s, so no line can be fitted
+    dr = write_scenario(tmp_path, "dr.scn", system={"duration_s": 6.0},
+                        attack={"type": "DR"})
+    assert cli.main(["sweep", dr, "--magnitudes", "200,400"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --magnitudes 200,400: only 0 sweep points "
+                          "survived; cannot fit; 200 %: simulation unstable "
+                          "at t = 5.20 s")
+    assert "; 400 %: simulation unstable at t = 4.36 s" in err
 
 
 def test_sweep_run_error_keeps_its_message(tmp_path, capsys, monkeypatch):
@@ -568,7 +594,7 @@ def test_shipped_scenarios_parse():
     shipped = sorted(glob.glob(os.path.join(here, "..", "scenarios", "*.scn")))
     assert len(shipped) >= 6
     for path in shipped:
-        model, scenario, cfg, sim = cli.parse_scenario(path)
+        model, scenario, sim, config = cli.parse_scenario(path)
         assert scenario.family in ("static", "switching", "periodic",
                                    "combination")
         assert sim.duration > 0

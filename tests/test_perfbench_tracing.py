@@ -1,0 +1,54 @@
+"""The benchmark's per-layer tracer still binds to the package.
+
+perfbench/tracing.py rebinds gridswing functions by name and reads some of
+their arguments by name; a rename or a new signature would silently zero
+its counts. Loaded from its file as it is, without importing perfbench.
+"""
+import importlib.util
+import inspect
+from pathlib import Path
+
+from gridswing import netmodel, powerflow
+
+PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+_spec = importlib.util.spec_from_file_location("perfbench_tracing", PATH)
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
+
+# The bound arguments each counter reads, by counter name.
+COUNTER_ARGS = {
+    "_simulate_steps": set(),
+    "_grid_lanes": {"anchors", "dt", "duration"},
+    "_pf_iterations": set(),
+    "_load_vector": {"loads_p"},
+    "_csv_bytes": {"path"},
+}
+
+
+def test_every_traced_function_resolves():
+    for name, owner, attr, _ in tracing.TARGETS:
+        assert callable(getattr(owner, attr, None)), name
+
+
+def test_counters_read_parameters_their_functions_have():
+    for name, owner, attr, counter in tracing.TARGETS:
+        if counter is not None:
+            params = inspect.signature(getattr(owner, attr)).parameters
+            assert COUNTER_ARGS[counter.__name__] <= set(params), name
+    params = inspect.signature(
+        tracing.analysis._grid_anchor_errors).parameters
+    assert {"anchors", "dt", "duration"} <= set(params)
+
+
+def test_tracer_counts_a_power_flow_and_restores_it():
+    original = powerflow.solve
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        sol = powerflow.solve(netmodel.builtin_wscc9())
+    finally:
+        tracer.uninstall()
+    assert powerflow.solve is original
+    out = tracer.metrics()
+    assert out["powerflow.solve.calls"] == 1
+    assert out["powerflow.solve.iterations"] == sol.iterations > 0
