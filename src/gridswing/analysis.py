@@ -94,7 +94,7 @@ class SweepFit:
 
 
 class FitError(RuntimeError):
-    """Fewer than two usable sweep points; no line to fit."""
+    """Fewer than two usable sweep points, or flat responses: no line."""
 
 
 def _ols(points):
@@ -102,11 +102,13 @@ def _ols(points):
     y = np.array([p[1] for p in points])
     if len(set(x.tolist())) < 2:
         raise FitError("need at least two distinct magnitudes")
+    if len(set(y.tolist())) < 2:
+        raise FitError(f"the responses do not vary: all read {y[0]:g} Hz")
     a = np.vstack([x, np.ones_like(x)]).T
     coef, res, *_ = np.linalg.lstsq(a, y, rcond=None)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     ss_res = float(res[0]) if len(res) else float(np.sum((a @ coef - y) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    r2 = 1.0 - ss_res / ss_tot
     return float(coef[0]), float(coef[1]), r2
 
 
@@ -146,7 +148,8 @@ def magnitude_sweep(model: NetworkModel, base: attacks.AttackScenario,
     magnitude) and a base case whose power flow diverges raises
     DivergenceError, as simulate does. Runs that leave the speed guard are
     skipped and recorded; fewer than two surviving points raises FitError,
-    whose message lists each skipped magnitude with its reason. The fit is
+    whose message lists each skipped magnitude with its reason, and so do
+    flat responses (an attack too late to act). The fit is
     order-independent: points are sorted by magnitude before fitting.
     """
     if config is None:
@@ -178,7 +181,7 @@ def magnitude_sweep(model: NetworkModel, base: attacks.AttackScenario,
 
 def timing_sweep(model: NetworkModel, base: attacks.AttackScenario,
                  t1_values, config: dynamics.SimConfig | None = None):
-    """Sweep the reversion time of a switching attack.
+    """Sweep the reversion time of base as a time-triggered switching attack.
 
     Returns (optimal_t1, {t1: Metrics}) where optimal maximizes the largest
     absolute deviation from nominal after the reversion; ties break toward
@@ -201,7 +204,8 @@ def timing_sweep(model: NetworkModel, base: attacks.AttackScenario,
                              "horizon")
     t1_values = sorted(set(t1_values))
     f, trips = _sweep_lanes(model, [
-        attacks.compile_scenario(model, replace(base, family="switching", t1=v))
+        attacks.compile_scenario(model, replace(
+            base, family="switching", t1=v, trigger="time"))
         for v in t1_values], config)
     for trip in trips:
         if trip is not None:

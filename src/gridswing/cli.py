@@ -345,14 +345,17 @@ def _flags(args) -> dict:
             if (value := getattr(args, flag[2:].replace("-", "_"))) is not None}
 
 
-def _horizon_error(args, config: dynamics.SimConfig) -> ScenarioError:
-    """Diagnostic for a run whose sample arrays numpy could not allocate,
-    pointing at the --duration flag or at the file's duration_s."""
-    msg = (f"{config.n_steps + 1} samples at dt = {config.dt:g} s "
-           "do not fit in memory")
+def _input_error(args, section: str, key: str, msg: str) -> ScenarioError:
+    """msg at the flag that set key of section, else at the key's line."""
     text, _ = _read_json(args.scenario)
-    return _Source(args.scenario, text, _flags(args)).error(
-        "system", "duration_s", msg)
+    return _Source(args.scenario, text, _flags(args)).error(section, key, msg)
+
+
+def _horizon_error(args, config: dynamics.SimConfig) -> ScenarioError:
+    """Diagnostic, at the horizon, for samples numpy could not allocate."""
+    return _input_error(args, "system", "duration_s",
+                        f"{config.n_steps + 1} samples at dt = "
+                        f"{config.dt:g} s do not fit in memory")
 
 
 def _cmd_powerflow(args) -> int:
@@ -424,6 +427,14 @@ def _cmd_sweep(args) -> int:
     flag, spec = (("--magnitudes", args.magnitudes) if by_magnitude
                   else ("--timings", args.timings))
     values = _parse_float_list(flag, spec)
+    # min() keeps t / dt finite; a start on the last boundary acts on nothing
+    if by_magnitude and dynamics.step_index(
+            min(scenario.t_start, sim.duration), sim.dt) >= sim.n_steps:
+        where = (("system", "duration_s") if args.duration is not None
+                 else ("attack", "t_start"))
+        raise _input_error(args, *where, (
+            f"the attack starts at {scenario.t_start:g} s, too late to act "
+            f"within the {sim.duration:g} s horizon"))
     try:
         if by_magnitude:
             fit = analysis.magnitude_sweep(model, scenario, values, sim)

@@ -152,21 +152,33 @@ def build_reduced(model: NetworkModel, pf: PowerFlowSolution,
     return np.diag(y_g) - conn @ np.linalg.solve(ybus, conn.T)
 
 
+class _PowerKernel:
+    """Powers Re(ev conj(y_red ev)), ev = e_int exp(j delta), for (m,) or
+    (lanes, m) angles, in buffers made once: a call returns a view that the
+    next rewrites. The +0.0 real parts give np.exp(1j * delta)'s bits, as
+    exp(+-0) = 1; np.matvec gives each lane the bits of one lane's np.dot."""
+
+    def __init__(self, e_int: np.ndarray, shape):
+        self.e_int = e_int.astype(complex)
+        self.z, self.ev, self.current, self.product = np.zeros(
+            (4, *shape), dtype=complex)
+        self.angles, self.p_e = self.z.imag, self.product.real
+        self.matvec = np.dot if len(shape) == 1 else np.matvec
+
+    def __call__(self, y_red: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        np.copyto(self.angles, delta)
+        np.exp(self.z, out=self.ev)
+        np.multiply(self.e_int, self.ev, out=self.ev)
+        self.matvec(y_red, self.ev, out=self.current)
+        np.conjugate(self.current, out=self.current)
+        np.multiply(self.ev, self.current, out=self.product)
+        return self.p_e
+
+
 def electrical_power(y_red: np.ndarray, e_int: np.ndarray,
                      delta: np.ndarray) -> np.ndarray:
-    """Machine electrical powers for angles of shape (m,) with an (m, m)
-    y_red, or (lanes, m) with a (lanes, m, m) stack.
-
-    The stacked matrix-vector product reduces each lane in the same order
-    whatever the lane count and gives the same bits as the 1-d product,
-    which one lane keeps because it is faster.
-    """
-    ev = e_int * np.exp(1j * delta)
-    if ev.ndim == 1:
-        current = y_red @ ev
-    else:
-        current = np.matmul(y_red, ev[..., None])[..., 0]
-    return (ev * np.conj(current)).real
+    """_PowerKernel's powers, in buffers of their own."""
+    return _PowerKernel(e_int, np.shape(delta))(y_red, delta)
 
 
 def base_loads(model: NetworkModel) -> np.ndarray:
@@ -284,7 +296,8 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     (2H, T_g). Every product and sum keeps the operands and the order of
     the per-variable RK4 formulas, so the numbers are those of that form;
     without reserves rhs forms p_m - p_e without adding a zero reserve
-    term first. The reserve lag factors are computed once per run.
+    term first. One _PowerKernel and 0-d scalar operands keep every stage
+    free of allocations; the reserve lag factors are computed once per run.
 
     At each boundary k = 0 .. n_steps: apply the events due (each snaps to
     the first boundary at or after its time; those past the horizon never
@@ -337,6 +350,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     rates = stacked(omega_s, d_sys, droop_gain)
     lags = stacked(2.0 * h_sys, t_g)
     spare = np.empty(lane_shape)
+    power = _PowerKernel(e_int, lane_shape)
     lin = None
     attack_by_bus: dict[int, float] = {}
     idx = model.bus_index()
@@ -397,7 +411,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
         dl, dw, pm = src
         k, k_dw, k_pm, k_tail = slopes
         if lin is None:
-            pe = electrical_power(y_red, e_int, dl)
+            pe = power(y_red, dl)
         else:
             pe = lin.pe(dl, attack_by_bus)
         np.multiply(rates, dw, out=k)  # omega_s dw, D dw, droop_gain dw
@@ -411,7 +425,8 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
         np.subtract(k_pm, pm, out=k_pm)
         np.divide(k_tail, lags, out=k_tail)
 
-    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
+    whole_dt, half_dt, sixth_dt, two, zero = map(
+        np.array, (dt, 0.5 * dt, dt / 6.0, 2.0, 0.0))
     for k in range(n_steps + 1):
         t_now = k * dt
         for lane, bus, delta_p in by_step.get(k, ()):
@@ -446,17 +461,17 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
         np.multiply(k2, half_dt, out=stage)
         np.add(y, stage, out=stage)
         rhs(stage_rows, s3)
-        np.multiply(k3, dt, out=stage)
+        np.multiply(k3, whole_dt, out=stage)
         np.add(y, stage, out=stage)
         rhs(stage_rows, s4)
-        np.multiply(k2, 2, out=acc)
+        np.multiply(k2, two, out=acc)
         np.add(k1, acc, out=acc)
-        np.multiply(k3, 2, out=k3)
+        np.multiply(k3, two, out=k3)
         np.add(acc, k3, out=acc)
         np.add(acc, k4, out=acc)
         np.multiply(acc, sixth_dt, out=acc)
         np.add(y, acc, out=y)
-        np.maximum(p_m, 0.0, out=p_m)
+        np.maximum(p_m, zero, out=p_m)
         np.minimum(p_m, p_max, out=p_m)
 
 

@@ -98,6 +98,15 @@ def test_magnitude_sweep_needs_two_points(model):
                                  [8.0], config=quick_cfg(10.0))
 
 
+def test_magnitude_sweep_with_no_response_cannot_fit(model):
+    """An attack starting after the horizon leaves every point at exactly
+    nominal: no line, rather than a flat one with R^2 = 1."""
+    with pytest.raises(analysis.FitError, match="do not vary"):
+        analysis.magnitude_sweep(
+            model, static(AttackType.DEMAND_INCREASE, t_start=25.0),
+            [4.0, 8.0], config=quick_cfg(20.0))
+
+
 def test_magnitude_sweep_reduction_tracks_zenith(model):
     fit = analysis.magnitude_sweep(model, static(AttackType.DEMAND_REDUCTION),
                                    [4.0, 8.0], config=quick_cfg())

@@ -520,6 +520,46 @@ def test_sweep_rejects_unusable_values(tmp_path, capfd, flag, values, message):
     assert "Traceback" not in err and "DLASCL" not in err
 
 
+@pytest.mark.parametrize("t_start", [25.0, 19.995])
+def test_magnitude_sweep_starting_past_the_horizon(tmp_path, capsys,
+                                                   t_start):
+    """A static 12 % DI starting at 25 s over 20 s, or on the last boundary,
+    has no response to fit: exit 2 at t_start, or at --duration when that
+    flag set the horizon."""
+    scn = write_scenario(tmp_path, system={"duration_s": 20.0},
+                         attack={"magnitude_percent": 12.0,
+                                 "t_start": t_start})
+    line = 1 + open(scn).read().splitlines().index(f'  "t_start": {t_start}')
+    for flags, where in (([], f"{scn}:{line} (key 't_start')"),
+                         (["--duration", "20"], "--duration 20")):
+        assert cli.main(["sweep", scn, "--magnitudes", "4,8",
+                         "--out-dir", str(tmp_path), *flags]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {where}: the attack starts at {t_start:g} s, too late "
+            "to act within the 20 s horizon")
+    assert not (tmp_path / "case_sweep.json").exists()
+
+
+def test_timing_sweep_of_a_slope_triggered_scenario(tmp_path):
+    """Each timing lane is a time-triggered switching attack, so a slope
+    trigger in the scenario does not reject the sweep."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    shipped = os.path.join(here, "..", "scenarios",
+                           "periodic_slope_trigger.scn")
+    with open(shipped) as fh:
+        doc = json.load(fh)
+    doc["attack"]["trigger"] = "time"
+    timed = write_scenario(tmp_path, "timed.scn", raw=doc)
+    optimal = []
+    for scn in (shipped, timed):
+        assert cli.main(["sweep", scn, "--timings", "5,8",
+                         "--out-dir", str(tmp_path)]) == 0
+        stem = os.path.splitext(os.path.basename(scn))[0]
+        report = json.loads((tmp_path / f"{stem}_sweep.json").read_text())
+        optimal.append(report["optimal_t1_s"])
+    assert optimal[0] == optimal[1]
+
+
 def test_event_too_late_to_snap_is_dropped(tmp_path):
     scn = write_scenario(tmp_path, system={"duration_s": 0.05},
                          attack={"t_start": 1e308})

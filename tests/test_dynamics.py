@@ -35,6 +35,44 @@ def test_init_state_matches_dispatch(model, pf):
     assert pe == pytest.approx(p_m, abs=1e-9)
 
 
+def _allocating_pe(y_red, e_int, delta):
+    """The electrical power as one allocating expression, per lane."""
+    ev = e_int * np.exp(1j * delta)
+    return (ev * np.conj(y_red @ ev)).real
+
+
+def test_power_kernel_bits_equal_the_allocating_expression(model, pf):
+    """The buffered kernel, reused across calls with y_red swapped between
+    them as an event does, gives the bits of the allocating expression for
+    one lane and for a (lanes, m) batch, negative angles included."""
+    _, e_int, _, y_base = dynamics.init_state(model, pf)
+    loads = dynamics.base_loads(model)
+    loads[model.bus_index()[8]] += 0.3
+    y_event = dynamics.build_reduced(model, pf, loads)
+    rng = np.random.default_rng(7)
+    angles = rng.uniform(-4.0, 4.0, size=(6, 5, 3))
+    angles[0, 0] = (-0.5, -1e-300, -0.0)
+
+    def same_bits(a, b):
+        return np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                              np.ascontiguousarray(b).view(np.uint64))
+
+    one = dynamics._PowerKernel(e_int, (3,))
+    batch = dynamics._PowerKernel(e_int, (5, 3))
+    stack = np.stack([y_base, y_event, y_event, y_base, y_event])
+    for i, delta in enumerate(angles):
+        y_red = (y_base, y_event)[i % 2]
+        assert same_bits(one(y_red, delta[0]),
+                         _allocating_pe(y_red, e_int, delta[0]))
+        stack[i % 5] = y_red
+        got = batch(stack, delta)
+        for lane in range(5):
+            assert same_bits(got[lane],
+                             _allocating_pe(stack[lane], e_int, delta[lane]))
+    assert same_bits(dynamics.electrical_power(y_event, e_int, angles[0, 0]),
+                     _allocating_pe(y_event, e_int, angles[0, 0]))
+
+
 def _kron_pe_by_hand(model, pf, loads_p, e_int, delta):
     """Reduction done from scratch so the product path has a second opinion."""
     idx = model.bus_index()
@@ -51,8 +89,7 @@ def _kron_pe_by_hand(model, pf, loads_p, e_int, delta):
         conn[i, j] = yg[i]
         yb[j, j] += yg[i]
     yred = np.diag(yg) - conn @ np.linalg.solve(yb, conn.T)
-    ev = e_int * np.exp(1j * delta)
-    return (ev * np.conj(yred @ ev)).real
+    return _allocating_pe(yred, e_int, delta)
 
 
 def test_initial_rocof_matches_power_jump(model, pf):
