@@ -15,10 +15,11 @@ import numpy as np
 from . import attacks, dynamics, powerflow
 from .netmodel import NetworkModel, with_dynamic_params
 
-# Frequency thresholds that trip operational consequences, in Hz: the normal
-# band edges, reserve full-activation levels, load shedding, and the
-# generator over/under-frequency protection limits.
-THRESHOLDS_HZ = (49.9, 50.1, 49.7, 49.5, 48.8, 47.5, 52.0)
+# Frequency thresholds that trip operational consequences, as offsets in Hz
+# from the model's nominal frequency: the normal band edges, reserve
+# full-activation levels, load shedding, and the generator
+# over/under-frequency protection limits.
+THRESHOLDS_HZ = (-0.1, 0.1, -0.3, -0.5, -1.2, -2.5, 2.0)
 
 SETTLE_BAND_HZ = 0.02
 SETTLE_DWELL_S = 5.0
@@ -41,13 +42,14 @@ def metrics(trace: dynamics.SimulationTrace) -> Metrics:
 
     Settling means staying within +-0.02 Hz of the final value for 5 s;
     the reported time is the start of the earliest such dwell. Violations
-    list each monitored threshold actually crossed, with the time of the
-    first sample beyond it.
+    list each monitored threshold actually crossed, as the level
+    f_nominal + offset in Hz, with the time of the first sample beyond it.
     """
-    return _coi_metrics(trace.t, trace.f_coi, trace.dt)
+    return _coi_metrics(trace.t, trace.f_coi, trace.dt, trace.f_nominal)
 
 
-def _coi_metrics(t: np.ndarray, f: np.ndarray, dt: float) -> Metrics:
+def _coi_metrics(t: np.ndarray, f: np.ndarray, dt: float,
+                 f_nominal: float) -> Metrics:
     """metrics() of the COI frequency f sampled at times t, dt apart."""
     if len(f) == 0:
         raise ValueError("empty trace")
@@ -67,10 +69,10 @@ def _coi_metrics(t: np.ndarray, f: np.ndarray, dt: float) -> Metrics:
                 settle_time = float(t[i - dwell_n])
                 break
 
-    nominal = 50.0
     crossings = []
-    for th in THRESHOLDS_HZ:
-        beyond = (f < th) if th < nominal else (f > th)
+    for offset in THRESHOLDS_HZ:
+        th = f_nominal + offset
+        beyond = (f < th) if offset < 0 else (f > th)
         if beyond.any():
             crossings.append((th, float(t[int(np.argmax(beyond))])))
 
@@ -214,7 +216,7 @@ def timing_sweep(model: NetworkModel, base: attacks.AttackScenario,
     results: dict[float, Metrics] = {}
     post_dev: dict[float, float] = {}
     for v, f_lane in zip(t1_values, f.T):
-        results[v] = _coi_metrics(t, f_lane, config.dt)
+        results[v] = _coi_metrics(t, f_lane, config.dt, model.f_nominal)
         i0 = dynamics.step_index(v, config.dt)
         post_dev[v] = float(np.max(np.abs(f_lane[i0:] - model.f_nominal)))
     optimal = max(sorted(post_dev), key=lambda v: (post_dev[v], -v))

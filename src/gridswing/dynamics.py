@@ -103,6 +103,7 @@ class SimulationTrace:
     p_reserve_down: np.ndarray  # pu, <= 0
     events: tuple  # (time, label) pairs actually applied
     dt: float
+    f_nominal: float  # Hz, the model's
 
     def __len__(self) -> int:
         return len(self.t)
@@ -256,10 +257,12 @@ class _Linearization:
         # central difference through the reduction at the frozen angles.
         self.sens = {}
         h = 1e-6
+        idx = model.bus_index()
+        base = base_loads(model)
         for ld in model.loads:
-            j = model.bus_index()[ld.bus]
-            up = base_loads(model)
-            dn = base_loads(model)
+            j = idx[ld.bus]
+            up = base.copy()
+            dn = base.copy()
             up[j] += h
             dn[j] -= h
             pe_up = electrical_power(build_reduced(model, pf, up), e_int, delta0)
@@ -439,7 +442,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
         if products:
             f_lanes = [float(f_coi)] if n_lanes == 1 else f_coi.tolist()
             outputs = _reserves.respond(
-                outputs, [[_reserves.command(p, f_hz) for p in products]
+                outputs, [[_reserves.command(p, f_hz, f_nom) for p in products]
                           for f_hz in f_lanes], alpha)
             # Python's left-to-right sums per lane: np.sum's pairwise order
             # could round differently.
@@ -513,7 +516,7 @@ def simulate(model: NetworkModel,
             t=np.arange(n) * config.dt, f_coi=f_coi_arr[:n], f_gen=f_gen,
             p_attack=p_atk_arr[:n], p_reserve_up=p_up_arr[:n],
             p_reserve_down=p_dn_arr[:n], events=tuple(applied),
-            dt=config.dt)
+            dt=config.dt, f_nominal=model.f_nominal)
 
     for k, t_now, f_coi, d_omega, p_attack, (p_up, p_dn), applied, trip in \
             _lockstep([model], pf, [schedule], config):

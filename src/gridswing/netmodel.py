@@ -3,14 +3,17 @@
 All network quantities are per-unit on the system MVA base (100 MVA for the
 built-in case). Machine constants (``h``, ``d``, ``r_droop``) are expressed on
 the individual machine base and converted where the dynamics need them on the
-system base. Frequency is 50 Hz nominal; the case is used as a reduced-scale
-proxy for a national grid, so attack magnitudes given in national MW are mapped
-through ``national_total_mw``.
+system base. ``f_nominal`` (50 Hz for the built-in case) is the one place the
+nominal frequency is set: reserve activation levels and metric thresholds are
+offsets from it. The case is used as a reduced-scale proxy for a national grid,
+so attack magnitudes given in national MW are mapped through
+``national_total_mw``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict, replace
 
 
@@ -223,8 +226,9 @@ def validate(model: NetworkModel) -> list[str]:
         problems.append(
             f"scheduled generation {total_sched:.4f} pu below total load {total_load:.4f} pu")
 
-    if model.national_total_mw <= 0:
-        problems.append("national_total_mw must be positive")
+    for name in ("f_nominal", "mva_base", "national_total_mw"):
+        if not 0 < getattr(model, name) < math.inf:  # NaN fails too
+            problems.append(f"{name} must be finite and positive")
     return problems
 
 

@@ -5,10 +5,12 @@ for late 2024: FFR, FCR-D in both directions, FCR-N, aFRR and (disabled by
 default) mFRR. Capacities are national megawatts; they reach the simulation
 through the same national-to-model scaling used for attack magnitudes.
 
-Activation is piecewise linear in frequency between ``activation_start`` and
-``full_activation``; the delivered output follows the command as a first-order
-lag with the product's ``response_time``. Outputs are tracked in MW and signed:
-positive values inject power (up-regulation), negative values absorb.
+Activation levels are offsets in Hz from the model's ``f_nominal``, so one
+product set serves a 50 Hz and a 60 Hz case alike. Activation is piecewise
+linear in frequency between ``activation_start`` and ``full_activation``;
+the delivered output follows the command as a first-order lag with the
+product's ``response_time``. Outputs are tracked in MW and signed: positive
+values inject power (up-regulation), negative values absorb.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 class ReserveProduct:
     name: str
     direction: str  # "up" | "down" | "both"
-    activation_start: float  # Hz; for "both": band center
-    full_activation: float  # Hz; for "both": half-width of the band
+    activation_start: float  # Hz from nominal; for "both": band centre offset
+    full_activation: float  # Hz from nominal; for "both": band half-width
     response_time: float  # s, first-order lag constant
     capacity_mw: float
     enabled: bool = True
@@ -47,22 +49,28 @@ class ReserveProduct:
 def default_products() -> tuple[ReserveProduct, ...]:
     """Published reserve volumes; mFRR is manually activated, so disabled."""
     return (
-        ReserveProduct("FFR", "up", 49.6, 49.6, 1.0, 100.0),
-        ReserveProduct("FCR-D up", "up", 49.9, 49.5, 2.0, 567.0),
-        ReserveProduct("FCR-D down", "down", 50.1, 50.5, 2.0, 547.0),
-        ReserveProduct("FCR-N", "both", 50.0, 0.1, 2.0, 235.0),
-        ReserveProduct("aFRR", "both", 50.0, 0.1, 300.0, 111.0),
-        ReserveProduct("mFRR", "both", 50.0, 0.1, 900.0, 300.0, enabled=False),
+        ReserveProduct("FFR", "up", -0.4, -0.4, 1.0, 100.0),
+        ReserveProduct("FCR-D up", "up", -0.1, -0.5, 2.0, 567.0),
+        ReserveProduct("FCR-D down", "down", 0.1, 0.5, 2.0, 547.0),
+        ReserveProduct("FCR-N", "both", 0.0, 0.1, 2.0, 235.0),
+        ReserveProduct("aFRR", "both", 0.0, 0.1, 300.0, 111.0),
+        ReserveProduct("mFRR", "both", 0.0, 0.1, 900.0, 300.0, enabled=False),
     )
 
 
-def command(product: ReserveProduct, f_hz: float) -> float:
-    """Commanded output in MW for a measured frequency, signed."""
+def command(product: ReserveProduct, f_hz: float, f_nominal: float) -> float:
+    """Commanded output in MW for a measured frequency, signed. Levels are
+    f_nominal + offset, compared in Hz: 50.0 + -0.1 is exactly 49.9."""
     if not product.enabled:
         return 0.0
     cap = product.capacity_mw
+    start = f_nominal + product.activation_start
+    if product.direction == "both":  # symmetric band around the centre
+        dev = f_hz - start
+        frac = min(abs(dev) / product.full_activation, 1.0)
+        return -math.copysign(cap * frac, dev)
+    full = f_nominal + product.full_activation
     if product.direction == "up":
-        start, full = product.activation_start, product.full_activation
         if start == full:  # step product
             return cap if f_hz <= start else 0.0
         if f_hz >= start:
@@ -70,17 +78,12 @@ def command(product: ReserveProduct, f_hz: float) -> float:
         if f_hz <= full:
             return cap
         return cap * (start - f_hz) / (start - full)
-    if product.direction == "down":
-        start, full = product.activation_start, product.full_activation
-        if f_hz <= start:
-            return 0.0
-        if f_hz >= full:
-            return -cap
-        return -cap * (f_hz - start) / (full - start)
-    # both: symmetric band around the center
-    dev = f_hz - product.activation_start
-    frac = min(abs(dev) / product.full_activation, 1.0)
-    return -math.copysign(cap * frac, dev)
+    # down: the mirror image of up
+    if f_hz <= start:
+        return 0.0
+    if f_hz >= full:
+        return -cap
+    return -cap * (f_hz - start) / (full - start)
 
 
 def lag_factors(products, dt: float) -> np.ndarray:

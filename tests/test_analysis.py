@@ -15,7 +15,7 @@ def fake_trace(f, dt=0.01):
     return dynamics.SimulationTrace(
         t=np.arange(n) * dt, f_coi=f, f_gen=np.repeat(f[:, None], 3, axis=1),
         p_attack=np.zeros(n), p_reserve_up=np.zeros(n),
-        p_reserve_down=np.zeros(n), events=(), dt=dt)
+        p_reserve_down=np.zeros(n), events=(), dt=dt, f_nominal=50.0)
 
 
 def test_metrics_constant_trace():
@@ -48,6 +48,58 @@ def test_metrics_sine_trace():
 def test_metrics_empty_trace_rejected():
     with pytest.raises(ValueError):
         analysis.metrics(fake_trace(np.array([])))
+
+
+def test_offsets_give_the_50_hz_levels_bit_for_bit():
+    """Every Hz level is f_nominal + offset; at 50 Hz each sum is the
+    50 Hz figure exactly (50.0 + -0.1 == 49.9), so 50 Hz outputs keep
+    their bytes."""
+    assert [50.0 + off for off in analysis.THRESHOLDS_HZ] == [
+        49.9, 50.1, 49.7, 49.5, 48.8, 47.5, 52.0]
+    levels = {p.name: [50.0 + p.activation_start] + (
+        [] if p.direction == "both" else [50.0 + p.full_activation])
+        for p in reserves.default_products()}
+    assert levels == {"FFR": [49.6, 49.6], "FCR-D up": [49.9, 49.5],
+                      "FCR-D down": [50.1, 50.5], "FCR-N": [50.0],
+                      "aFRR": [50.0], "mFRR": [50.0]}
+
+
+@pytest.fixture(scope="module")
+def model_60hz():
+    return replace(netmodel.builtin_wscc9(), f_nominal=60.0)
+
+
+def di_4(model):
+    return attacks.compile_scenario(model, static(
+        AttackType.DEMAND_INCREASE, magnitude_percent=4.0))
+
+
+def test_60_hz_case_reads_its_levels_from_f_nominal(model_60hz):
+    """A 4 % DI on a 60 Hz case crosses only the lower band edge, after
+    onset; reserves absorb nothing and lift the nadir."""
+    bare = dynamics.simulate(model_60hz, di_4(model_60hz), quick_cfg(20.0))
+    mx = analysis.metrics(bare)
+    assert [th for th, _ in mx.violations] == [59.9]
+    assert mx.violations[0][1] > 1.0
+    held = dynamics.simulate(model_60hz, di_4(model_60hz), dynamics.SimConfig(
+        duration=20.0, reserves=reserves.default_products()))
+    assert not held.p_reserve_down.any()
+    assert held.p_reserve_up.max() > 0.0
+    assert held.f_coi.min() > bare.f_coi.min()
+
+
+@pytest.mark.parametrize("f_nominal", [50.0, 60.0])
+def test_every_product_rests_at_nominal(f_nominal):
+    for p in reserves.default_products():
+        assert reserves.command(p, f_nominal, f_nominal) == 0.0, p.name
+
+
+def test_60_hz_timing_sweep_has_no_crossing_at_onset(model_60hz):
+    _, results = analysis.timing_sweep(
+        model_60hz, base_switching(magnitude_percent=4.0), [4.0, 8.0],
+        quick_cfg(20.0))
+    for mx in results.values():
+        assert mx.violations and all(t > 1.0 for _, t in mx.violations)
 
 
 @settings(max_examples=40, deadline=None)

@@ -314,7 +314,7 @@ def test_trace_csv_matches_per_cell_format(tmp_path):
     trace = dynamics.SimulationTrace(
         t=cols[:, 0], f_coi=cols[:, 1], f_gen=cols[:, 2:5],
         p_attack=cols[:, 5], p_reserve_up=cols[:, 6],
-        p_reserve_down=cols[:, 7], events=(), dt=0.01)
+        p_reserve_down=cols[:, 7], events=(), dt=0.01, f_nominal=50.0)
     path = tmp_path / "trace.csv"
     cli.write_trace_csv(trace, str(path))
     text = path.read_text()
@@ -413,6 +413,28 @@ def test_case_file_beyond_float_range_names_the_model_key(tmp_path, capsys):
     assert cli.main(["powerflow", str(case)]) == 2
     assert capsys.readouterr().err.startswith(
         f"error: malformed case file {case}:")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("f_nominal", -50.0), ("f_nominal", 0.0), ("f_nominal", float("nan")),
+    ("mva_base", -100.0), ("national_total_mw", float("nan"))])
+def test_case_file_bad_base_quantity_names_the_field(tmp_path, capsys,
+                                                      field, value):
+    """A nominal frequency, MVA base or national total that is not finite
+    and positive exits 2 at the scenario's model key, naming the field,
+    and writes nothing."""
+    raw = dataclasses.asdict(netmodel.builtin_wscc9())
+    raw[field] = value
+    case = tmp_path / "bad.json"
+    case.write_text(json.dumps(raw))
+    scn = write_scenario(tmp_path, system={"model": "bad.json"})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", scn, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: {scn}:4 (key 'model'): invalid case file {case}:")
+    assert f"{field} must be finite and positive" in err
+    assert not out.exists()
 
 
 def test_unknown_reserve_preset(tmp_path, capsys):

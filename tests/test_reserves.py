@@ -26,40 +26,40 @@ def test_default_capacities(products):
 
 def test_ffr_is_a_step(products):
     ffr = by_name(products, "FFR")
-    assert reserves.command(ffr, 49.61) == 0.0
-    assert reserves.command(ffr, 49.6) == 100.0
-    assert reserves.command(ffr, 49.3) == 100.0
+    assert reserves.command(ffr, 49.61, 50.0) == 0.0
+    assert reserves.command(ffr, 49.6, 50.0) == 100.0
+    assert reserves.command(ffr, 49.3, 50.0) == 100.0
 
 
 def test_fcrd_up_ramp(products):
     p = by_name(products, "FCR-D up")
-    assert reserves.command(p, 49.95) == 0.0
-    assert reserves.command(p, 49.9) == 0.0
-    assert reserves.command(p, 49.7) == pytest.approx(283.5)  # halfway
-    assert reserves.command(p, 49.5) == 567.0
-    assert reserves.command(p, 49.2) == 567.0
+    assert reserves.command(p, 49.95, 50.0) == 0.0
+    assert reserves.command(p, 49.9, 50.0) == 0.0
+    assert reserves.command(p, 49.7, 50.0) == pytest.approx(283.5)  # halfway
+    assert reserves.command(p, 49.5, 50.0) == 567.0
+    assert reserves.command(p, 49.2, 50.0) == 567.0
 
 
 def test_fcrd_down_ramp(products):
     p = by_name(products, "FCR-D down")
-    assert reserves.command(p, 50.05) == 0.0
-    assert reserves.command(p, 50.3) == pytest.approx(-273.5)
-    assert reserves.command(p, 50.5) == -547.0
-    assert reserves.command(p, 50.8) == -547.0
+    assert reserves.command(p, 50.05, 50.0) == 0.0
+    assert reserves.command(p, 50.3, 50.0) == pytest.approx(-273.5)
+    assert reserves.command(p, 50.5, 50.0) == -547.0
+    assert reserves.command(p, 50.8, 50.0) == -547.0
 
 
 def test_fcrn_symmetric_band(products):
     p = by_name(products, "FCR-N")
-    assert reserves.command(p, 50.0) == 0.0
-    assert reserves.command(p, 49.95) == pytest.approx(117.5)
-    assert reserves.command(p, 50.05) == pytest.approx(-117.5)
-    assert reserves.command(p, 49.5) == 235.0  # saturates at the band edge
-    assert reserves.command(p, 50.5) == -235.0
+    assert reserves.command(p, 50.0, 50.0) == 0.0
+    assert reserves.command(p, 49.95, 50.0) == pytest.approx(117.5)
+    assert reserves.command(p, 50.05, 50.0) == pytest.approx(-117.5)
+    assert reserves.command(p, 49.5, 50.0) == 235.0  # saturates at the edge
+    assert reserves.command(p, 50.5, 50.0) == -235.0
 
 
 def test_disabled_product_commands_zero(products):
     mfrr = by_name(products, "mFRR")
-    assert reserves.command(mfrr, 48.0) == 0.0
+    assert reserves.command(mfrr, 48.0, 50.0) == 0.0
 
 
 def test_lag_one_second_step(products):
@@ -125,8 +125,8 @@ def test_residual_argument_errors():
 
 def test_product_validation():
     with pytest.raises(ValueError):
-        reserves.ReserveProduct("x", "up", 49.9, 49.5, -1.0, 100.0)
+        reserves.ReserveProduct("x", "up", -0.1, -0.5, -1.0, 100.0)
     with pytest.raises(ValueError):
-        reserves.ReserveProduct("x", "diagonal", 49.9, 49.5, 2.0, 100.0)
+        reserves.ReserveProduct("x", "diagonal", -0.1, -0.5, 2.0, 100.0)
     with pytest.raises(ValueError):
-        reserves.ReserveProduct("x", "up", 49.9, 49.5, 2.0, -100.0)
+        reserves.ReserveProduct("x", "up", -0.1, -0.5, 2.0, -100.0)
