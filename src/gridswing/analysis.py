@@ -145,14 +145,12 @@ def magnitude_sweep(model: NetworkModel, base: attacks.AttackScenario,
     so it keeps the scenario's type, target and t_start. The extracted
     response is the nadir for demand-increase-like types and the zenith for
     demand-reduction-like ones. Every magnitude is one lane of a single
-    lockstep batch over one power flow, so only network coupling is
-    supported (linear coupling raises ValueError for more than one
-    magnitude) and a base case whose power flow diverges raises
-    DivergenceError, as simulate does. Runs that leave the speed guard are
-    skipped and recorded; fewer than two surviving points raises FitError,
-    whose message lists each skipped magnitude with its reason, and so do
-    flat responses (an attack too late to act). The fit is
-    order-independent: points are sorted by magnitude before fitting.
+    lockstep batch over one power flow, so a base case whose power flow
+    diverges raises DivergenceError, as simulate does. Runs that leave the
+    speed guard are skipped and recorded; fewer than two surviving points
+    raises FitError, whose message lists each skipped magnitude with its
+    reason, and so do flat responses (an attack too late to act). The fit
+    is order-independent: points are sorted by magnitude before fitting.
     """
     if config is None:
         config = dynamics.SimConfig(duration=60.0)
@@ -189,9 +187,8 @@ def timing_sweep(model: NetworkModel, base: attacks.AttackScenario,
     absolute deviation from nominal after the reversion; ties break toward
     the earliest t1. t1 values are absolute times and must lie beyond the
     scenario's t_start and within the horizon. Every t1 is one lane of a
-    single lockstep batch over one power flow, so only network coupling is
-    supported (linear coupling raises ValueError for more than one t1); a
-    run that leaves the speed guard raises InstabilityError.
+    single lockstep batch over one power flow; a run that leaves the speed
+    guard raises InstabilityError.
     """
     if config is None:
         config = dynamics.SimConfig(duration=40.0)

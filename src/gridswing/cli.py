@@ -261,6 +261,14 @@ def parse_scenario(path: str, flags: dict | None = None):
     if problems:
         raise src.error("attack", problems[0][0],
                         "; ".join(msg for _, msg in problems))
+    # More cycles than step boundaries cannot each land on a boundary of
+    # their own, and compile_scenario makes two transitions per cycle
+    # before any horizon check: a huge count would exhaust memory there.
+    if scenario.family in ("periodic", "combination") \
+            and scenario.count > sim.n_steps + 1:
+        raise src.error("attack", "count",
+                        f"count {scenario.count} exceeds the "
+                        f"{sim.n_steps + 1} step boundaries of the horizon")
     config = {
         "system": {"model": model_ref,
                    "national_total_mw": model.national_total_mw,
@@ -495,6 +503,9 @@ def _load_anchors(spec: str):
                              required=("percent",))
         if anchor["percent"] <= 0:
             raise src.error("anchor", "percent", "must be positive")
+        if anchor.get("nadir_hz") is None and anchor.get("settled_hz") is None:
+            raise ScenarioError(src.path, None, None,
+                                "has no targets: give nadir_hz or settled_hz")
         anchors.append((float(anchor["percent"]), *(
             None if anchor.get(key) is None else float(anchor[key])
             for key in ("nadir_hz", "settled_hz"))))

@@ -17,13 +17,14 @@ One fixed-step RK4 integrator, ``_lockstep``, serves every caller: attack
 events and reserve updates land on step boundaries, and it carries either
 one system (``simulate``) or a batch of lanes, each with its own event
 schedule, governor and damping (sweeps and the calibration grid), through
-the same expressions; every lane is bit-identical to its one-lane run. Two
-electrical couplings are available:
+the same expressions; every lane is bit-identical to its one-lane run. Both
+electrical couplings build a lane's coupling from its load vector at each
+demand event and hand it to a power kernel:
 
-* "network" (default): p_e from the Kron-reduced admittance matrix, rebuilt
-  at every demand event. Voltage dependence of the load response is kept.
-* "linear": p_e linearized at the operating point and events mapped through
-  fixed sensitivities. Strictly odd-symmetric around nominal, so mirrored
+* "network" (default): the Kron-reduced admittance matrix of the loads.
+  Voltage dependence of the load response is kept.
+* "linear": p_e linearized at the operating point plus fixed sensitivities
+  times the load change. Strictly odd-symmetric around nominal, so mirrored
   attacks produce mirrored traces to machine precision. Useful to separate
   voltage-coupling effects from the swing response.
 """
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -238,11 +240,12 @@ def _mark_trips(d_omega: np.ndarray, trip: np.ndarray, k: int) -> int:
 
 class _Linearization:
     """Frozen small-signal electrical model around the base-load operating
-    point that y_red0 encodes."""
+    point that y_red0 encodes: offset is the linear coupling's builder from
+    a lane's load vector, and a call is its power kernel."""
 
-    def __init__(self, model, pf, y_red0, e_int, delta0):
+    def __init__(self, model, pf, y_red0, e_int, delta0, pe0):
         self.delta0 = delta0.copy()
-        self.pe0 = electrical_power(y_red0, e_int, delta0)
+        self.pe0 = pe0
         g, b = y_red0.real, y_red0.imag
         th = delta0[:, None] - delta0[None, :]
         ee = e_int[:, None] * e_int[None, :]
@@ -253,28 +256,24 @@ class _Linearization:
         np.fill_diagonal(kk, -kk.sum(axis=1))
         self.k = kk
 
-        # Sensitivity of machine powers to a demand change at each load bus,
-        # central difference through the reduction at the frozen angles.
-        self.sens = {}
-        h = 1e-6
-        idx = model.bus_index()
-        base = base_loads(model)
-        for ld in model.loads:
-            j = idx[ld.bus]
-            up = base.copy()
-            dn = base.copy()
-            up[j] += h
-            dn[j] -= h
-            pe_up = electrical_power(build_reduced(model, pf, up), e_int, delta0)
-            pe_dn = electrical_power(build_reduced(model, pf, dn), e_int, delta0)
-            self.sens[j] = (pe_up - pe_dn) / (2 * h)
+        def pe(loads_p):
+            return electrical_power(build_reduced(model, pf, loads_p), e_int,
+                                    delta0)
 
-    def pe(self, delta, attack_by_bus):
-        out = self.pe0 + (delta - self.delta0) @ self.k.T
-        for j, amount in attack_by_bus.items():
-            if amount != 0.0:
-                out = out + self.sens[j] * amount
-        return out
+        # Sensitivity (m, n) of machine powers to a demand change at each
+        # bus, central difference through the reduction at the frozen angles.
+        self.base = base_loads(model)
+        h = 1e-6
+        self.sens = np.column_stack([
+            (pe(self.base + step) - pe(self.base - step)) / (2 * h)
+            for step in np.eye(len(self.base)) * h])
+
+    def offset(self, loads_p: np.ndarray) -> np.ndarray:
+        """The (m,) power offset of the load vector loads_p."""
+        return self.sens @ (loads_p - self.base)
+
+    def __call__(self, offset: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        return self.pe0 + np.matvec(self.k, delta - self.delta0) + offset
 
 
 def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
@@ -282,13 +281,14 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
 
     Lane b runs models[b] under schedules[b]. The models share the network
     and initial state of models[0] and may differ in governor and damping
-    (netmodel.with_dynamic_params). One lane carries (m,) state arrays and
-    an (m, m) reduced admittance, because that form is faster; B lanes carry
-    (B, m) arrays and a (B, m, m) stack whose rows change only for lanes
-    with an event. Every expression reduces each lane on its own in a fixed
-    order, so a lane's numbers do not depend on the other lanes. Reductions
-    are built once per distinct load vector. Linear coupling and the slope
-    trigger need a single lane.
+    (netmodel.with_dynamic_params). A lane's coupling y_red, its (m, m)
+    reduction or, under linear coupling, its (m,) power offset, is built
+    once per distinct load vector. One lane carries (m,) state arrays and
+    its coupling alone, because that form is faster; B lanes carry (B, m)
+    arrays and a stack of couplings whose rows change only for lanes with
+    an event. Every expression reduces each lane on its own in a fixed
+    order, so a lane's numbers do not depend on the other lanes. The slope
+    trigger needs a single lane.
 
     Buffers, all allocated once per run: the state y is one (3, *lanes)
     array, lanes being (m,) or (B, m), with rows delta, d_omega and p_m.
@@ -299,7 +299,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     (2H, T_g). Every product and sum keeps the operands and the order of
     the per-variable RK4 formulas, so the numbers are those of that form;
     without reserves rhs forms p_m - p_e without adding a zero reserve
-    term first. One _PowerKernel and 0-d scalar operands keep every stage
+    term first. _PowerKernel and 0-d scalar operands keep every network stage
     free of allocations; the reserve lag factors are computed once per run.
 
     At each boundary k = 0 .. n_steps: apply the events due (each snaps to
@@ -319,8 +319,6 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     n_lanes = len(models)
     if len(schedules) != n_lanes:
         raise ValueError("need one schedule per lane")
-    if n_lanes > 1 and config.coupling == "linear":
-        raise ValueError("linear coupling needs a single lane")
     if n_lanes > 1 and any(s.policy is not None for s in schedules):
         raise ValueError("the slope trigger needs a single lane")
     products = tuple(p for p in config.reserves if p.enabled)
@@ -341,9 +339,16 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
 
     delta0, e_int, p_ref, y_red = init_state(model, pf)
     loads_p = np.tile(base_loads(model), (n_lanes, 1))
+    if config.coupling == "network":
+        power = _PowerKernel(e_int, lane_shape)
+        build = partial(build_reduced, model, pf)
+    else:
+        power = _Linearization(model, pf, y_red, e_int, delta0, p_ref)
+        build = power.offset
+        y_red = build(loads_p[0])
     reduced = {loads_p[0].tobytes(): y_red}
     if n_lanes > 1:
-        y_red = np.tile(y_red, (n_lanes, 1, 1))
+        y_red = np.stack([y_red] * n_lanes)
     y = stacked(delta0, 0.0, p_ref)
     _, d_omega, p_m = y_rows = tuple(y)
     k1, k2, k3, k4, stage, acc = (np.empty_like(y) for _ in range(6))
@@ -353,13 +358,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     rates = stacked(omega_s, d_sys, droop_gain)
     lags = stacked(2.0 * h_sys, t_g)
     spare = np.empty(lane_shape)
-    power = _PowerKernel(e_int, lane_shape)
-    lin = None
-    attack_by_bus: dict[int, float] = {}
     idx = model.bus_index()
-    if config.coupling == "linear":
-        lin = _Linearization(model, pf, y_red, e_int, delta0)
-        attack_by_bus = {idx[ld.bus]: 0.0 for ld in model.loads}
 
     dt = config.dt
     n_steps = config.n_steps
@@ -396,16 +395,13 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
         j = idx[bus]
         loads_p[lane, j] += delta_p
         p_attack[lane] += delta_p
-        if lin is None:
-            key = loads_p[lane].tobytes()
-            if key not in reduced:
-                reduced[key] = build_reduced(model, pf, loads_p[lane].copy())
-            if n_lanes == 1:
-                y_red = reduced[key]
-            else:
-                y_red[lane] = reduced[key]
+        key = loads_p[lane].tobytes()
+        if key not in reduced:
+            reduced[key] = build(loads_p[lane].copy())
+        if n_lanes == 1:
+            y_red = reduced[key]
         else:
-            attack_by_bus[j] += delta_p
+            y_red[lane] = reduced[key]
         applied[lane].append(
             (t_now, f"{labels[lane]} {delta_p:+.4f} pu @ bus {bus}"))
 
@@ -413,10 +409,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
         """Write the slopes at the state rows src into slopes[0]."""
         dl, dw, pm = src
         k, k_dw, k_pm, k_tail = slopes
-        if lin is None:
-            pe = power(y_red, dl)
-        else:
-            pe = lin.pe(dl, attack_by_bus)
+        pe = power(y_red, dl)
         np.multiply(rates, dw, out=k)  # omega_s dw, D dw, droop_gain dw
         if products:
             np.add(pm, p_res, out=spare)

@@ -304,7 +304,8 @@ def from_file(path: str) -> NetworkModel:
                 Generator(**{**g, "governor": Governor(**g["governor"])})
                 for g in raw["generators"]),
             loads=tuple(Load(**ld) for ld in raw["loads"]),
-            national_total_mw=float(raw.get("national_total_mw", 17500.0)),
+            national_total_mw=float(raw.get(
+                "national_total_mw", NetworkModel.national_total_mw)),
         )
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed case file {path}: {exc}") from exc

@@ -466,6 +466,24 @@ def test_reserve_sweep_matches_single_runs(model):
         assert zenith == analysis.metrics(singles[mag]).zenith_hz
 
 
+def test_linear_sweep_matches_single_runs(model):
+    """Linear coupling runs in lanes like network coupling: every lane's
+    trace and sweep point equal its own linear run."""
+    config = dynamics.SimConfig(duration=10.0, coupling="linear")
+    mags = [12.0, 4.0, 8.0]
+    schedules = [sweep_schedule(model, mag) for mag in mags]
+    singles = {mag: dynamics.simulate(model, sch, config)
+               for mag, sch in zip(mags, schedules)}
+    f, trips = analysis._sweep_lanes(model, schedules, config)
+    assert trips == [None] * len(mags)
+    for lane, mag in enumerate(mags):
+        assert np.array_equal(f[:, lane], singles[mag].f_coi)
+    fit = analysis.magnitude_sweep(
+        model, static(AttackType.DEMAND_INCREASE), mags, config)
+    for mag, nadir in fit.points:
+        assert nadir == analysis.metrics(singles[mag]).nadir_hz
+
+
 def test_feasibility_2025_large_attack():
     rep = analysis.feasibility(1400.0, 2025)
     assert rep.feasible is True

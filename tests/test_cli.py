@@ -158,6 +158,25 @@ def test_flag_replaces_the_file_value_before_it_is_checked(tmp_path):
         (0.05, "default", 5)
 
 
+@pytest.mark.parametrize("family", ["periodic", "combination"])
+def test_count_beyond_the_horizon_is_rejected_before_compiling(tmp_path,
+                                                               family):
+    """A 5 s horizon at 10 ms has 501 step boundaries: count may reach 501
+    and no further. Only parsing runs, which never compiles the events."""
+    attack = {"family": family, "interval": 0.5}
+    scn = write_scenario(tmp_path, attack={**attack, "count": 501})
+    assert cli.parse_scenario(scn)[1].count == 501
+    with open(scn) as fh:
+        line_no = next(i for i, ln in enumerate(fh, start=1)
+                       if '"count"' in ln)
+    for count in (502, 10 ** 300):
+        scn = write_scenario(tmp_path, attack={**attack, "count": count})
+        with pytest.raises(cli.ScenarioError) as exc:
+            cli.parse_scenario(scn)
+        assert str(exc.value).startswith(f"{scn}:{line_no} (key 'count'): ")
+        assert "501 step boundaries" in str(exc.value)
+
+
 def test_bad_sweep_list_names_its_flag(tmp_path, capsys):
     scn = write_scenario(tmp_path)
     for flag, spec in (("--magnitudes", "4,x"), ("--magnitudes", ""),
@@ -631,6 +650,18 @@ def test_calibrate_rejects_bad_anchor_values(tmp_path, capsys, anchor, key,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path} anchor 2 (key {key!r}):")
     assert message in err
+    assert not out.exists()  # no report, and no simulation before the check
+
+
+def test_calibrate_rejects_anchor_without_targets(tmp_path, capsys):
+    path = tmp_path / "anchors.json"
+    path.write_text('[{"percent": 12}]\n')
+    out = tmp_path / "out"
+    assert cli.main(["calibrate", "--anchors", str(path),
+                     "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path} anchor 1: has no targets: give nadir_hz or "
+        "settled_hz\n")
     assert not out.exists()  # no report, and no simulation before the check
 
 

@@ -305,14 +305,12 @@ def test_machine_params_totals(model):
     assert p_max.tolist() == [2.5, 3.0, 2.7]
 
 
-@pytest.mark.parametrize("coupling, schedule_kw, feature", [
-    ("linear", {}, "linear coupling"),
-    ("network", {"family": "periodic", "interval": 8.0, "count": 2,
-                 "trigger": "slope"}, "slope trigger"),
-], ids=["linear", "slope"])
-def test_single_lane_features_reject_batches(model, pf, coupling,
-                                             schedule_kw, feature):
+@pytest.mark.parametrize("schedule_kw, feature", [
+    ({"family": "periodic", "interval": 8.0, "count": 2,
+      "trigger": "slope"}, "slope trigger"),
+], ids=["slope"])
+def test_single_lane_features_reject_batches(model, pf, schedule_kw, feature):
     sch = make_schedule(model, **schedule_kw)
-    config = dynamics.SimConfig(duration=1.0, coupling=coupling)
+    config = dynamics.SimConfig(duration=1.0)
     with pytest.raises(ValueError, match=feature):
         next(dynamics._lockstep([model, model], pf, [sch, sch], config))

@@ -120,6 +120,16 @@ def test_file_round_trip(model, tmp_path):
     assert back == model
 
 
+def test_from_file_without_national_total_takes_the_default(model, tmp_path):
+    path = tmp_path / "case.json"
+    raw = json.loads(json.dumps(dataclasses.asdict(model)))
+    del raw["national_total_mw"]
+    path.write_text(json.dumps(raw))
+    back = netmodel.from_file(str(path))
+    assert back.national_total_mw == 17500.0
+    assert back == model
+
+
 def test_from_file_rejects_malformed(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x"}')
