@@ -8,6 +8,7 @@ produce identical reports.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -255,18 +256,18 @@ def _anchor_schedule(model, percent) -> attacks.EventSchedule:
         magnitude_percent=float(percent)))
 
 
-def _grid_anchor_errors(model, anchors, r_vals, tg_vals, d_vals,
+def _grid_anchor_errors(model, anchors, candidates,
                         dt: float, duration: float) -> np.ndarray:
-    """Anchor objective for every candidate parameter triple at once.
+    """The calibration objective of each (r_droop, t_g, d) candidate.
 
-    Candidates, ordered r-major then t_g then d, run as lanes of the
-    lockstep integrator behind dynamics.simulate, so the coarse calibration
-    grid costs one batched run per anchor instead of hundreds of scalar
-    runs. A lane that the integrator marks as tripped scores inf, as its
-    scalar run would.
+    A candidate's error sums, anchor by anchor, the squared misses of the
+    nadir and of the final (settled) COI frequency against the targets
+    that are given. The candidates run as lanes of the lockstep integrator
+    behind dynamics.simulate, one batched run per anchor, and each lane's
+    error is that of the candidate's own simulate run, bit for bit. A lane
+    that the integrator marks as tripped scores inf.
     """
-    lanes = [with_dynamic_params(model, r, tg, d)
-             for r in r_vals for tg in tg_vals for d in d_vals]
+    lanes = [with_dynamic_params(model, r, tg, d) for r, tg, d in candidates]
     pf = powerflow.solve(model)
     config = dynamics.SimConfig(dt=dt, duration=duration)
     errors = np.zeros(len(lanes))
@@ -284,32 +285,17 @@ def _grid_anchor_errors(model, anchors, r_vals, tg_vals, d_vals,
     return errors
 
 
-def _anchor_error(model, anchors, config) -> float:
-    err = 0.0
-    for percent, nadir_target, settled_target in anchors:
-        try:
-            tr = dynamics.simulate(model, _anchor_schedule(model, percent),
-                                   config)
-        except dynamics.InstabilityError:
-            return float("inf")
-        mx = metrics(tr)
-        if nadir_target is not None:
-            err += (mx.nadir_hz - nadir_target) ** 2
-        if settled_target is not None:
-            err += (mx.settled_f_hz - settled_target) ** 2
-    return err
-
-
 def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
     """Fit governor droop, servo constant and damping to response anchors.
 
     Anchors are (attack percent, target nadir Hz, target settled Hz)
-    triples; either target may be None to skip that term. Stage one scans a
-    9 x 9 x 5 grid over the search box as 405 lanes of one lockstep
-    integrator run per anchor; stage two runs three rounds of coordinate
-    halving around the incumbent through dynamics.simulate, the same
-    integrator with one lane, which also provides the reported residual.
-    Deterministic throughout: no randomness, fixed evaluation order.
+    triples; either target may be None to skip that term. Stage one scores
+    a 9 x 9 x 5 grid over the search box as 405 lanes of one lockstep
+    integrator run per anchor, and its best point is the incumbent, with
+    its grid error. Stage two runs three rounds of coordinate halving
+    around the incumbent, scoring each candidate as a one-lane batch of
+    the same objective. Deterministic throughout: no randomness, fixed
+    evaluation order.
     """
     anchors = tuple(anchors)
     if not anchors:
@@ -320,31 +306,18 @@ def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
         if a[1] is None and a[2] is None:
             raise ValueError(f"anchor {a!r} has no targets")
 
-    final_cfg = dynamics.SimConfig()
-
-    def objective(r, tg, d):
-        return _anchor_error(with_dynamic_params(model, r, tg, d),
-                             anchors, final_cfg)
-
-    (r_lo, r_hi) = CALIBRATION_BOUNDS["r_droop"]
-    (t_lo, t_hi) = CALIBRATION_BOUNDS["t_g"]
-    (d_lo, d_hi) = CALIBRATION_BOUNDS["d"]
-    r_grid = np.linspace(r_lo, r_hi, 9)
-    t_grid = np.linspace(t_lo, t_hi, 9)
-    d_grid = np.linspace(d_lo, d_hi, 5)
-
-    errors = _grid_anchor_errors(model, anchors, r_grid, t_grid, d_grid,
-                                 dt=final_cfg.dt, duration=final_cfg.duration)
+    config = dynamics.SimConfig()
+    axes = [np.linspace(lo, hi, n).tolist()
+            for (lo, hi), n in zip(CALIBRATION_BOUNDS.values(), (9, 9, 5))]
+    grid = list(itertools.product(*axes))
+    errors = _grid_anchor_errors(model, anchors, grid, dt=config.dt,
+                                 duration=config.duration)
     flat = int(np.argmin(errors))
-    i_r, rem = divmod(flat, len(t_grid) * len(d_grid))
-    i_t, i_d = divmod(rem, len(d_grid))
-    current = [float(r_grid[i_r]), float(t_grid[i_t]), float(d_grid[i_d])]
-    best_err = objective(*current)
+    current = list(grid[flat])
+    best_err = float(errors[flat])
 
-    steps = [float(r_grid[1] - r_grid[0]), float(t_grid[1] - t_grid[0]),
-             float(d_grid[1] - d_grid[0])]
-    lows = (r_lo, t_lo, d_lo)
-    highs = (r_hi, t_hi, d_hi)
+    steps = [values[1] - values[0] for values in axes]
+    lows, highs = zip(*CALIBRATION_BOUNDS.values())
     for _ in range(3):
         for axis in range(3):
             steps[axis] *= 0.5
@@ -354,15 +327,16 @@ def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
                                      lows[axis]), highs[axis])
                 if cand == current:
                     continue
-                err = objective(*cand)
+                err = float(_grid_anchor_errors(
+                    model, anchors, [cand], dt=config.dt,
+                    duration=config.duration)[0])
                 if err < best_err - 1e-15:
                     current, best_err = cand, err
 
-    residual = best_err
     return CalibratedParams(
         r_droop=current[0], t_g=current[1], d=current[2],
-        objective_residual=residual,
-        quality_warning=residual > RESIDUAL_WARN_PER_ANCHOR * len(anchors),
+        objective_residual=best_err,
+        quality_warning=best_err > RESIDUAL_WARN_PER_ANCHOR * len(anchors),
     )
 
 

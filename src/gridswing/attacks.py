@@ -21,6 +21,7 @@ model times repeated strikes for maximum effect.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .netmodel import NetworkModel, attack_fraction_to_pu
@@ -123,26 +124,34 @@ def validate_scenario(model: NetworkModel,
         errs.append(("attack_type", "attack_type must be an AttackType, "
                                     f"got {sc.attack_type!r}"))
     given = [m for m in (sc.magnitude_percent, sc.magnitude_mw) if m is not None]
+    magnitude = "magnitude_percent" if sc.magnitude_mw is None else "magnitude_mw"
     if len(given) != 1:
         errs.append(("magnitude_percent", "exactly one of "
                      "magnitude_percent / magnitude_mw is required"))
+    elif not math.isfinite(given[0]):
+        errs.append((magnitude, f"{magnitude} must be finite"))
     elif given[0] <= 0:
-        errs.append(("magnitude_percent" if sc.magnitude_mw is None
-                     else "magnitude_mw", "magnitude must be positive"))
+        errs.append((magnitude, "magnitude must be positive"))
     try:
         resolve_target(model, sc.target_bus)
     except ValueError as exc:
         errs.append(("target_bus", str(exc)))
-    if sc.t_start < 0:
+    if not math.isfinite(sc.t_start):
+        errs.append(("t_start", "t_start must be finite"))
+    elif sc.t_start < 0:
         errs.append(("t_start", "t_start must be non-negative"))
     if sc.family == "switching":
         if sc.t1 is None:
             errs.append(("t1", "switching needs t1"))
+        elif not math.isfinite(sc.t1):
+            errs.append(("t1", "t1 must be finite"))
         elif sc.t1 <= sc.t_start:
             errs.append(("t1", "t1 must come after t_start"))
     if sc.family in ("periodic", "combination"):
         if sc.interval is None or sc.interval <= 0:
             errs.append(("interval", f"{sc.family} needs a positive interval"))
+        elif not math.isfinite(sc.interval):
+            errs.append(("interval", "interval must be finite"))
         if sc.count is None or sc.count < 1:
             errs.append(("count", f"{sc.family} needs count >= 1"))
     if sc.trigger not in ("time", "slope"):

@@ -52,7 +52,6 @@ class Governor:
 class Generator:
     bus: int
     p_set: float  # scheduled active power, system pu
-    v_set: float  # terminal voltage setpoint, pu
     mva_base: float  # machine rating, MVA
     h: float  # inertia constant, seconds on machine base
     xd_t: float  # transient reactance, pu on system base
@@ -128,11 +127,11 @@ def builtin_wscc9() -> NetworkModel:
     # Machine-base inertia values; on the 100 MVA system base these are the
     # familiar 23.64 / 6.39 / 3.01 s.
     gens = (
-        Generator(1, 0.67, 1.04, 247.5, 9.55, 0.0608,
+        Generator(1, 0.67, 247.5, 9.55, 0.0608,
                   Governor(r_droop=0.08, t_g=5.0, p_max=2.5)),
-        Generator(2, 1.63, 1.025, 192.0, 3.33, 0.1198,
+        Generator(2, 1.63, 192.0, 3.33, 0.1198,
                   Governor(r_droop=0.08, t_g=5.0, p_max=3.0)),
-        Generator(3, 0.85, 1.025, 128.0, 2.35, 0.1813,
+        Generator(3, 0.85, 128.0, 2.35, 0.1813,
                   Governor(r_droop=0.08, t_g=5.0, p_max=2.7)),
     )
     loads = (

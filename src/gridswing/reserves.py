@@ -34,6 +34,11 @@ class ReserveProduct:
     def __post_init__(self):
         if self.direction not in ("up", "down", "both"):
             raise ValueError(f"{self.name}: bad direction {self.direction!r}")
+        if not all(map(math.isfinite, (self.activation_start,
+                                       self.full_activation,
+                                       self.response_time, self.capacity_mw))):
+            raise ValueError(f"{self.name}: activation levels, response time "
+                             "and capacity must be finite")
         if self.capacity_mw < 0 or self.response_time <= 0:
             raise ValueError(f"{self.name}: capacity and response time must be positive")
         # Equality marks a step product (FFR): full output the moment the

@@ -1,4 +1,5 @@
 """Metrics, sweeps, calibration, and feasibility reporting."""
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -230,10 +231,9 @@ def test_late_reversion_acts_like_a_fresh_opposite_step(model):
 def test_calibrate_default_anchor_hits_box_corner(calibrated):
     """The anchor response is slower than anything inside the search box,
     so the fit parks at the softest corner and flags the misfit."""
-    assert calibrated.r_droop == pytest.approx(0.08)
-    assert calibrated.t_g == pytest.approx(5.0)
-    assert calibrated.d == pytest.approx(0.0)
-    assert calibrated.objective_residual == pytest.approx(0.0443, abs=2e-3)
+    assert (calibrated.r_droop, calibrated.t_g, calibrated.d) == \
+        (0.08, 5.0, 0.0)
+    assert calibrated.objective_residual == 0.04431508330697249
     assert calibrated.quality_warning is True
 
 
@@ -244,7 +244,8 @@ def test_calibrated_defaults_are_baked_into_the_case(model, calibrated):
 
 def test_calibrate_settled_only_anchor(model):
     cal = analysis.calibrate(model, anchors=((12.0, None, 49.8),))
-    assert cal.objective_residual < 1e-3
+    assert (cal.r_droop, cal.t_g, cal.d) == (0.065, 5.0, 0.0625)
+    assert cal.objective_residual == 2.9227508903054347e-07
     assert cal.quality_warning is False
     tuned = cal.apply(model)
     tr = dynamics.simulate(
@@ -268,40 +269,45 @@ def test_calibrate_anchor_validation(model):
 
 
 def test_grid_stage_matches_scalar_objective(model):
-    """The vectorized coarse pass must agree bit for bit with the
-    authoritative integrator at shared parameter points."""
+    """Each candidate lane's error equals, bit for bit, the same sum of
+    squared misses formed from the candidate's own simulate run and
+    metrics, term by term in the same order."""
     anchors = analysis.DEFAULT_ANCHORS
-    r_vals, tg_vals, d_vals = [0.03, 0.08], [1.0, 5.0], [0.5]
-    grid = analysis._grid_anchor_errors(model, anchors, r_vals, tg_vals,
-                                        d_vals, dt=0.01, duration=40.0)
+    candidates = [(0.03, 1.0, 0.5), (0.03, 5.0, 0.5), (0.08, 1.0, 0.5),
+                  (0.08, 5.0, 0.5)]
+    grid = analysis._grid_anchor_errors(model, anchors, candidates,
+                                        dt=0.01, duration=40.0)
     cfg = dynamics.SimConfig(dt=0.01, duration=40.0)
-    flat = 0
-    for r in r_vals:
-        for tg in tg_vals:
-            for d in d_vals:
-                scalar = analysis._anchor_error(
-                    netmodel.with_dynamic_params(model, r, tg, d), anchors, cfg)
-                assert grid[flat] == scalar
-                flat += 1
+    for lane, params in enumerate(candidates):
+        tuned = netmodel.with_dynamic_params(model, *params)
+        scalar = 0.0
+        for percent, nadir_target, settled_target in anchors:
+            mx = analysis.metrics(dynamics.simulate(
+                tuned, sweep_schedule(tuned, percent), cfg))
+            scalar += (mx.nadir_hz - nadir_target) ** 2
+            scalar += (mx.settled_f_hz - settled_target) ** 2
+        assert grid[lane] == scalar
 
 
 def test_grid_lanes_are_independent(model):
     """A candidate's error depends on neither its lane position nor the
-    other lanes: permuted candidates give permuted errors, and a grid of
-    one (the single-lane form) matches its entry in a wider grid."""
+    other lanes: permuted candidates give permuted errors, and a batch of
+    one (the single-lane form) matches its entry in a wider batch."""
     anchors = analysis.DEFAULT_ANCHORS
     r_vals, tg_vals, d_vals = [0.03, 0.05, 0.08], [1.0, 5.0], [0.0, 0.5]
     grid = analysis._grid_anchor_errors(
-        model, anchors, r_vals, tg_vals, d_vals, dt=0.01, duration=10.0)
+        model, anchors, list(itertools.product(r_vals, tg_vals, d_vals)),
+        dt=0.01, duration=10.0)
     grid = grid.reshape(3, 2, 2)
     perm = [2, 0, 1]
     permuted = analysis._grid_anchor_errors(
-        model, anchors, [r_vals[i] for i in perm], tg_vals, d_vals,
+        model, anchors, list(itertools.product(
+            [r_vals[i] for i in perm], tg_vals, d_vals)),
         dt=0.01, duration=10.0)
     assert np.array_equal(permuted.reshape(3, 2, 2), grid[perm])
     for i_r, i_t, i_d in [(1, 1, 1), (2, 1, 0)]:  # (2, 1, 0): box corner
         one = analysis._grid_anchor_errors(
-            model, anchors, [r_vals[i_r]], [tg_vals[i_t]], [d_vals[i_d]],
+            model, anchors, [(r_vals[i_r], tg_vals[i_t], d_vals[i_d])],
             dt=0.01, duration=10.0)
         assert one.shape == (1,)
         assert one[0] == grid[i_r, i_t, i_d]
@@ -386,7 +392,8 @@ def test_guard_trips_beside_nan_in_every_form(model, monkeypatch):
     _, trips = analysis._sweep_lanes(model, [schedule] * 3, config)
     assert trips == single
     errors = analysis._grid_anchor_errors(
-        model, analysis.DEFAULT_ANCHORS, [0.03, 0.05, 0.08], [1.0], [0.5],
+        model, analysis.DEFAULT_ANCHORS,
+        [(0.03, 1.0, 0.5), (0.05, 1.0, 0.5), (0.08, 1.0, 0.5)],
         dt=0.01, duration=0.02)
     assert np.isinf(errors).tolist() == [True, True, False]
 

@@ -135,6 +135,25 @@ def test_validate_both_magnitudes(model):
     assert errs == [("magnitude_mw", "magnitude must be positive")]
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+@pytest.mark.parametrize("field, kw", [
+    ("magnitude_percent", {}),
+    ("magnitude_mw", {"magnitude_percent": None}),
+    ("t_start", {}),
+    ("t1", {"family": "switching", "t1": 5.0}),
+    ("interval", {"family": "periodic", "interval": 4.0, "count": 2}),
+])
+def test_validate_rejects_non_finite_fields(model, field, kw, value):
+    """A NaN or infinite magnitude, start, reversion time or interval is
+    named once, at its field, and nothing compiles."""
+    scenario = sc(**{**kw, field: value})
+    assert attacks.validate_scenario(model, scenario) == [
+        (field, f"{field} must be finite")]
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        attacks.compile_scenario(model, scenario)
+
+
 def test_compile_raises_on_invalid(model):
     with pytest.raises(ValueError, match="interval"):
         attacks.compile_scenario(

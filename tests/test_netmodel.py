@@ -161,6 +161,18 @@ def test_from_file_names_the_file_for_a_value_beyond_float(model, tmp_path):
         netmodel.from_file(str(path))
 
 
+def test_from_file_rejects_a_generator_v_set(model, tmp_path):
+    """The power flow holds a machine bus at the bus's v_set, so a
+    generator v_set could only be ignored: a file carrying one is
+    malformed."""
+    path = tmp_path / "case.json"
+    raw = json.loads(json.dumps(dataclasses.asdict(model)))
+    raw["generators"][0]["v_set"] = 1.0
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=f"malformed case file {path}: .*v_set"):
+        netmodel.from_file(str(path))
+
+
 def test_from_file_rejects_invalid(model, tmp_path):
     path = tmp_path / "invalid.json"
     raw = json.loads(json.dumps(dataclasses.asdict(model)))

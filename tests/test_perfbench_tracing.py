@@ -8,7 +8,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from gridswing import netmodel, powerflow
+from gridswing import analysis, netmodel, powerflow
 
 PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("perfbench_tracing", PATH)
@@ -52,3 +52,23 @@ def test_tracer_counts_a_power_flow_and_restores_it():
     out = tracer.metrics()
     assert out["powerflow.solve.calls"] == 1
     assert out["powerflow.solve.iterations"] == sol.iterations > 0
+
+
+def test_tracer_counts_candidate_lanes_and_their_steps(model):
+    """Two candidates over 0.1 s at 0.01 s: 2 lanes of 10 steps for the
+    one default anchor."""
+    original = analysis._grid_anchor_errors
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        errors = analysis._grid_anchor_errors(
+            model, analysis.DEFAULT_ANCHORS,
+            [(0.08, 5.0, 0.0), (0.05, 2.0, 0.5)], dt=0.01, duration=0.1)
+    finally:
+        tracer.uninstall()
+    assert analysis._grid_anchor_errors is original
+    assert errors.shape == (2,)
+    out = tracer.metrics()
+    assert out["analysis._grid_anchor_errors.calls"] == 1
+    assert out["analysis._grid_anchor_errors.lanes"] == 2
+    assert tracer.lane_steps() == 20

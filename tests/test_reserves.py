@@ -130,3 +130,9 @@ def test_product_validation():
         reserves.ReserveProduct("x", "diagonal", -0.1, -0.5, 2.0, 100.0)
     with pytest.raises(ValueError):
         reserves.ReserveProduct("x", "up", -0.1, -0.5, 2.0, -100.0)
+    nan, inf = float("nan"), float("inf")
+    for args in [(nan, -0.5, 2.0, 100.0), (-0.1, nan, 2.0, 100.0),
+                 (-0.1, -0.5, nan, 100.0), (-0.1, -0.5, inf, 100.0),
+                 (-0.1, -0.5, 2.0, nan)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            reserves.ReserveProduct("x", "up", *args)
