@@ -264,8 +264,8 @@ def _grid_anchor_errors(model, anchors, candidates,
     nadir and of the final (settled) COI frequency against the targets
     that are given. The candidates run as lanes of the lockstep integrator
     behind dynamics.simulate, one batched run per anchor, and each lane's
-    error is that of the candidate's own simulate run, bit for bit. A lane
-    that the integrator marks as tripped scores inf.
+    error equals the candidate's _anchor_error, bit for bit. A lane that
+    the integrator marks as tripped scores inf, as its scalar run would.
     """
     lanes = [with_dynamic_params(model, r, tg, d) for r, tg, d in candidates]
     pf = powerflow.solve(model)
@@ -285,17 +285,34 @@ def _grid_anchor_errors(model, anchors, candidates,
     return errors
 
 
+def _anchor_error(model, anchors, config) -> float:
+    err = 0.0
+    for percent, nadir_target, settled_target in anchors:
+        try:
+            tr = dynamics.simulate(model, _anchor_schedule(model, percent),
+                                   config)
+        except dynamics.InstabilityError:
+            return float("inf")
+        mx = metrics(tr)
+        if nadir_target is not None:
+            err += (mx.nadir_hz - nadir_target) ** 2
+        if settled_target is not None:
+            err += (mx.settled_f_hz - settled_target) ** 2
+    return err
+
+
 def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
     """Fit governor droop, servo constant and damping to response anchors.
 
     Anchors are (attack percent, target nadir Hz, target settled Hz)
     triples; either target may be None to skip that term. Stage one scores
-    a 9 x 9 x 5 grid over the search box as 405 lanes of one lockstep
-    integrator run per anchor, and its best point is the incumbent, with
-    its grid error. Stage two runs three rounds of coordinate halving
-    around the incumbent, scoring each candidate as a one-lane batch of
-    the same objective. Deterministic throughout: no randomness, fixed
-    evaluation order.
+    a list of 9 x 9 x 5 (r_droop, t_g, d) candidates over the search box
+    as 405 lanes of one lockstep integrator run per anchor, and its best
+    point is the incumbent. Stage two reruns the incumbent and then runs
+    three rounds of coordinate halving around it through dynamics.simulate,
+    the same integrator with one lane, which also provides the reported
+    residual. Deterministic throughout: no randomness, fixed evaluation
+    order.
     """
     anchors = tuple(anchors)
     if not anchors:
@@ -307,14 +324,18 @@ def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
             raise ValueError(f"anchor {a!r} has no targets")
 
     config = dynamics.SimConfig()
+
+    def objective(r, tg, d):
+        return _anchor_error(with_dynamic_params(model, r, tg, d),
+                             anchors, config)
+
     axes = [np.linspace(lo, hi, n).tolist()
             for (lo, hi), n in zip(CALIBRATION_BOUNDS.values(), (9, 9, 5))]
     grid = list(itertools.product(*axes))
     errors = _grid_anchor_errors(model, anchors, grid, dt=config.dt,
                                  duration=config.duration)
-    flat = int(np.argmin(errors))
-    current = list(grid[flat])
-    best_err = float(errors[flat])
+    current = list(grid[int(np.argmin(errors))])
+    best_err = objective(*current)
 
     steps = [values[1] - values[0] for values in axes]
     lows, highs = zip(*CALIBRATION_BOUNDS.values())
@@ -327,9 +348,7 @@ def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
                                      lows[axis]), highs[axis])
                 if cand == current:
                     continue
-                err = float(_grid_anchor_errors(
-                    model, anchors, [cand], dt=config.dt,
-                    duration=config.duration)[0])
+                err = objective(*cand)
                 if err < best_err - 1e-15:
                     current, best_err = cand, err
 

@@ -271,7 +271,8 @@ def test_calibrate_anchor_validation(model):
 def test_grid_stage_matches_scalar_objective(model):
     """Each candidate lane's error equals, bit for bit, the same sum of
     squared misses formed from the candidate's own simulate run and
-    metrics, term by term in the same order."""
+    metrics, term by term in the same order, and the scalar objective
+    that calibrate's refinement uses."""
     anchors = analysis.DEFAULT_ANCHORS
     candidates = [(0.03, 1.0, 0.5), (0.03, 5.0, 0.5), (0.08, 1.0, 0.5),
                   (0.08, 5.0, 0.5)]
@@ -287,6 +288,7 @@ def test_grid_stage_matches_scalar_objective(model):
             scalar += (mx.nadir_hz - nadir_target) ** 2
             scalar += (mx.settled_f_hz - settled_target) ** 2
         assert grid[lane] == scalar
+        assert analysis._anchor_error(tuned, anchors, cfg) == scalar
 
 
 def test_grid_lanes_are_independent(model):
