@@ -311,8 +311,9 @@ def _write_together(*writes) -> None:
 def write_trace_csv(trace: dynamics.SimulationTrace, path: str) -> None:
     """Serialize a trace with a fixed 6-decimal format; byte-stable.
 
-    Rows are formatted from Python floats a chunk at a time, so the text
-    and the float lists of the whole trace are never held at once.
+    Rows are formatted from Python floats a chunk at a time, one %
+    operation per chunk, so the text and the float lists of the whole
+    trace are never held at once.
     """
     n_gen = trace.f_gen.shape[1]
     header = ("t_s,f_coi_hz,"
@@ -325,8 +326,8 @@ def write_trace_csv(trace: dynamics.SimulationTrace, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for start in range(0, len(table), _CSV_CHUNK_ROWS):
-            fh.write("".join(row % tuple(cells) for cells in
-                             table[start:start + _CSV_CHUNK_ROWS].tolist()))
+            chunk = table[start:start + _CSV_CHUNK_ROWS]
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def write_report_json(report: dict, path: str) -> None:

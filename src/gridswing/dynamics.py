@@ -159,22 +159,27 @@ class _PowerKernel:
     """Powers Re(ev conj(y_red ev)), ev = e_int exp(j delta), for (m,) or
     (lanes, m) angles, in buffers made once: a call returns a view that the
     next rewrites. The +0.0 real parts give np.exp(1j * delta)'s bits, as
-    exp(+-0) = 1; np.matvec gives each lane the bits of one lane's np.dot."""
+    exp(+-0) = 1; np.matvec gives each lane the bits of one lane's np.dot.
+    The ufuncs are called through local names with positional outputs,
+    which numpy parses faster than out= keywords."""
 
     def __init__(self, e_int: np.ndarray, shape):
-        self.e_int = e_int.astype(complex)
+        self.e_int = np.broadcast_to(e_int, shape).astype(complex)
         self.z, self.ev, self.current, self.product = np.zeros(
             (4, *shape), dtype=complex)
         self.angles, self.p_e = self.z.imag, self.product.real
         self.matvec = np.dot if len(shape) == 1 else np.matvec
 
-    def __call__(self, y_red: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        np.copyto(self.angles, delta)
-        np.exp(self.z, out=self.ev)
-        np.multiply(self.e_int, self.ev, out=self.ev)
-        self.matvec(y_red, self.ev, out=self.current)
-        np.conjugate(self.current, out=self.current)
-        np.multiply(self.ev, self.current, out=self.product)
+    def __call__(self, y_red: np.ndarray, delta: np.ndarray,
+                 copyto=np.copyto, exp=np.exp, multiply=np.multiply,
+                 conjugate=np.conjugate) -> np.ndarray:
+        ev, current = self.ev, self.current
+        copyto(self.angles, delta)
+        exp(self.z, ev)
+        multiply(self.e_int, ev, ev)
+        self.matvec(y_red, ev, current)
+        conjugate(current, current)
+        multiply(ev, current, self.product)
         return self.p_e
 
 
@@ -353,10 +358,16 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     _, d_omega, p_m = y_rows = tuple(y)
     k1, k2, k3, k4, stage, acc = (np.empty_like(y) for _ in range(6))
     stage_rows = tuple(stage)
-    # Each slope buffer with its rows 1, 2 and 1: for rhs.
-    s1, s2, s3, s4 = ((k, k[1], k[2], k[1:]) for k in (k1, k2, k3, k4))
-    rates = stacked(omega_s, d_sys, droop_gain)
-    lags = stacked(2.0 * h_sys, t_g)
+    # Stages 2 and 3 take doubled slopes 2 k: 2 omega_s and (H, T_g / 2)
+    # scale each row by a power of two, which rounds like doubling k.
+    # Each slope buffer comes with its rows 1, 2 and 1: and its constants.
+    plain = (stacked(omega_s, d_sys, droop_gain), stacked(2.0 * h_sys, t_g))
+    doubled = (stacked(2.0 * omega_s, d_sys, droop_gain),
+               stacked(h_sys, 0.5 * t_g))
+    s1, s2, s3, s4 = ((k, k[1], k[2], k[1:], *c) for k, c in (
+        (k1, plain), (k2, doubled), (k3, doubled), (k4, plain)))
+    p_ref, p_max = (np.array(np.broadcast_to(p, lane_shape))
+                    for p in (p_ref, p_max))
     spare = np.empty(lane_shape)
     idx = model.bus_index()
 
@@ -405,24 +416,28 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
         applied[lane].append(
             (t_now, f"{labels[lane]} {delta_p:+.4f} pu @ bus {bus}"))
 
+    multiply, add, subtract, divide = (np.multiply, np.add, np.subtract,
+                                       np.divide)
+
     def rhs(src, slopes):
         """Write the slopes at the state rows src into slopes[0]."""
         dl, dw, pm = src
-        k, k_dw, k_pm, k_tail = slopes
+        k, k_dw, k_pm, k_tail, rates, lags = slopes
         pe = power(y_red, dl)
-        np.multiply(rates, dw, out=k)  # omega_s dw, D dw, droop_gain dw
+        multiply(rates, dw, k)  # omega_s dw, D dw, droop_gain dw
         if products:
-            np.add(pm, p_res, out=spare)
-            np.subtract(spare, pe, out=spare)
+            add(pm, p_res, spare)
+            subtract(spare, pe, spare)
         else:
-            np.subtract(pm, pe, out=spare)
-        np.subtract(spare, k_dw, out=k_dw)
-        np.subtract(p_ref, k_pm, out=k_pm)
-        np.subtract(k_pm, pm, out=k_pm)
-        np.divide(k_tail, lags, out=k_tail)
+            subtract(pm, pe, spare)
+        subtract(spare, k_dw, k_dw)
+        subtract(p_ref, k_pm, k_pm)
+        subtract(k_pm, pm, k_pm)
+        divide(k_tail, lags, k_tail)
 
-    whole_dt, half_dt, sixth_dt, two, zero = map(
-        np.array, (dt, 0.5 * dt, dt / 6.0, 2.0, 0.0))
+    half_dt, quarter_dt, sixth_dt = (np.full(y.shape, c) for c in (
+        0.5 * dt, 0.25 * dt, dt / 6.0))
+    zero = np.zeros(lane_shape)
     for k in range(n_steps + 1):
         t_now = k * dt
         for lane, bus, delta_p in by_step.get(k, ()):
@@ -449,24 +464,24 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
         if k == n_steps or not live:
             return
 
-        # RK4 over [t, t+dt] with constant reserves and admittances
+        # RK4 over [t, t+dt] with constant reserves and admittances; k2
+        # and k3 hold 2 k2 and 2 k3, so they take dt / 4 and dt / 2.
         rhs(y_rows, s1)
-        np.multiply(k1, half_dt, out=stage)
-        np.add(y, stage, out=stage)
+        multiply(k1, half_dt, stage)
+        add(y, stage, stage)
         rhs(stage_rows, s2)
-        np.multiply(k2, half_dt, out=stage)
-        np.add(y, stage, out=stage)
+        multiply(k2, quarter_dt, stage)
+        add(y, stage, stage)
         rhs(stage_rows, s3)
-        np.multiply(k3, whole_dt, out=stage)
-        np.add(y, stage, out=stage)
+        multiply(k3, half_dt, stage)
+        add(y, stage, stage)
         rhs(stage_rows, s4)
-        np.multiply(k2, two, out=acc)
-        np.add(k1, acc, out=acc)
-        np.multiply(k3, two, out=k3)
-        np.add(acc, k3, out=acc)
-        np.add(acc, k4, out=acc)
-        np.multiply(acc, sixth_dt, out=acc)
-        np.add(y, acc, out=y)
+        add(k1, k2, acc)
+        add(acc, k3, acc)
+        add(acc, k4, acc)
+        multiply(acc, sixth_dt, acc)
+        add(y, acc, y)
+        # numpy 2.4 deprecates a positional output for these two
         np.maximum(p_m, zero, out=p_m)
         np.minimum(p_m, p_max, out=p_m)
 
