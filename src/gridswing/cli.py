@@ -20,7 +20,8 @@ byte-stable for identical runs; ``simulate`` renames its two artifacts into
 place only once both are written.
 
 Exit codes: 0 success, 2 configuration error, 3 power-flow non-convergence,
-4 dynamic instability.
+4 dynamic instability, 5 internal error (a fault of the program, not of
+its input; the one-line diagnostic names the exception type).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import os
 import re
 import sys
 import tempfile
+import traceback
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_POWERFLOW = 3
 EXIT_UNSTABLE = 4
+EXIT_INTERNAL = 5
 
 _RESERVE_PRESETS = ("off", "default")
 _CSV_CHUNK_ROWS = 4096
@@ -626,6 +629,12 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:  # a bug: name it and where it was raised
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"internal error: {exc!r} at "
+              f"{os.path.basename(where.filename)}:{where.lineno}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -301,11 +301,21 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     layout, so each stage input and the final combination take one call
     over all three rows, and rhs multiplies d_omega once by the stacked
     (omega_s, D, droop_gain) and divides rows 1 and 2 once by the stacked
-    (2H, T_g). Every product and sum keeps the operands and the order of
-    the per-variable RK4 formulas, so the numbers are those of that form;
-    without reserves rhs forms p_m - p_e without adding a zero reserve
-    term first. _PowerKernel and 0-d scalar operands keep every network stage
-    free of allocations; the reserve lag factors are computed once per run.
+    (2H, T_g). Stages 2 and 3 run rhs with 2 omega_s and (H, T_g / 2)
+    instead, so k2 and k3 hold exactly 2 k2 and 2 k3 (a power-of-two
+    scaling rounds like the doubling it replaces); their stage inputs take
+    dt / 4 and dt / 2, and the step adds ((k1 + k2) + k3) + k4. Every
+    product and sum thus keeps the operands and the order of the
+    per-variable RK4 formulas y + dt/6 (k1 + 2 k2 + 2 k3 + k4), so the
+    numbers are those of that form; without reserves rhs forms p_m - p_e
+    without adding a zero reserve term first. _PowerKernel keeps every
+    network stage free of allocations, and the step's constants (the dt
+    multiples, p_ref and the clip bounds) have the shape of the arrays they
+    meet, which numpy handles faster than 0-d or broadcast operands; the
+    reserve lag factors are computed once per run. The stage ufuncs are called
+    through local names with positional outputs, which numpy parses faster
+    than out= keywords; np.maximum and np.minimum keep out=, as numpy 2.4
+    deprecates their positional output.
 
     At each boundary k = 0 .. n_steps: apply the events due (each snaps to
     the first boundary at or after its time; those past the horizon never
@@ -358,9 +368,8 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     _, d_omega, p_m = y_rows = tuple(y)
     k1, k2, k3, k4, stage, acc = (np.empty_like(y) for _ in range(6))
     stage_rows = tuple(stage)
-    # Stages 2 and 3 take doubled slopes 2 k: 2 omega_s and (H, T_g / 2)
-    # scale each row by a power of two, which rounds like doubling k.
-    # Each slope buffer comes with its rows 1, 2 and 1: and its constants.
+    # Each slope buffer with its rows 1, 2 and 1: and its rhs constants;
+    # stages 2 and 3 take the doubled ones, so k2 and k3 hold 2 k.
     plain = (stacked(omega_s, d_sys, droop_gain), stacked(2.0 * h_sys, t_g))
     doubled = (stacked(2.0 * omega_s, d_sys, droop_gain),
                stacked(h_sys, 0.5 * t_g))
@@ -455,7 +464,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
             # Python's left-to-right sums per lane: np.sum's pairwise order
             # could round differently.
             for lane, mw in enumerate(outputs.tolist()):
-                np.multiply(mva_share, sum(mw) * mw_to_pu, out=res_rows[lane])
+                multiply(mva_share, sum(mw) * mw_to_pu, res_rows[lane])
                 p_reserve[0][lane] = sum(v for v in mw if v > 0) * mw_to_pu
                 p_reserve[1][lane] = sum(v for v in mw if v < 0) * mw_to_pu
 

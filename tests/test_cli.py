@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gridswing import cli, dynamics, netmodel
+from gridswing import analysis, cli, dynamics, netmodel
 
 HEADER = ("t_s,f_coi_hz,f_gen1_hz,f_gen2_hz,f_gen3_hz,"
           "p_attack_pu,p_reserve_up_pu,p_reserve_down_pu")
@@ -204,6 +204,39 @@ def test_sweep_run_error_keeps_its_message(tmp_path, capsys, monkeypatch):
     assert cli.main(["sweep", write_scenario(tmp_path),
                      "--magnitudes", "4,8"]) == 2
     assert capsys.readouterr().err == "error: Singular matrix\n"
+
+
+@pytest.mark.parametrize("exc, code, err", [
+    (cli.ScenarioError("a.scn", "dt_s", 3, "must be positive"), 2,
+     "error: a.scn:3 (key 'dt_s'): must be positive\n"),
+    (analysis.FitError("only 1 sweep points survived; cannot fit"), 2,
+     "error: only 1 sweep points survived; cannot fit\n"),
+    (RuntimeError("cannot write r.json: [Errno 2] No such file"), 2,
+     "error: cannot write r.json: [Errno 2] No such file\n"),
+    (TypeError("unsupported operand"), 5,
+     "internal error: TypeError('unsupported operand') at test_cli.py:"),
+    (KeyError("x\ny"), 5, "internal error: KeyError('x\\ny') at test_cli.py:"),
+], ids=["scenario", "fit", "write", "type", "key"])
+def test_exit_code_of_each_error_kind(capsys, monkeypatch, exc, code, err):
+    """Input problems exit 2; anything else that escapes a command is a
+    fault of the program: exit 5, one line naming the exception type and
+    the file and line that raised it."""
+    def failing(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "feasibility", failing)
+    assert cli.main(["feasibility", "1400", "2025"]) == code
+    got = capsys.readouterr().err
+    assert got.startswith(err) and got.count("\n") == 1
+
+
+def test_interrupt_is_not_an_internal_error(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._COMMANDS, "feasibility", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["feasibility", "1400", "2025"])
 
 
 # Every kind of JSON value, with zero, negatives, NaN and Infinity literals

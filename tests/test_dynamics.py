@@ -35,6 +35,11 @@ def test_init_state_matches_dispatch(model, pf):
     assert pe == pytest.approx(p_m, abs=1e-9)
 
 
+def same_bits(a, b):
+    return np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                          np.ascontiguousarray(b).view(np.uint64))
+
+
 def _allocating_pe(y_red, e_int, delta):
     """The electrical power as one allocating expression, per lane."""
     ev = e_int * np.exp(1j * delta)
@@ -52,11 +57,6 @@ def test_power_kernel_bits_equal_the_allocating_expression(model, pf):
     rng = np.random.default_rng(7)
     angles = rng.uniform(-4.0, 4.0, size=(6, 5, 3))
     angles[0, 0] = (-0.5, -1e-300, -0.0)
-
-    def same_bits(a, b):
-        return np.array_equal(np.ascontiguousarray(a).view(np.uint64),
-                              np.ascontiguousarray(b).view(np.uint64))
-
     one = dynamics._PowerKernel(e_int, (3,))
     batch = dynamics._PowerKernel(e_int, (5, 3))
     stack = np.stack([y_base, y_event, y_event, y_base, y_event])
@@ -71,6 +71,101 @@ def test_power_kernel_bits_equal_the_allocating_expression(model, pf):
                              _allocating_pe(stack[lane], e_int, delta[lane]))
     assert same_bits(dynamics.electrical_power(y_event, e_int, angles[0, 0]),
                      _allocating_pe(y_event, e_int, angles[0, 0]))
+
+
+def _plain_rk4(models, pf, schedules, config, n_steps):
+    """Each lane's (f_coi, d_omega) at boundaries 0 .. n_steps from the
+    per-variable RK4 y + dt/6 (k1 + 2 k2 + 2 k3 + k4), one lane at a time,
+    in the integrator's boundary order: events, reserve update, step."""
+    model = models[0]
+    delta0, e_int, p_ref, y_red0 = dynamics.init_state(model, pf)
+    f_nom = model.f_nominal
+    omega_s = 2.0 * np.pi * f_nom
+    dt = config.dt
+    mva, h_sys, *_ = dynamics.machine_params(model)
+    mw_to_pu = netmodel.scheduled_generation(model) / model.national_total_mw
+    products = tuple(p for p in config.reserves if p.enabled)
+    alpha = reserves.lag_factors(products, dt)
+    if config.coupling == "linear":
+        power = dynamics._Linearization(model, pf, y_red0, e_int, delta0,
+                                        p_ref)
+        build = power.offset
+    else:
+        def power(y_red, delta):
+            return dynamics.electrical_power(y_red, e_int, delta)
+
+        def build(loads_p):
+            return dynamics.build_reduced(model, pf, loads_p)
+
+    lanes = []
+    for lane_model, schedule in zip(models, schedules):
+        _, _, d_sys, droop_gain, t_g, p_max = dynamics.machine_params(
+            lane_model)
+        loads = dynamics.base_loads(model)
+        coupling = build(loads.copy())
+        delta, dw, pm = delta0.copy(), np.zeros_like(delta0), p_ref.copy()
+        outputs = np.zeros((1, len(products)))
+        p_res = None
+
+        def rhs(dl, w, m):
+            surplus = m - power(coupling, dl) if p_res is None \
+                else (m + p_res) - power(coupling, dl)
+            return (omega_s * w, (surplus - d_sys * w) / (2.0 * h_sys),
+                    ((p_ref - droop_gain * w) - m) / t_g)
+
+        samples = []
+        for k in range(n_steps + 1):
+            for ev in schedule.events:
+                if dynamics.step_index(ev.time, dt) == k:
+                    loads[model.bus_index()[ev.bus]] += ev.delta_p
+                    coupling = build(loads.copy())
+            f_coi = f_nom * (1.0 + np.vecdot(dw, h_sys) / h_sys.sum())
+            if products:
+                outputs = reserves.respond(outputs, [[
+                    reserves.command(p, float(f_coi), f_nom)
+                    for p in products]], alpha)
+                p_res = mva / mva.sum() * (sum(outputs[0].tolist())
+                                           * mw_to_pu)
+            samples.append((f_coi, dw.copy()))
+            y = (delta, dw, pm)
+            k1 = rhs(*y)
+            k2 = rhs(*(v + 0.5 * dt * s for v, s in zip(y, k1)))
+            k3 = rhs(*(v + 0.5 * dt * s for v, s in zip(y, k2)))
+            k4 = rhs(*(v + dt * s for v, s in zip(y, k3)))
+            delta, dw, pm = (v + dt / 6.0 * (((a + 2.0 * b) + 2.0 * c) + d)
+                             for v, a, b, c, d in zip(y, k1, k2, k3, k4))
+            pm = np.minimum(np.maximum(pm, 0.0), p_max)
+        lanes.append(samples)
+    return lanes
+
+
+@pytest.mark.parametrize("coupling", ["network", "linear"])
+def test_lockstep_is_plain_rk4_bit_for_bit(model, pf, coupling):
+    """The integrator's doubled-slope stages (2 k2 and 2 k3 straight from
+    rhs) give the bits of textbook RK4: for one lane without reserves, and
+    for three lanes with their own governors, magnitudes and the default
+    reserves."""
+    n_steps = 100
+    one = ([model], [make_schedule(model, t_start=0.05)],
+           dynamics.SimConfig(duration=n_steps * DT, coupling=coupling))
+    three = ([netmodel.with_dynamic_params(model, *params) for params in
+              ((0.05, 2.0, 0.0), (0.08, 5.0, 1.0), (0.03, 1.0, 2.0))],
+             [make_schedule(model, t_start=0.05, magnitude_percent=mag)
+              for mag in (4.0, 8.0, 12.0)],
+             dynamics.SimConfig(duration=n_steps * DT, coupling=coupling,
+                                reserves=reserves.default_products()))
+    for models, schedules, config in (one, three):
+        want = _plain_rk4(models, pf, schedules, config, n_steps)
+        seen = 0
+        for k, _, f_coi, d_omega, *_ in dynamics._lockstep(
+                models, pf, schedules, config):
+            for lane, samples in enumerate(want):
+                f_ref, dw_ref = samples[k]
+                assert same_bits(np.reshape(f_coi, -1)[lane], f_ref)
+                assert same_bits(np.reshape(d_omega, (-1, 3))[lane], dw_ref)
+            seen += 1
+        assert seen == n_steps + 1
+        assert np.abs(want[-1][-1][1]).max() > 1e-4  # the attack acted
 
 
 def _kron_pe_by_hand(model, pf, loads_p, e_int, delta):
