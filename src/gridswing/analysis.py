@@ -268,6 +268,8 @@ def _grid_anchor_errors(model, anchors, candidates,
     the integrator marks as tripped scores inf, as its scalar run would.
     """
     lanes = [with_dynamic_params(model, r, tg, d) for r, tg, d in candidates]
+    if not lanes:  # no lanes to step, as in _sweep_lanes
+        return np.zeros(0)
     pf = powerflow.solve(model)
     config = dynamics.SimConfig(dt=dt, duration=duration)
     errors = np.zeros(len(lanes))

@@ -156,28 +156,33 @@ def build_reduced(model: NetworkModel, pf: PowerFlowSolution,
 
 
 class _PowerKernel:
-    """Powers Re(ev conj(y_red ev)), ev = e_int exp(j delta), for (m,) or
-    (lanes, m) angles, in buffers made once: a call returns a view that the
-    next rewrites. The +0.0 real parts give np.exp(1j * delta)'s bits, as
-    exp(+-0) = 1; np.matvec gives each lane the bits of one lane's np.dot.
-    The ufuncs are called through local names with positional outputs,
-    which numpy parses faster than out= keywords."""
+    """Powers Re(ev conj(y_red ev)), ev = e_int exp(j delta), for the flat
+    (B m,) angles of B lanes, in buffers made once: a call returns a 1-D
+    view that the next rewrites. y_red is one (m, m) reduction all lanes
+    share or a (B, m, m) stack. The +0.0 real parts give np.exp(1j *
+    delta)'s bits, as exp(+-0) = 1; np.matvec on (B, m) views gives each
+    lane the bits of one lane's np.dot. The ufuncs are called through
+    local names with positional outputs, which numpy parses faster than
+    out= keywords."""
 
-    def __init__(self, e_int: np.ndarray, shape):
-        self.e_int = np.broadcast_to(e_int, shape).astype(complex)
-        self.z, self.ev, self.current, self.product = np.zeros(
-            (4, *shape), dtype=complex)
+    def __init__(self, e_int: np.ndarray, n_lanes: int):
+        m = len(e_int)
+        self.e_int = np.tile(e_int, n_lanes).astype(complex)
+        self.z, ev, current, self.product = np.zeros((4, n_lanes * m),
+                                                     dtype=complex)
         self.angles, self.p_e = self.z.imag, self.product.real
-        self.matvec = np.dot if len(shape) == 1 else np.matvec
+        self.matvec, lanes = (np.dot, (m,)) if n_lanes == 1 else (
+            np.matvec, (n_lanes, m))
+        self.buffers = ev, current, ev.reshape(lanes), current.reshape(lanes)
 
     def __call__(self, y_red: np.ndarray, delta: np.ndarray,
                  copyto=np.copyto, exp=np.exp, multiply=np.multiply,
                  conjugate=np.conjugate) -> np.ndarray:
-        ev, current = self.ev, self.current
+        ev, current, ev_lanes, current_lanes = self.buffers
         copyto(self.angles, delta)
         exp(self.z, ev)
         multiply(self.e_int, ev, ev)
-        self.matvec(y_red, ev, current)
+        self.matvec(y_red, ev_lanes, current_lanes)
         conjugate(current, current)
         multiply(ev, current, self.product)
         return self.p_e
@@ -185,8 +190,8 @@ class _PowerKernel:
 
 def electrical_power(y_red: np.ndarray, e_int: np.ndarray,
                      delta: np.ndarray) -> np.ndarray:
-    """_PowerKernel's powers, in buffers of their own."""
-    return _PowerKernel(e_int, np.shape(delta))(y_red, delta)
+    """_PowerKernel's powers at one lane's angles, in buffers of their own."""
+    return _PowerKernel(e_int, 1)(y_red, delta)
 
 
 def base_loads(model: NetworkModel) -> np.ndarray:
@@ -226,16 +231,16 @@ def init_state(model: NetworkModel, pf: PowerFlowSolution | None = None):
 
 
 def _mark_trips(d_omega: np.ndarray, trip: np.ndarray, k: int) -> int:
-    """The speed guard: mark boundary k in trip for each unmarked lane with
-    a machine past SPEED_GUARD_PU; return how many it marked. A NaN speed
-    trips nothing, but a machine past the guard beside it does. Only when
-    a quick test fails (one lane's Python floats, which is faster, or a
-    batch's global max, which a NaN fails too) does fmax, skipping NaN,
-    take each lane's largest speed."""
+    """The speed guard: mark boundary k in trip for each unmarked lane of
+    the (m,) or (B, m) speeds past SPEED_GUARD_PU; return how many it
+    marked. A NaN speed trips nothing, but a machine past the guard beside
+    it does. Only when a quick test fails (one lane's Python floats, or a
+    batch's np.maximum.reduce, which a NaN fails too) does fmax, skipping
+    NaN, take each lane's largest speed."""
     if d_omega.ndim == 1:
         if not any(abs(w) > SPEED_GUARD_PU for w in d_omega.tolist()):
             return 0
-    elif np.abs(d_omega).max() <= SPEED_GUARD_PU:
+    elif np.maximum.reduce(np.abs(d_omega), axis=None) <= SPEED_GUARD_PU:
         return 0
     new = (trip < 0) & (np.fmax.reduce(np.abs(d_omega), axis=-1)
                         > SPEED_GUARD_PU)
@@ -280,42 +285,48 @@ class _Linearization:
     def __call__(self, offset: np.ndarray, delta: np.ndarray) -> np.ndarray:
         return self.pe0 + np.matvec(self.k, delta - self.delta0) + offset
 
+    def lanes(self, offset: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """The call on B lanes' flat (B m,) angles, giving flat powers."""
+        return self(offset, delta.reshape(-1, len(self.delta0))).reshape(-1)
+
 
 def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     """The RK4 integrator: step lanes in lockstep, each with its own schedule.
 
     Lane b runs models[b] under schedules[b]. The models share the network
     and initial state of models[0] and may differ in governor and damping
-    (netmodel.with_dynamic_params). A lane's coupling y_red, its (m, m)
+    (netmodel.with_dynamic_params). A lane's coupling, its (m, m)
     reduction or, under linear coupling, its (m,) power offset, is built
-    once per distinct load vector. One lane carries (m,) state arrays and
-    its coupling alone, because that form is faster; B lanes carry (B, m)
-    arrays and a stack of couplings whose rows change only for lanes with
-    an event. Every expression reduces each lane on its own in a fixed
-    order, so a lane's numbers do not depend on the other lanes. The slope
-    trigger needs a single lane.
+    once per distinct load vector. While all lanes sit on one load vector
+    the power kernel takes its one coupling, else a stack of each lane's,
+    as decided at each boundary that applies events. Every lane-shaped
+    operand is a flat (B m,) row, lane b at [b m, (b + 1) m), which numpy
+    runs on its fast loop; one lane is the B = 1 case, (m,). (B, m) views
+    serve the per-lane reductions: np.matvec, the COI vecdot, the speed
+    guard and the reserve rows. Every expression reduces each lane on its
+    own in a fixed order, so a lane's numbers do not depend on the other
+    lanes. The slope trigger needs a single lane.
 
-    Buffers, all allocated once per run: the state y is one (3, *lanes)
-    array, lanes being (m,) or (B, m), with rows delta, d_omega and p_m.
-    The four slopes k1..k4, the stage input and the accumulator share that
-    layout, so each stage input and the final combination take one call
-    over all three rows, and rhs multiplies d_omega once by the stacked
-    (omega_s, D, droop_gain) and divides rows 1 and 2 once by the stacked
-    (2H, T_g). Stages 2 and 3 run rhs with 2 omega_s and (H, T_g / 2)
-    instead, so k2 and k3 hold exactly 2 k2 and 2 k3 (a power-of-two
-    scaling rounds like the doubling it replaces); their stage inputs take
-    dt / 4 and dt / 2, and the step adds ((k1 + k2) + k3) + k4. Every
-    product and sum thus keeps the operands and the order of the
-    per-variable RK4 formulas y + dt/6 (k1 + 2 k2 + 2 k3 + k4), so the
-    numbers are those of that form; without reserves rhs forms p_m - p_e
-    without adding a zero reserve term first. _PowerKernel keeps every
-    network stage free of allocations, and the step's constants (the dt
-    multiples, p_ref and the clip bounds) have the shape of the arrays they
-    meet, which numpy handles faster than 0-d or broadcast operands; the
-    reserve lag factors are computed once per run. The stage ufuncs are called
-    through local names with positional outputs, which numpy parses faster
-    than out= keywords; np.maximum and np.minimum keep out=, as numpy 2.4
-    deprecates their positional output.
+    Buffers, all allocated once per run: the state y is one (3, B m) array
+    with rows delta, d_omega and p_m. The four slopes k1..k4, the stage
+    input and the accumulator share that layout, so each stage input and
+    the final combination take one call over all three rows, and rhs
+    multiplies d_omega once by the stacked (omega_s, D, droop_gain) and
+    divides rows 1 and 2 once by the stacked (2H, T_g). Stages 2 and 3 run
+    rhs with 2 omega_s and (H, T_g / 2) instead, so k2 and k3 hold exactly
+    2 k2 and 2 k3 (a power-of-two scaling rounds like the doubling it
+    replaces); their stage inputs take dt / 4 and dt / 2, and the step adds
+    ((k1 + k2) + k3) + k4. Every product and sum thus keeps the operands
+    and the order of the per-variable RK4 formulas
+    y + dt/6 (k1 + 2 k2 + 2 k3 + k4), so the numbers are those of that
+    form; without reserves rhs forms p_m - p_e without adding a zero
+    reserve term first. _PowerKernel keeps every network stage free of
+    allocations, and the step's constants (the dt multiples, p_ref and the
+    clip bounds) have the shape of the arrays they meet, which numpy
+    handles faster than 0-d or broadcast operands. The stage ufuncs are
+    called through local names with positional outputs, which numpy parses
+    faster than out= keywords; np.maximum and np.minimum keep out=, as
+    numpy 2.4 deprecates their positional output.
 
     At each boundary k = 0 .. n_steps: apply the events due (each snaps to
     the first boundary at or after its time; those past the horizon never
@@ -323,49 +334,51 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     with the boundary frequency, apply the speed guard (_mark_trips), and
     yield (k, t, f_coi, d_omega, p_attack, (p_reserve_up, p_reserve_down),
     applied, trip); then integrate to the next boundary with reserves
-    held. d_omega has the lanes' shape and f_coi one value per lane;
+    held. d_omega is (m,) or a (B, m) view and f_coi one value per lane;
     p_attack, the reserve totals and trip (each lane's first boundary past
-    the guard, or -1) are (B,) arrays, updated in place like d_omega (a
-    view of y): copy what must outlive the step. applied holds a list of
+    the guard, or -1) are (B,) arrays. All are updated in place, a batch's
+    f_coi too: copy what must outlive the step. applied holds a list of
     (time, label) per lane. A tripped lane's later numbers mean nothing;
     the run ends after the boundary where the last live lane trips.
     """
     model = models[0]
     n_lanes = len(models)
+    batch = n_lanes > 1
     if len(schedules) != n_lanes:
         raise ValueError("need one schedule per lane")
-    if n_lanes > 1 and any(s.policy is not None for s in schedules):
+    if batch and any(s.policy is not None for s in schedules):
         raise ValueError("the slope trigger needs a single lane")
     products = tuple(p for p in config.reserves if p.enabled)
 
     f_nom = model.f_nominal
     omega_s = 2.0 * np.pi * f_nom
     mva, h_sys, d_sys, droop_gain, t_g, p_max = machine_params(model)
-    if n_lanes > 1:
+    if batch:
         _, _, d_sys, droop_gain, t_g, _ = map(
-            np.array, zip(*map(machine_params, models)))
-    lane_shape = t_g.shape  # (m,) for one lane, (B, m) for B lanes
+            np.concatenate, zip(*map(machine_params, models)))
+    row = (n_lanes * len(mva),)  # (m,) for one lane
     h_total = h_sys.sum()
     mva_share = mva / mva.sum()
     mw_to_pu = scheduled_generation(model) / model.national_total_mw
 
     def stacked(*rows):
-        return np.stack([np.broadcast_to(r, lane_shape) for r in rows])
+        return np.stack([np.resize(r, row) for r in rows])
 
     delta0, e_int, p_ref, y_red = init_state(model, pf)
     loads_p = np.tile(base_loads(model), (n_lanes, 1))
     if config.coupling == "network":
-        power = _PowerKernel(e_int, lane_shape)
+        power = _PowerKernel(e_int, n_lanes)
         build = partial(build_reduced, model, pf)
     else:
-        power = _Linearization(model, pf, y_red, e_int, delta0, p_ref)
-        build = power.offset
+        linear = _Linearization(model, pf, y_red, e_int, delta0, p_ref)
+        power = linear.lanes if batch else linear
+        build = linear.offset
         y_red = build(loads_p[0])
-    reduced = {loads_p[0].tobytes(): y_red}
-    if n_lanes > 1:
-        y_red = np.stack([y_red] * n_lanes)
+    keys = [loads_p[0].tobytes()] * n_lanes  # each lane's load vector
+    reduced = {keys[0]: y_red}
     y = stacked(delta0, 0.0, p_ref)
     _, d_omega, p_m = y_rows = tuple(y)
+    dw_lanes = d_omega.reshape(n_lanes, -1) if batch else d_omega
     k1, k2, k3, k4, stage, acc = (np.empty_like(y) for _ in range(6))
     stage_rows = tuple(stage)
     # Each slope buffer with its rows 1, 2 and 1: and its rhs constants;
@@ -375,9 +388,8 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
                stacked(h_sys, 0.5 * t_g))
     s1, s2, s3, s4 = ((k, k[1], k[2], k[1:], *c) for k, c in (
         (k1, plain), (k2, doubled), (k3, doubled), (k4, plain)))
-    p_ref, p_max = (np.array(np.broadcast_to(p, lane_shape))
-                    for p in (p_ref, p_max))
-    spare = np.empty(lane_shape)
+    p_ref, p_max = (np.resize(p, row) for p in (p_ref, p_max))
+    spare = np.empty(row)
     idx = model.bus_index()
 
     dt = config.dt
@@ -403,25 +415,20 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     p_reserve = (np.zeros(n_lanes), np.zeros(n_lanes))  # up, down; pu
     if products:
         res_rows = np.zeros((n_lanes, len(mva)))
-        p_res = res_rows.reshape(lane_shape)  # a view of res_rows
+        p_res = res_rows.reshape(row)  # a view of res_rows
     p_attack = np.zeros(n_lanes)
+    f_coi = np.empty(n_lanes)  # a batch's; one lane forms a scalar
     applied: list[list[tuple[float, str]]] = [[] for _ in schedules]
     trip = np.full(n_lanes, -1)
     live = n_lanes
     labels = [s.label or "event" for s in schedules]
 
     def apply(lane: int, bus: int, delta_p: float, t_now: float):
-        nonlocal y_red
-        j = idx[bus]
-        loads_p[lane, j] += delta_p
+        loads_p[lane, idx[bus]] += delta_p
         p_attack[lane] += delta_p
-        key = loads_p[lane].tobytes()
+        key = keys[lane] = loads_p[lane].tobytes()
         if key not in reduced:
             reduced[key] = build(loads_p[lane].copy())
-        if n_lanes == 1:
-            y_red = reduced[key]
-        else:
-            y_red[lane] = reduced[key]
         applied[lane].append(
             (t_now, f"{labels[lane]} {delta_p:+.4f} pu @ bus {bus}"))
 
@@ -446,18 +453,28 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
 
     half_dt, quarter_dt, sixth_dt = (np.full(y.shape, c) for c in (
         0.5 * dt, 0.25 * dt, dt / 6.0))
-    zero = np.zeros(lane_shape)
+    zero = np.zeros(row)
     for k in range(n_steps + 1):
         t_now = k * dt
-        for lane, bus, delta_p in by_step.get(k, ()):
-            apply(lane, bus, delta_p, t_now)
-        f_coi = f_nom * (1.0 + np.vecdot(d_omega, h_sys) / h_total)
+        due = by_step.get(k)
+        if due:
+            for lane, bus, delta_p in due:
+                apply(lane, bus, delta_p, t_now)
+            # the lanes' one coupling while they share a load vector
+            y_red = reduced[keys[0]] if keys.count(keys[0]) == n_lanes \
+                else np.stack([reduced[key] for key in keys])
+        if batch:  # the one-lane expression below, in place
+            multiply(f_nom, add(1.0, divide(np.vecdot(
+                dw_lanes, h_sys, f_coi), h_total, f_coi), f_coi), f_coi)
+        else:
+            f_coi = f_nom * (1.0 + np.vecdot(d_omega, h_sys) / h_total)
         if trigger is not None and not trigger.exhausted:
             fired = trigger.observe(t_now, float(f_coi))
             if fired is not None:
                 apply(0, *fired, t_now)
+                y_red = reduced[keys[0]]
         if products:
-            f_lanes = [float(f_coi)] if n_lanes == 1 else f_coi.tolist()
+            f_lanes = f_coi.tolist() if batch else [float(f_coi)]
             outputs = _reserves.respond(
                 outputs, [[_reserves.command(p, f_hz, f_nom) for p in products]
                           for f_hz in f_lanes], alpha)
@@ -468,8 +485,8 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
                 p_reserve[0][lane] = sum(v for v in mw if v > 0) * mw_to_pu
                 p_reserve[1][lane] = sum(v for v in mw if v < 0) * mw_to_pu
 
-        live -= _mark_trips(d_omega, trip, k)
-        yield k, t_now, f_coi, d_omega, p_attack, p_reserve, applied, trip
+        live -= _mark_trips(dw_lanes, trip, k)
+        yield k, t_now, f_coi, dw_lanes, p_attack, p_reserve, applied, trip
         if k == n_steps or not live:
             return
 

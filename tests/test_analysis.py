@@ -315,6 +315,17 @@ def test_grid_lanes_are_independent(model):
         assert one[0] == grid[i_r, i_t, i_d]
 
 
+def test_grid_of_no_candidates_scores_nothing(model):
+    """No candidates give no errors, as a sweep of no schedules gives no
+    lanes, instead of an IndexError from an integrator with no lanes."""
+    errors = analysis._grid_anchor_errors(model, analysis.DEFAULT_ANCHORS,
+                                          [], 0.01, 1.0)
+    assert errors.shape == (0,)
+    f, trips = analysis._sweep_lanes(model, [], dynamics.SimConfig(
+        duration=1.0))
+    assert f.shape == (101, 0) and trips == []
+
+
 SWEEP_MAGNITUDES = (2.0, 4.0, 6.0, 8.0, 9.4, 12.0, 14.0)
 SHORT = dynamics.SimConfig(duration=2.0)
 

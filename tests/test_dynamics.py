@@ -49,7 +49,9 @@ def _allocating_pe(y_red, e_int, delta):
 def test_power_kernel_bits_equal_the_allocating_expression(model, pf):
     """The buffered kernel, reused across calls with y_red swapped between
     them as an event does, gives the bits of the allocating expression for
-    one lane and for a (lanes, m) batch, negative angles included."""
+    one lane and for a 5-lane batch, whose flat angle row gives a flat
+    power row, under a (lanes, m, m) stack and under one shared reduction;
+    negative angles included."""
     _, e_int, _, y_base = dynamics.init_state(model, pf)
     loads = dynamics.base_loads(model)
     loads[model.bus_index()[8]] += 0.3
@@ -57,18 +59,21 @@ def test_power_kernel_bits_equal_the_allocating_expression(model, pf):
     rng = np.random.default_rng(7)
     angles = rng.uniform(-4.0, 4.0, size=(6, 5, 3))
     angles[0, 0] = (-0.5, -1e-300, -0.0)
-    one = dynamics._PowerKernel(e_int, (3,))
-    batch = dynamics._PowerKernel(e_int, (5, 3))
+    one = dynamics._PowerKernel(e_int, 1)
+    batch = dynamics._PowerKernel(e_int, 5)
     stack = np.stack([y_base, y_event, y_event, y_base, y_event])
     for i, delta in enumerate(angles):
         y_red = (y_base, y_event)[i % 2]
         assert same_bits(one(y_red, delta[0]),
                          _allocating_pe(y_red, e_int, delta[0]))
         stack[i % 5] = y_red
-        got = batch(stack, delta)
-        for lane in range(5):
-            assert same_bits(got[lane],
-                             _allocating_pe(stack[lane], e_int, delta[lane]))
+        for coupling in (stack, y_red):
+            got = batch(coupling, delta.reshape(-1))
+            assert got.shape == (15,)
+            for lane, lane_pe in enumerate(got.reshape(5, 3)):
+                assert same_bits(lane_pe, _allocating_pe(
+                    np.broadcast_to(coupling, stack.shape)[lane], e_int,
+                    delta[lane]))
     assert same_bits(dynamics.electrical_power(y_event, e_int, angles[0, 0]),
                      _allocating_pe(y_event, e_int, angles[0, 0]))
 
@@ -166,6 +171,68 @@ def test_lockstep_is_plain_rk4_bit_for_bit(model, pf, coupling):
             seen += 1
         assert seen == n_steps + 1
         assert np.abs(want[-1][-1][1]).max() > 1e-4  # the attack acted
+
+
+@pytest.mark.parametrize("coupling", ["network", "linear"])
+def test_lanes_keep_their_bits_through_every_coupling_state(model, pf,
+                                                           monkeypatch,
+                                                           coupling):
+    """Each lane's f_coi and speeds equal its one-lane simulate at every
+    boundary, bit for bit: in a switching batch whose lanes share the base
+    load vector, then differ, then share it again once every reversion has
+    landed, and in a grid-like batch of governors that share one schedule
+    throughout. The kernel takes one coupling while the lanes share a load
+    vector and a stack while they differ, and each distinct load vector is
+    built once."""
+    config = dynamics.SimConfig(duration=0.6, coupling=coupling)
+    batches = {
+        "switching": ([model] * 3, [
+            make_schedule(model, family="switching", t_start=0.1, t1=t1,
+                          magnitude_percent=mag)
+            for t1, mag in ((0.2, 6.0), (0.3, 8.0), (0.45, 12.0))]),
+        "grid": ([netmodel.with_dynamic_params(model, *params) for params in
+                  ((0.05, 2.0, 0.0), (0.08, 5.0, 1.0), (0.03, 1.0, 2.0))],
+                 [make_schedule(model, t_start=0.1)] * 3)}
+    want = {name: [dynamics.simulate(lane, schedule, config, pf)
+                   for lane, schedule in zip(*batch)]
+            for name, batch in batches.items()}
+
+    built, states = [], []
+    # a stack of (m, m) reductions or of (m,) offsets has a lane axis more
+    owner, builder, kernel, stack_ndim = (
+        (dynamics, "build_reduced", dynamics._PowerKernel, 3)
+        if coupling == "network"
+        else (dynamics._Linearization, "offset", dynamics._Linearization, 2))
+    build, power = getattr(owner, builder), kernel.__call__
+
+    def counting(*args):
+        built.append(args[-1].tobytes())
+        return build(*args)
+
+    def spying(self, y_red, delta):
+        states.append("stack" if np.ndim(y_red) == stack_ndim else "one")
+        return power(self, y_red, delta)
+
+    monkeypatch.setattr(owner, builder, counting)
+    monkeypatch.setattr(kernel, "__call__", spying)
+    for name, (models, schedules) in batches.items():
+        built.clear()
+        states.clear()
+        seen = 0
+        for k, _, f_coi, d_omega, *_ in dynamics._lockstep(
+                models, pf, schedules, config):
+            for lane, trace in enumerate(want[name]):
+                assert same_bits(f_coi[lane], trace.f_coi[k])
+                assert same_bits(model.f_nominal * (1.0 + d_omega[lane]),
+                                 trace.f_gen[k])
+            seen += 1
+        assert seen == config.n_steps + 1
+        assert len(built) == len(set(built)) == (4 if name == "switching"
+                                                 else 2)
+        runs = [s for i, s in enumerate(states) if states[i - 1:i] != [s]]
+        assert runs == (["one", "stack", "one"] if name == "switching"
+                        else ["one"])
+    assert want["switching"][2].events[-1][0] == pytest.approx(0.45)
 
 
 def _kron_pe_by_hand(model, pf, loads_p, e_int, delta):
