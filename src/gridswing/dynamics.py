@@ -234,13 +234,13 @@ def _mark_trips(d_omega: np.ndarray, trip: np.ndarray, k: int) -> int:
     """The speed guard: mark boundary k in trip for each unmarked lane of
     the (m,) or (B, m) speeds past SPEED_GUARD_PU; return how many it
     marked. A NaN speed trips nothing, but a machine past the guard beside
-    it does. Only when a quick test fails (one lane's Python floats, or a
-    batch's np.maximum.reduce, which a NaN fails too) does fmax, skipping
-    NaN, take each lane's largest speed."""
+    it does. Only when a quick test fails (one lane's Python floats, which
+    is faster, or a batch's global max, which a NaN fails too) does fmax,
+    skipping NaN, take each lane's largest speed."""
     if d_omega.ndim == 1:
         if not any(abs(w) > SPEED_GUARD_PU for w in d_omega.tolist()):
             return 0
-    elif np.maximum.reduce(np.abs(d_omega), axis=None) <= SPEED_GUARD_PU:
+    elif np.abs(d_omega).max() <= SPEED_GUARD_PU:
         return 0
     new = (trip < 0) & (np.fmax.reduce(np.abs(d_omega), axis=-1)
                         > SPEED_GUARD_PU)
@@ -251,11 +251,14 @@ def _mark_trips(d_omega: np.ndarray, trip: np.ndarray, k: int) -> int:
 class _Linearization:
     """Frozen small-signal electrical model around the base-load operating
     point that y_red0 encodes: offset is the linear coupling's builder from
-    a lane's load vector, and a call is its power kernel."""
+    a lane's load vector, and a call is its power kernel on the flat (B m,)
+    angles of n_lanes lanes, in buffers made once like _PowerKernel's."""
 
-    def __init__(self, model, pf, y_red0, e_int, delta0, pe0):
-        self.delta0 = delta0.copy()
-        self.pe0 = pe0
+    def __init__(self, model, pf, y_red0, e_int, delta0, pe0, n_lanes=1):
+        self.delta0, self.pe0 = np.tile(delta0, n_lanes), np.tile(pe0, n_lanes)
+        self.shift, self.p_e = np.zeros((2, n_lanes * len(delta0)))
+        lanes = (-1,) if n_lanes == 1 else (n_lanes, -1)
+        self.lanes = self.shift.reshape(lanes), self.p_e.reshape(lanes)
         g, b = y_red0.real, y_red0.imag
         th = delta0[:, None] - delta0[None, :]
         ee = e_int[:, None] * e_int[None, :]
@@ -282,12 +285,15 @@ class _Linearization:
         """The (m,) power offset of the load vector loads_p."""
         return self.sens @ (loads_p - self.base)
 
-    def __call__(self, offset: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        return self.pe0 + np.matvec(self.k, delta - self.delta0) + offset
-
-    def lanes(self, offset: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """The call on B lanes' flat (B m,) angles, giving flat powers."""
-        return self(offset, delta.reshape(-1, len(self.delta0))).reshape(-1)
+    def __call__(self, offset: np.ndarray, delta: np.ndarray, add=np.add,
+                 subtract=np.subtract, matvec=np.matvec) -> np.ndarray:
+        """pe0 + K (delta - delta0) + offset, in that order."""
+        shift_lanes, p_e_lanes = self.lanes
+        subtract(delta, self.delta0, self.shift)
+        matvec(self.k, shift_lanes, p_e_lanes)
+        add(self.pe0, self.p_e, self.p_e)
+        add(p_e_lanes, offset, p_e_lanes)
+        return self.p_e
 
 
 def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
@@ -336,8 +342,8 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     applied, trip); then integrate to the next boundary with reserves
     held. d_omega is (m,) or a (B, m) view and f_coi one value per lane;
     p_attack, the reserve totals and trip (each lane's first boundary past
-    the guard, or -1) are (B,) arrays. All are updated in place, a batch's
-    f_coi too: copy what must outlive the step. applied holds a list of
+    the guard, or -1) are (B,) arrays, updated in place like d_omega (a
+    view of y): copy what must outlive the step. applied holds a list of
     (time, label) per lane. A tripped lane's later numbers mean nothing;
     the run ends after the boundary where the last live lane trips.
     """
@@ -370,9 +376,9 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
         power = _PowerKernel(e_int, n_lanes)
         build = partial(build_reduced, model, pf)
     else:
-        linear = _Linearization(model, pf, y_red, e_int, delta0, p_ref)
-        power = linear.lanes if batch else linear
-        build = linear.offset
+        power = _Linearization(model, pf, y_red, e_int, delta0, p_ref,
+                               n_lanes)
+        build = power.offset
         y_red = build(loads_p[0])
     keys = [loads_p[0].tobytes()] * n_lanes  # each lane's load vector
     reduced = {keys[0]: y_red}
@@ -417,7 +423,6 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
         res_rows = np.zeros((n_lanes, len(mva)))
         p_res = res_rows.reshape(row)  # a view of res_rows
     p_attack = np.zeros(n_lanes)
-    f_coi = np.empty(n_lanes)  # a batch's; one lane forms a scalar
     applied: list[list[tuple[float, str]]] = [[] for _ in schedules]
     trip = np.full(n_lanes, -1)
     live = n_lanes
@@ -463,11 +468,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
             # the lanes' one coupling while they share a load vector
             y_red = reduced[keys[0]] if keys.count(keys[0]) == n_lanes \
                 else np.stack([reduced[key] for key in keys])
-        if batch:  # the one-lane expression below, in place
-            multiply(f_nom, add(1.0, divide(np.vecdot(
-                dw_lanes, h_sys, f_coi), h_total, f_coi), f_coi), f_coi)
-        else:
-            f_coi = f_nom * (1.0 + np.vecdot(d_omega, h_sys) / h_total)
+        f_coi = f_nom * (1.0 + np.vecdot(dw_lanes, h_sys) / h_total)
         if trigger is not None and not trigger.exhausted:
             fired = trigger.observe(t_now, float(f_coi))
             if fired is not None:
