@@ -326,7 +326,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     and the order of the per-variable RK4 formulas
     y + dt/6 (k1 + 2 k2 + 2 k3 + k4), so the numbers are those of that
     form; without reserves rhs forms p_m - p_e without adding a zero
-    reserve term first. _PowerKernel keeps every network stage free of
+    reserve term first. Both power kernels keep every stage free of
     allocations, and the step's constants (the dt multiples, p_ref and the
     clip bounds) have the shape of the arrays they meet, which numpy
     handles faster than 0-d or broadcast operands. The stage ufuncs are
