@@ -127,8 +127,8 @@ def _sweep_lanes(model: NetworkModel, schedules,
     """
     n_samp = config.n_steps + 1
     if not schedules:
-        return np.empty((n_samp, 0)), []
-    f = np.empty((n_samp, len(schedules)))
+        return dynamics.empty_samples(n_samp, 0), []
+    f = dynamics.empty_samples(n_samp, len(schedules))
     for k, _, f_coi, *_, trip in dynamics._lockstep(
             [model] * len(schedules), powerflow.solve(model), schedules,
             config):

@@ -12,8 +12,8 @@ Scenario files are flat JSON documents with three sections::
 
 Only "attack" is mandatory. The flags --dt, --duration, --reserves and
 --target-bus replace system.dt_s, system.duration_s, system.reserves and
-attack.target_bus before any check runs. Validation is strict: unknown keys
-anywhere are rejected, and every diagnostic names the flag and its value,
+attack.target_bus before any check runs. Validation is strict: unknown or
+repeated keys are rejected, and every diagnostic names the flag and its value,
 or the file, the key, and the line where the key appears. Commands write
 their trace CSVs and report JSONs atomically (temp file + rename),
 byte-stable for identical runs; ``simulate`` renames its two artifacts into
@@ -67,24 +67,33 @@ class ScenarioError(ValueError):
 _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"(\s*:)?|[][{}]')
 
 
+def _keys(text: str):
+    """(path, container, key, line) for each key of the valid JSON document
+    text in order: path holds the key that opened each enclosing container
+    (None for the top level and list items), container the offset of the
+    innermost one."""
+    path, opened, last_key = [], [], None
+    for tok in _JSON_TOKEN.finditer(text):
+        if tok.group() in ("{", "["):
+            path.append(last_key)
+            opened.append(tok.start())
+            last_key = None
+        elif tok.group() in ("}", "]"):
+            path.pop()
+            opened.pop()
+            last_key = None
+        elif tok.group(1) is not None:
+            last_key = json.loads(tok.group()[:-len(tok.group(1))])
+            line = text.count("\n", 0, tok.start()) + 1
+            yield path, opened[-1], last_key, line
+
+
 def _key_line(text: str, key: str, section: str | None = None) -> int | None:
     """Line of key in the valid JSON document text: among the top-level
     keys, or among the keys of the top-level object section."""
     want = [None] if section is None else [None, section]
-    path = []  # the key that opened each enclosing container, or None
-    last_key = None
-    for tok in _JSON_TOKEN.finditer(text):
-        if tok.group() in ("{", "["):
-            path.append(last_key)
-            last_key = None
-        elif tok.group() in ("}", "]"):
-            path.pop()
-            last_key = None
-        elif tok.group(1) is not None:
-            last_key = json.loads(tok.group()[:-len(tok.group(1))])
-            if last_key == key and path == want:
-                return text.count("\n", 0, tok.start()) + 1
-    return None
+    return next((line for path, _, k, line in _keys(text)
+                 if k == key and path == want), None)
 
 
 _SYSTEM_KEYS = {
@@ -187,12 +196,18 @@ def _read_json(path: str):
     except (OSError, UnicodeError) as exc:
         raise ScenarioError(path, None, None, f"cannot read: {exc}") from exc
     try:
-        return text, json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(path, None, exc.lineno,
                             f"invalid JSON: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal too long to convert
         raise ScenarioError(path, None, None, f"invalid JSON: {exc}") from exc
+    seen = set()  # json.loads keeps the last copy of a repeated key
+    for _, container, key, line in _keys(text):
+        if (container, key) in seen:
+            raise ScenarioError(path, key, line, "duplicate key")
+        seen.add((container, key))
+    return text, doc
 
 
 def parse_scenario(path: str, flags: dict | None = None):

@@ -230,6 +230,14 @@ def init_state(model: NetworkModel, pf: PowerFlowSolution | None = None):
     return delta, e_int, electrical_power(y_red, e_int, delta), y_red
 
 
+def empty_samples(*shape) -> np.ndarray:
+    """np.empty(shape), raising MemoryError past numpy's size limit too."""
+    try:
+        return np.empty(shape)
+    except ValueError:  # a size numpy cannot index, far past any memory
+        raise MemoryError(f"cannot allocate {shape} samples") from None
+
+
 def _mark_trips(d_omega: np.ndarray, trip: np.ndarray, k: int) -> int:
     """The speed guard: mark boundary k in trip for each unmarked lane of
     the (m,) or (B, m) speeds past SPEED_GUARD_PU; return how many it
@@ -256,9 +264,8 @@ class _Linearization:
 
     def __init__(self, model, pf, y_red0, e_int, delta0, pe0, n_lanes=1):
         self.delta0, self.pe0 = np.tile(delta0, n_lanes), np.tile(pe0, n_lanes)
-        self.shift, self.p_e = np.zeros((2, n_lanes * len(delta0)))
-        lanes = (-1,) if n_lanes == 1 else (n_lanes, -1)
-        self.lanes = self.shift.reshape(lanes), self.p_e.reshape(lanes)
+        self.shift, self.p_e = buffers = np.zeros((2, n_lanes * len(delta0)))
+        self.lanes = tuple(buffers.reshape(2, n_lanes, -1))
         g, b = y_red0.real, y_red0.imag
         th = delta0[:, None] - delta0[None, :]
         ee = e_int[:, None] * e_int[None, :]
@@ -301,11 +308,12 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
 
     Lane b runs models[b] under schedules[b]. The models share the network
     and initial state of models[0] and may differ in governor and damping
-    (netmodel.with_dynamic_params). A lane's coupling, its (m, m)
-    reduction or, under linear coupling, its (m,) power offset, is built
-    once per distinct load vector. While all lanes sit on one load vector
-    the power kernel takes its one coupling, else a stack of each lane's,
-    as decided at each boundary that applies events. Every lane-shaped
+    (netmodel.with_dynamic_params). A lane's attack record is a row of
+    demand offsets from the base loads: base + row is its load vector, the
+    row's sum its p_attack and the row's bytes the key of its coupling
+    (its (m, m) reduction or linear (m,) power offset), built once per key.
+    While all lanes share a row the kernel takes their one coupling, else
+    a stack. Every lane-shaped
     operand is a flat (B m,) row, lane b at [b m, (b + 1) m), which numpy
     runs on its fast loop; one lane is the B = 1 case, (m,). (B, m) views
     serve the per-lane reductions: np.matvec, the COI vecdot, the speed
@@ -334,10 +342,10 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     faster than out= keywords; np.maximum and np.minimum keep out=, as
     numpy 2.4 deprecates their positional output.
 
-    At each boundary k = 0 .. n_steps: apply the events due (each snaps to
-    the first boundary at or after its time; those past the horizon never
-    apply), let the slope trigger release one, advance the reserve lags
-    with the boundary frequency, apply the speed guard (_mark_trips), and
+    At each boundary k = 0 .. n_steps: apply the events due and any slope
+    release in one loop (an event snaps to the first boundary at or after
+    its time; those past the horizon never apply), pick the coupling once,
+    advance the reserve lags at f_coi, apply the speed guard (_mark_trips), and
     yield (k, t, f_coi, d_omega, p_attack, (p_reserve_up, p_reserve_down),
     applied, trip); then integrate to the next boundary with reserves
     held. d_omega is (m,) or a (B, m) view and f_coi one value per lane;
@@ -358,10 +366,9 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
 
     f_nom = model.f_nominal
     omega_s = 2.0 * np.pi * f_nom
-    mva, h_sys, d_sys, droop_gain, t_g, p_max = machine_params(model)
-    if batch:
-        _, _, d_sys, droop_gain, t_g, _ = map(
-            np.concatenate, zip(*map(machine_params, models)))
+    mva, h_sys, *_, p_max = machine_params(model)
+    _, _, d_sys, droop_gain, t_g, _ = map(
+        np.concatenate, zip(*map(machine_params, models)))
     row = (n_lanes * len(mva),)  # (m,) for one lane
     h_total = h_sys.sum()
     mva_share = mva / mva.sum()
@@ -371,7 +378,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
         return np.stack([np.resize(r, row) for r in rows])
 
     delta0, e_int, p_ref, y_red = init_state(model, pf)
-    loads_p = np.tile(base_loads(model), (n_lanes, 1))
+    base = base_loads(model)
     if config.coupling == "network":
         power = _PowerKernel(e_int, n_lanes)
         build = partial(build_reduced, model, pf)
@@ -379,8 +386,9 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
         power = _Linearization(model, pf, y_red, e_int, delta0, p_ref,
                                n_lanes)
         build = power.offset
-        y_red = build(loads_p[0])
-    keys = [loads_p[0].tobytes()] * n_lanes  # each lane's load vector
+        y_red = build(base)
+    offsets = np.zeros((n_lanes, len(base)))  # a reversion restores 0.0
+    keys = [offsets[0].tobytes()] * n_lanes
     reduced = {keys[0]: y_red}
     y = stacked(delta0, 0.0, p_ref)
     _, d_omega, p_m = y_rows = tuple(y)
@@ -401,8 +409,8 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     dt = config.dt
     n_steps = config.n_steps
     alpha = _reserves.lag_factors(products, dt)
-    # Pre-bin (lane, bus, delta_p) by destination step so the hot loop
-    # stays cheap; each lane's events keep their time order.
+    # Pre-bin (lane, bus, delta_p) by destination step, where the slope
+    # trigger adds its releases; each lane's events keep their time order.
     by_step: dict[int, list] = {}
     for lane, schedule in enumerate(schedules):
         for ev in sorted(schedule.events, key=lambda e: e.time):
@@ -414,9 +422,8 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
             by_step.setdefault(step_index(ev.time, dt), []).append(
                 (lane, ev.bus, ev.delta_p))
 
-    trigger = None
-    if schedules[0].policy is not None:
-        trigger = _attacks.SlopeTrigger(schedules[0].policy, f_nom, dt)
+    policy = schedules[0].policy
+    trigger = policy and _attacks.SlopeTrigger(policy, f_nom, dt)
     outputs = np.zeros((n_lanes, len(products)))  # MW per product, signed
     p_reserve = (np.zeros(n_lanes), np.zeros(n_lanes))  # up, down; pu
     if products:
@@ -427,15 +434,6 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     trip = np.full(n_lanes, -1)
     live = n_lanes
     labels = [s.label or "event" for s in schedules]
-
-    def apply(lane: int, bus: int, delta_p: float, t_now: float):
-        loads_p[lane, idx[bus]] += delta_p
-        p_attack[lane] += delta_p
-        key = keys[lane] = loads_p[lane].tobytes()
-        if key not in reduced:
-            reduced[key] = build(loads_p[lane].copy())
-        applied[lane].append(
-            (t_now, f"{labels[lane]} {delta_p:+.4f} pu @ bus {bus}"))
 
     multiply, add, subtract, divide = (np.multiply, np.add, np.subtract,
                                        np.divide)
@@ -461,19 +459,24 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     zero = np.zeros(row)
     for k in range(n_steps + 1):
         t_now = k * dt
+        f_coi = f_nom * (1.0 + np.vecdot(dw_lanes, h_sys) / h_total)
+        if trigger is not None and not trigger.exhausted and (
+                fired := trigger.observe(t_now, float(f_coi))) is not None:
+            by_step.setdefault(k, []).append((0, *fired))
         due = by_step.get(k)
         if due:
             for lane, bus, delta_p in due:
-                apply(lane, bus, delta_p, t_now)
-            # the lanes' one coupling while they share a load vector
+                offset = offsets[lane]
+                offset[idx[bus]] += delta_p
+                p_attack[lane] = offset.sum()
+                key = keys[lane] = offset.tobytes()
+                if key not in reduced:
+                    reduced[key] = build(base + offset)
+                applied[lane].append(
+                    (t_now, f"{labels[lane]} {delta_p:+.4f} pu @ bus {bus}"))
+            # the lanes' one coupling while they share a row
             y_red = reduced[keys[0]] if keys.count(keys[0]) == n_lanes \
                 else np.stack([reduced[key] for key in keys])
-        f_coi = f_nom * (1.0 + np.vecdot(dw_lanes, h_sys) / h_total)
-        if trigger is not None and not trigger.exhausted:
-            fired = trigger.observe(t_now, float(f_coi))
-            if fired is not None:
-                apply(0, *fired, t_now)
-                y_red = reduced[keys[0]]
         if products:
             f_lanes = f_coi.tolist() if batch else [float(f_coi)]
             outputs = _reserves.respond(
@@ -524,9 +527,9 @@ def simulate(model: NetworkModel,
     slope releases and reserve updates of its boundary, so the first
     sample is exactly nominal. A speed guard trip ends the run and raises
     InstabilityError carrying the trace up to that sample. Each boundary
-    records the raw speed deviations, f_coi and p_attack, and the reserve
-    totals only when a product is enabled; t and the machine frequencies
-    in Hz are formed once over the recorded samples.
+    records the raw speed deviations, f_coi, p_attack and the reserve
+    totals; t and the machine frequencies in Hz are formed once over the
+    recorded samples. Samples past memory raise MemoryError.
     """
     if config is None:
         config = SimConfig()
@@ -536,11 +539,8 @@ def simulate(model: NetworkModel,
         pf = solve_pf(model)
 
     n_samp = config.n_steps + 1
-    f_coi_arr = np.empty(n_samp)
-    d_omega_arr = np.empty((n_samp, len(model.generators)))
-    p_atk_arr = np.empty(n_samp)
-    reserves_on = any(p.enabled for p in config.reserves)
-    p_up_arr, p_dn_arr = np.zeros(n_samp), np.zeros(n_samp)
+    f_coi_arr, p_atk_arr, p_up_arr, p_dn_arr = empty_samples(4, n_samp)
+    d_omega_arr = empty_samples(n_samp, len(model.generators))
 
     def trace(n: int, applied) -> SimulationTrace:
         """The first n samples, speeds turned into Hz in place."""
@@ -558,9 +558,8 @@ def simulate(model: NetworkModel,
         f_coi_arr[k] = f_coi
         d_omega_arr[k] = d_omega
         p_atk_arr[k] = p_attack[0]
-        if reserves_on:
-            p_up_arr[k] = p_up[0]
-            p_dn_arr[k] = p_dn[0]
+        p_up_arr[k] = p_up[0]
+        p_dn_arr[k] = p_dn[0]
     if trip[0] >= 0:
         raise InstabilityError(t_now, trace(k + 1, applied[0]))
     return trace(n_samp, applied[0])

@@ -335,14 +335,32 @@ def test_key_line_skips_strings_and_other_sections():
     (["sweep", "--timings", "3,4", "--duration", "1e15"], {},
      "--duration 1e+15:"),
     (["simulate"], {"duration_s": 1e15}, ":3 (key 'duration_s'):"),
-], ids=["simulate", "magnitudes", "timings", "file"])
+    (["simulate", "--dt", "1e-300"], {}, ":3 (key 'duration_s'):"),
+    (["sweep", "--magnitudes", "4,8", "--dt", "1e-300"], {},
+     ":3 (key 'duration_s'):"),
+    (["sweep", "--timings", "3,4", "--dt", "1e-300"], {},
+     ":3 (key 'duration_s'):"),
+], ids=["simulate", "magnitudes", "timings", "file", "simulate-dt",
+        "magnitudes-dt", "timings-dt"])
 def test_horizon_too_long_for_memory(tmp_path, capsys, args, system, where):
-    # numpy refuses 1e17 samples at once, without allocating any of them
+    # numpy refuses 1e17 samples at once, without allocating any of them;
+    # 5e300 samples are past its size limit, a ValueError, not MemoryError
     scn = write_scenario(tmp_path, system=system)
     rc = cli.main([args[0], scn, *args[1:], "--out-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert where in err and "do not fit in memory" in err
+
+
+def test_sweep_list_error_keeps_its_flag_past_numpys_size_limit(tmp_path,
+                                                                capsys):
+    """A list value the sweep rejects up front is named at its flag even
+    when the horizon would not fit either."""
+    scn = write_scenario(tmp_path)
+    assert cli.main(["sweep", scn, "--timings", "0.5,3", "--dt", "1e-300",
+                     "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --timings 0.5,3: t1 = 0.5 does not follow t_start")
 
 
 def old_trace_csv(trace):
@@ -446,6 +464,42 @@ def test_overlong_integer_literal_names_the_file(tmp_path, capsys):
         assert cli.main([*argv, "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
             f"error: {path}: invalid JSON: Exceeds the limit")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, line, key", [
+    ('{"attack": {"family": "static", "type": "DI",\n'
+     '            "magnitude_percent": 8.0,\n'
+     '            "magnitude_percent": -1.0}}\n', 3, "magnitude_percent"),
+    ('{"system": {"duration_s": 2.0},\n'
+     ' "attack": {"family": "static", "type": "DI"},\n'
+     ' "system": {"duration_s": 3.0}}\n', 3, "system"),
+], ids=["attack-key", "section"])
+def test_duplicate_scenario_key_is_rejected_at_its_second_copy(
+        tmp_path, capsys, text, line, key):
+    """json.loads keeps the last copy of a repeated key; the scenario
+    check names the line of the second copy instead."""
+    path = tmp_path / "dup.scn"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", str(path), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:{line} (key {key!r}): duplicate key\n")
+    assert not out.exists()
+
+
+def test_duplicate_anchor_key_is_rejected(tmp_path, capsys):
+    """A key repeated within one anchor is rejected at its second copy;
+    the same key in two anchors is not a duplicate."""
+    path = tmp_path / "anchors.json"
+    path.write_text('[{"percent": 8.0, "settled_hz": 49.9},\n'
+                    ' {"percent": 12.0, "settled_hz": 49.8,\n'
+                    '  "percent": 4.0}]\n')
+    out = tmp_path / "out"
+    assert cli.main(["calibrate", "--anchors", str(path),
+                     "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:3 (key 'percent'): duplicate key\n")
     assert not out.exists()
 
 
