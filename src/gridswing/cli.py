@@ -13,7 +13,7 @@ Scenario files are flat JSON documents with three sections::
 Only "attack" is mandatory. The flags --dt, --duration, --reserves and
 --target-bus replace system.dt_s, system.duration_s, system.reserves and
 attack.target_bus before any check runs. Validation is strict: unknown or
-repeated keys are rejected, and every diagnostic names the flag and its value,
+repeated keys are rejected, and each diagnostic names the flag and its value,
 or the file, the key, and the line where the key appears. Commands write
 their trace CSVs and report JSONs atomically (temp file + rename),
 byte-stable for identical runs; ``simulate`` renames its two artifacts into

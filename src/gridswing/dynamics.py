@@ -306,20 +306,19 @@ class _Linearization:
 def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     """The RK4 integrator: step lanes in lockstep, each with its own schedule.
 
-    Lane b runs models[b] under schedules[b]. The models share the network
-    and initial state of models[0] and may differ in governor and damping
-    (netmodel.with_dynamic_params). A lane's attack record is a row of
-    demand offsets from the base loads: base + row is its load vector, the
-    row's sum its p_attack and the row's bytes the key of its coupling
-    (its (m, m) reduction or linear (m,) power offset), built once per key.
-    While all lanes share a row the kernel takes their one coupling, else
-    a stack. Every lane-shaped
-    operand is a flat (B m,) row, lane b at [b m, (b + 1) m), which numpy
-    runs on its fast loop; one lane is the B = 1 case, (m,). (B, m) views
-    serve the per-lane reductions: np.matvec, the COI vecdot, the speed
-    guard and the reserve rows. Every expression reduces each lane on its
-    own in a fixed order, so a lane's numbers do not depend on the other
-    lanes. The slope trigger needs a single lane.
+    Lane b runs models[b] under schedules[b]. The models share the network and
+    initial state of models[0] and may differ in governor and damping
+    (netmodel.with_dynamic_params). A lane's attack record is a row of demand
+    offsets from the base loads: base + row is its load vector, the row's sum
+    its p_attack and the row's bytes its coupling's key (its (m, m) reduction,
+    or its (m,) power offset under linear coupling), built once per key. The
+    kernel takes the lanes' one coupling while they share a row, else a stack.
+    Every lane-shaped operand is a flat (B m,) row, lane b at [b m, (b + 1) m),
+    which numpy runs on its fast loop; one lane is the B = 1 case, (m,). (B, m)
+    views serve the per-lane reductions: np.matvec, the COI vecdot, the speed
+    guard and the reserve rows. Every expression reduces each lane on its own
+    in a fixed order, so a lane's numbers do not depend on the other lanes. The
+    slope trigger needs a single lane.
 
     Buffers, all allocated once per run: the state y is one (3, B m) array
     with rows delta, d_omega and p_m. The four slopes k1..k4, the stage
@@ -345,7 +344,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     At each boundary k = 0 .. n_steps: apply the events due and any slope
     release in one loop (an event snaps to the first boundary at or after
     its time; those past the horizon never apply), pick the coupling once,
-    advance the reserve lags at f_coi, apply the speed guard (_mark_trips), and
+    advance the reserve lags at f_coi, apply the speed guard (_mark_trips) and
     yield (k, t, f_coi, d_omega, p_attack, (p_reserve_up, p_reserve_down),
     applied, trip); then integrate to the next boundary with reserves
     held. d_omega is (m,) or a (B, m) view and f_coi one value per lane;
@@ -422,8 +421,9 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
             by_step.setdefault(step_index(ev.time, dt), []).append(
                 (lane, ev.bus, ev.delta_p))
 
-    policy = schedules[0].policy
-    trigger = policy and _attacks.SlopeTrigger(policy, f_nom, dt)
+    trigger = None
+    if schedules[0].policy is not None:
+        trigger = _attacks.SlopeTrigger(schedules[0].policy, f_nom, dt)
     outputs = np.zeros((n_lanes, len(products)))  # MW per product, signed
     p_reserve = (np.zeros(n_lanes), np.zeros(n_lanes))  # up, down; pu
     if products:

@@ -180,7 +180,8 @@ def test_lanes_keep_their_bits_through_every_coupling_state(model, pf,
     """Each lane's f_coi and speeds equal its one-lane simulate at every
     boundary, bit for bit: in a switching batch whose lanes share the base
     load vector, then differ, then share it again once every reversion has
-    landed, and in a grid-like batch of governors that share one schedule
+    landed (the 4 % one too, which accumulated loads would miss by one
+    rounding), and in a grid-like batch of governors that share one schedule
     throughout. The kernel takes one coupling while the lanes share a load
     vector and a stack while they differ, and each distinct load vector is
     built once."""
