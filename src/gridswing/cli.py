@@ -379,9 +379,12 @@ def _input_error(args, section: str, key: str, msg: str) -> ScenarioError:
 
 
 def _horizon_error(args, config: dynamics.SimConfig) -> ScenarioError:
-    """Diagnostic, at the horizon, for samples numpy could not allocate."""
-    return _input_error(args, "system", "duration_s",
-                        f"{config.n_steps + 1} samples at dt = "
+    """Diagnostic for samples numpy could not allocate: at --dt when that
+    flag alone changed the sample count, else at the horizon."""
+    key = "dt_s" if args.dt is not None and args.duration is None \
+        else "duration_s"
+    return _input_error(args, "system", key,
+                        f"{config.n_steps + 1:.3g} samples at dt = "
                         f"{config.dt:g} s do not fit in memory")
 
 

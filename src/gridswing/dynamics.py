@@ -155,43 +155,42 @@ def build_reduced(model: NetworkModel, pf: PowerFlowSolution,
     return np.diag(y_g) - conn @ np.linalg.solve(ybus, conn.T)
 
 
-class _PowerKernel:
-    """Powers Re(ev conj(y_red ev)), ev = e_int exp(j delta), for the flat
-    (B m,) angles of B lanes, in buffers made once: a call returns a 1-D
+def _power_kernel(e_int: np.ndarray, n_lanes: int):
+    """The power kernel of n_lanes lanes: a function of (y_red, delta) giving
+    the powers Re(ev conj(y_red ev)), ev = e_int exp(j delta), at the flat
+    (B m,) angles, in buffers made once and bound here: a call returns a 1-D
     view that the next rewrites. y_red is one (m, m) reduction all lanes
     share or a (B, m, m) stack. The +0.0 real parts give np.exp(1j *
     delta)'s bits, as exp(+-0) = 1; np.matvec on (B, m) views gives each
     lane the bits of one lane's np.dot. The ufuncs are called through
     local names with positional outputs, which numpy parses faster than
     out= keywords."""
+    m = len(e_int)
+    e_int = np.tile(e_int, n_lanes).astype(complex)
+    z, ev, current, product = np.zeros((4, n_lanes * m), dtype=complex)
+    angles, p_e = z.imag, product.real
+    matvec, lanes = (np.dot, (m,)) if n_lanes == 1 else (np.matvec,
+                                                         (n_lanes, m))
+    ev_lanes, current_lanes = ev.reshape(lanes), current.reshape(lanes)
+    copyto, exp, multiply, conjugate = (np.copyto, np.exp, np.multiply,
+                                        np.conjugate)
 
-    def __init__(self, e_int: np.ndarray, n_lanes: int):
-        m = len(e_int)
-        self.e_int = np.tile(e_int, n_lanes).astype(complex)
-        self.z, ev, current, self.product = np.zeros((4, n_lanes * m),
-                                                     dtype=complex)
-        self.angles, self.p_e = self.z.imag, self.product.real
-        self.matvec, lanes = (np.dot, (m,)) if n_lanes == 1 else (
-            np.matvec, (n_lanes, m))
-        self.buffers = ev, current, ev.reshape(lanes), current.reshape(lanes)
-
-    def __call__(self, y_red: np.ndarray, delta: np.ndarray,
-                 copyto=np.copyto, exp=np.exp, multiply=np.multiply,
-                 conjugate=np.conjugate) -> np.ndarray:
-        ev, current, ev_lanes, current_lanes = self.buffers
-        copyto(self.angles, delta)
-        exp(self.z, ev)
-        multiply(self.e_int, ev, ev)
-        self.matvec(y_red, ev_lanes, current_lanes)
+    def power(y_red: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        copyto(angles, delta)
+        exp(z, ev)
+        multiply(e_int, ev, ev)
+        matvec(y_red, ev_lanes, current_lanes)
         conjugate(current, current)
-        multiply(ev, current, self.product)
-        return self.p_e
+        multiply(ev, current, product)
+        return p_e
+
+    return power
 
 
 def electrical_power(y_red: np.ndarray, e_int: np.ndarray,
                      delta: np.ndarray) -> np.ndarray:
-    """_PowerKernel's powers at one lane's angles, in buffers of their own."""
-    return _PowerKernel(e_int, 1)(y_red, delta)
+    """_power_kernel's powers at one lane's angles, in buffers of their own."""
+    return _power_kernel(e_int, 1)(y_red, delta)
 
 
 def base_loads(model: NetworkModel) -> np.ndarray:
@@ -260,7 +259,7 @@ class _Linearization:
     """Frozen small-signal electrical model around the base-load operating
     point that y_red0 encodes: offset is the linear coupling's builder from
     a lane's load vector, and a call is its power kernel on the flat (B m,)
-    angles of n_lanes lanes, in buffers made once like _PowerKernel's."""
+    angles of n_lanes lanes, in buffers made once like _power_kernel's."""
 
     def __init__(self, model, pf, y_red0, e_int, delta0, pe0, n_lanes=1):
         self.delta0, self.pe0 = np.tile(delta0, n_lanes), np.tile(pe0, n_lanes)
@@ -333,7 +332,10 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     and the order of the per-variable RK4 formulas
     y + dt/6 (k1 + 2 k2 + 2 k3 + k4), so the numbers are those of that
     form; without reserves rhs forms p_m - p_e without adding a zero
-    reserve term first. Both power kernels keep every stage free of
+    reserve term first. That surplus is row 0 of a (2, B m) buffer whose
+    row 1 holds p_ref, so one subtract from it forms both slope tails,
+    surplus - D dw and p_ref - droop_gain dw, over rows 1 and 2 of the
+    slope buffer. Both power kernels keep every stage free of
     allocations, and the step's constants (the dt multiples, p_ref and the
     clip bounds) have the shape of the arrays they meet, which numpy
     handles faster than 0-d or broadcast operands. The stage ufuncs are
@@ -379,7 +381,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     delta0, e_int, p_ref, y_red = init_state(model, pf)
     base = base_loads(model)
     if config.coupling == "network":
-        power = _PowerKernel(e_int, n_lanes)
+        power = _power_kernel(e_int, n_lanes)
         build = partial(build_reduced, model, pf)
     else:
         power = _Linearization(model, pf, y_red, e_int, delta0, p_ref,
@@ -394,15 +396,18 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     dw_lanes = d_omega.reshape(n_lanes, -1) if batch else d_omega
     k1, k2, k3, k4, stage, acc = (np.empty_like(y) for _ in range(6))
     stage_rows = tuple(stage)
-    # Each slope buffer with its rows 1, 2 and 1: and its rhs constants;
+    # Each slope buffer with its row 2 and rows 1: and its rhs constants;
     # stages 2 and 3 take the doubled ones, so k2 and k3 hold 2 k.
     plain = (stacked(omega_s, d_sys, droop_gain), stacked(2.0 * h_sys, t_g))
     doubled = (stacked(2.0 * omega_s, d_sys, droop_gain),
                stacked(h_sys, 0.5 * t_g))
-    s1, s2, s3, s4 = ((k, k[1], k[2], k[1:], *c) for k, c in (
+    s1, s2, s3, s4 = ((k, k[2], k[1:], *c) for k, c in (
         (k1, plain), (k2, doubled), (k3, doubled), (k4, plain)))
-    p_ref, p_max = (np.resize(p, row) for p in (p_ref, p_max))
-    spare = np.empty(row)
+    # rows p_m (+ p_res) - p_e, written per stage, and p_ref, the minuends
+    # of the slope tails that one subtract forms
+    surplus = stacked(0.0, p_ref)
+    spare = surplus[0]
+    p_max = np.resize(p_max, row)
     idx = model.bus_index()
 
     dt = config.dt
@@ -441,7 +446,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     def rhs(src, slopes):
         """Write the slopes at the state rows src into slopes[0]."""
         dl, dw, pm = src
-        k, k_dw, k_pm, k_tail, rates, lags = slopes
+        k, k_pm, k_tail, rates, lags = slopes
         pe = power(y_red, dl)
         multiply(rates, dw, k)  # omega_s dw, D dw, droop_gain dw
         if products:
@@ -449,8 +454,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
             subtract(spare, pe, spare)
         else:
             subtract(pm, pe, spare)
-        subtract(spare, k_dw, k_dw)
-        subtract(p_ref, k_pm, k_pm)
+        subtract(surplus, k_tail, k_tail)  # spare - D dw, p_ref - droop dw
         subtract(k_pm, pm, k_pm)
         divide(k_tail, lags, k_tail)
 

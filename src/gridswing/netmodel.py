@@ -283,16 +283,27 @@ def to_file(model: NetworkModel, path: str) -> None:
         fh.write("\n")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict, raising ValueError on a repeated key, which
+    json.load would otherwise resolve to its last copy."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"duplicate key {key!r}")
+    return obj
+
+
 def from_file(path: str) -> NetworkModel:
     """Read a JSON case file written by :func:`to_file`.
 
     Raises OSError if the file cannot be opened and ValueError naming the
-    file for anything else: not UTF-8, not JSON, a number out of range or
-    a missing or mistyped field.
+    file for anything else: not UTF-8, not JSON, a key repeated within one
+    object, a number out of range or a missing or mistyped field.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
         model = NetworkModel(
             name=raw["name"],
             mva_base=float(raw["mva_base"]),

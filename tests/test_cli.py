@@ -338,14 +338,16 @@ def test_key_line_skips_strings_and_other_sections():
     (["sweep", "--timings", "3,4", "--duration", "1e15"], {},
      "--duration 1e+15:"),
     (["simulate"], {"duration_s": 1e15}, ":3 (key 'duration_s'):"),
-    (["simulate", "--dt", "1e-300"], {}, ":3 (key 'duration_s'):"),
+    (["simulate", "--dt", "1e-300"], {}, "--dt 1e-300: 5e+300 samples"),
     (["sweep", "--magnitudes", "4,8", "--dt", "1e-300"], {},
-     ":3 (key 'duration_s'):"),
+     "--dt 1e-300: 5e+300 samples"),
     (["sweep", "--timings", "3,4", "--dt", "1e-300"], {},
-     ":3 (key 'duration_s'):"),
+     "--dt 1e-300: 5e+300 samples"),
 ], ids=["simulate", "magnitudes", "timings", "file", "simulate-dt",
         "magnitudes-dt", "timings-dt"])
 def test_horizon_too_long_for_memory(tmp_path, capsys, args, system, where):
+    """The diagnostic names the flag that set the sample count, else the
+    file's duration_s line, and gives the count to 3 digits."""
     # numpy refuses 1e17 samples at once, without allocating any of them;
     # 5e300 samples are past its size limit, a ValueError, not MemoryError
     scn = write_scenario(tmp_path, system=system)
@@ -353,6 +355,7 @@ def test_horizon_too_long_for_memory(tmp_path, capsys, args, system, where):
     assert rc == 2
     err = capsys.readouterr().err
     assert where in err and "do not fit in memory" in err
+    assert err.count("\n") == 1 and len(err) < len(scn) + 100
 
 
 def old_trace_csv(trace):
@@ -511,6 +514,22 @@ def test_case_file_beyond_float_range_names_the_model_key(tmp_path, capsys):
     assert cli.main(["powerflow", str(case)]) == 2
     assert capsys.readouterr().err.startswith(
         f"error: malformed case file {case}:")
+
+
+def test_case_file_with_a_repeated_key_names_the_model_key(tmp_path, capsys):
+    """A case file repeating mva_base exits 2 at the scenario's model key,
+    naming the repeated key, and writes nothing."""
+    text = json.dumps(dataclasses.asdict(netmodel.builtin_wscc9()))
+    case = tmp_path / "twice.json"
+    case.write_text(text.replace('"mva_base": 100.0',
+                                 '"mva_base": 100.0, "mva_base": 50.0', 1))
+    scn = write_scenario(tmp_path, system={"model": "twice.json"})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", scn, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {scn}:4 (key 'model'): malformed case file {case}: "
+        "duplicate key 'mva_base'\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field, value", [

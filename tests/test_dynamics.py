@@ -1,4 +1,5 @@
 """Swing integration: equilibrium, inertial response, droop, events, guards."""
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -59,8 +60,8 @@ def test_power_kernel_bits_equal_the_allocating_expression(model, pf):
     rng = np.random.default_rng(7)
     angles = rng.uniform(-4.0, 4.0, size=(6, 5, 3))
     angles[0, 0] = (-0.5, -1e-300, -0.0)
-    one = dynamics._PowerKernel(e_int, 1)
-    batch = dynamics._PowerKernel(e_int, 5)
+    one = dynamics._power_kernel(e_int, 1)
+    batch = dynamics._power_kernel(e_int, 5)
     stack = np.stack([y_base, y_event, y_event, y_base, y_event])
     for i, delta in enumerate(angles):
         y_red = (y_base, y_event)[i % 2]
@@ -147,19 +148,28 @@ def _plain_rk4(models, pf, schedules, config, n_steps):
 @pytest.mark.parametrize("coupling", ["network", "linear"])
 def test_lockstep_is_plain_rk4_bit_for_bit(model, pf, coupling):
     """The integrator's doubled-slope stages (2 k2 and 2 k3 straight from
-    rhs) give the bits of textbook RK4: for one lane without reserves, and
-    for three lanes with their own governors, magnitudes and the default
-    reserves."""
+    rhs) give the bits of textbook RK4: for one lane without reserves, for
+    three lanes with their own governors, magnitudes and the default
+    reserves, and for one lane whose governor ceiling binds."""
     n_steps = 100
     one = ([model], [make_schedule(model, t_start=0.05)],
            dynamics.SimConfig(duration=n_steps * DT, coupling=coupling))
+    # machine 3's ceiling 0.9 pu, 0.05 above its dispatch, binds from about
+    # 0.66 s under a fast, stiff governor
+    *rest, g3 = model.generators
+    capped = dataclasses.replace(model, generators=(*rest, dataclasses.replace(
+        g3, governor=dataclasses.replace(g3.governor, p_max=0.9))))
+    fast = (0.03, 1.0, 0.0)
+    clipped = ([netmodel.with_dynamic_params(capped, *fast)],
+               [make_schedule(model, t_start=0.05, magnitude_percent=20.0)],
+               one[2])
     three = ([netmodel.with_dynamic_params(model, *params) for params in
               ((0.05, 2.0, 0.0), (0.08, 5.0, 1.0), (0.03, 1.0, 2.0))],
              [make_schedule(model, t_start=0.05, magnitude_percent=mag)
               for mag in (4.0, 8.0, 12.0)],
              dynamics.SimConfig(duration=n_steps * DT, coupling=coupling,
                                 reserves=reserves.default_products()))
-    for models, schedules, config in (one, three):
+    for models, schedules, config in (one, three, clipped):
         want = _plain_rk4(models, pf, schedules, config, n_steps)
         seen = 0
         for k, _, f_coi, d_omega, *_ in dynamics._lockstep(
@@ -171,6 +181,10 @@ def test_lockstep_is_plain_rk4_bit_for_bit(model, pf, coupling):
             seen += 1
         assert seen == n_steps + 1
         assert np.abs(want[-1][-1][1]).max() > 1e-4  # the attack acted
+    # the clip fired: without the ceiling the lane ends on other speeds
+    free = _plain_rk4([netmodel.with_dynamic_params(model, *fast)], pf,
+                      *clipped[1:], n_steps)
+    assert not same_bits(free[0][-1][1], want[0][-1][1])
 
 
 @pytest.mark.parametrize("coupling", ["network", "linear"])
@@ -201,22 +215,39 @@ def test_lanes_keep_their_bits_through_every_coupling_state(model, pf,
 
     built, states = [], []
     # a stack of (m, m) reductions or of (m,) offsets has a lane axis more
-    owner, builder, kernel, stack_ndim = (
-        (dynamics, "build_reduced", dynamics._PowerKernel, 3)
-        if coupling == "network"
-        else (dynamics._Linearization, "offset", dynamics._Linearization, 2))
-    build, power = getattr(owner, builder), kernel.__call__
+    stack_ndim = 3 if coupling == "network" else 2
+
+    def record(y_red):
+        states.append("stack" if np.ndim(y_red) == stack_ndim else "one")
+
+    if coupling == "network":
+        owner, builder, make = dynamics, "build_reduced", dynamics._power_kernel
+
+        def kernel_spy(*args):  # kernels that record each coupling they take
+            power = make(*args)
+
+            def spying(y_red, delta):
+                record(y_red)
+                return power(y_red, delta)
+            return spying
+
+        monkeypatch.setattr(dynamics, "_power_kernel", kernel_spy)
+    else:
+        owner, builder = dynamics._Linearization, "offset"
+        power = dynamics._Linearization.__call__
+
+        def spying(self, y_red, delta):
+            record(y_red)
+            return power(self, y_red, delta)
+
+        monkeypatch.setattr(dynamics._Linearization, "__call__", spying)
+    build = getattr(owner, builder)
 
     def counting(*args):
         built.append(args[-1].tobytes())
         return build(*args)
 
-    def spying(self, y_red, delta):
-        states.append("stack" if np.ndim(y_red) == stack_ndim else "one")
-        return power(self, y_red, delta)
-
     monkeypatch.setattr(owner, builder, counting)
-    monkeypatch.setattr(kernel, "__call__", spying)
     for name, (models, schedules) in batches.items():
         built.clear()
         states.clear()

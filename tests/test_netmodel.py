@@ -161,6 +161,23 @@ def test_from_file_names_the_file_for_a_value_beyond_float(model, tmp_path):
         netmodel.from_file(str(path))
 
 
+@pytest.mark.parametrize("first, repeat", [
+    ('"mva_base": 100.0', '"mva_base": 50.0'),
+    ('"t_g": 5.0', '"t_g": 1.0'),  # within the first generator's governor
+], ids=["top-level", "nested"])
+def test_from_file_rejects_a_repeated_key(model, tmp_path, first, repeat):
+    """json.load keeps the last copy of a repeated key; the case file reader
+    names the key instead of loading either copy."""
+    path = tmp_path / "case.json"
+    text = json.dumps(dataclasses.asdict(model))
+    assert first in text
+    path.write_text(text.replace(first, f"{first}, {repeat}", 1))
+    key = repeat.split(":")[0].strip('"')
+    with pytest.raises(ValueError, match=f"malformed case file {path}: "
+                                         f"duplicate key '{key}'"):
+        netmodel.from_file(str(path))
+
+
 def test_from_file_rejects_a_generator_v_set(model, tmp_path):
     """The power flow holds a machine bus at the bus's v_set, so a
     generator v_set could only be ignored: a file carrying one is
