@@ -286,11 +286,11 @@ def to_file(model: NetworkModel, path: str) -> None:
 def _unique_keys(pairs: list) -> dict:
     """A JSON object's dict, raising ValueError on a repeated key, which
     json.load would otherwise resolve to its last copy."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        seen = set()
-        key = next(k for k, _ in pairs if k in seen or seen.add(k))
-        raise ValueError(f"duplicate key {key!r}")
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
     return obj
 
 
