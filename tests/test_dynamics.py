@@ -181,7 +181,8 @@ def test_lockstep_is_plain_rk4_bit_for_bit(model, pf, coupling):
             seen += 1
         assert seen == n_steps + 1
         assert np.abs(want[-1][-1][1]).max() > 1e-4  # the attack acted
-    # the clip fired: without the ceiling the lane ends on other speeds
+    # the clip fired: without the ceiling the clipped lane, the loop's last,
+    # ends on other speeds
     free = _plain_rk4([netmodel.with_dynamic_params(model, *fast)], pf,
                       *clipped[1:], n_steps)
     assert not same_bits(free[0][-1][1], want[0][-1][1])
