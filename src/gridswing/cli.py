@@ -12,12 +12,13 @@ Scenario files are flat JSON documents with three sections::
 
 Only "attack" is mandatory. The flags --dt, --duration, --reserves and
 --target-bus replace system.dt_s, system.duration_s, system.reserves and
-attack.target_bus before any check runs. Validation is strict: unknown or
-repeated keys are rejected, and each diagnostic names the flag and its value,
-or the file, the key, and the line where the key appears. Commands write
-their trace CSVs and report JSONs atomically (temp file + rename),
+attack.target_bus before any check runs, and are checked exactly like them.
+Validation is strict: unknown or repeated keys are rejected, and each
+diagnostic names the flag and its value, or the file, the key, and the line
+where the key appears (an anchor's also names the anchor's number). Commands
+write their trace CSVs and report JSONs atomically (temp file + rename),
 byte-stable for identical runs; ``simulate`` renames its two artifacts into
-place only once both are written.
+place only once both are written, and never writes both to one path.
 
 Exit codes: 0 success, 2 configuration error, 3 power-flow non-convergence,
 4 dynamic instability, 5 internal error (a fault of the program, not of
@@ -30,7 +31,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 import tempfile
 import traceback
@@ -61,39 +61,6 @@ class ScenarioError(ValueError):
         if key is not None:
             where += f" (key {key!r})"
         super().__init__(f"{where}: {msg}")
-
-
-# A JSON string, followed by its colon when it is a key, or a bracket.
-_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"(\s*:)?|[][{}]')
-
-
-def _keys(text: str):
-    """(path, container, key, line) for each key of the valid JSON document
-    text in order: path holds the key that opened each enclosing container
-    (None for the top level and list items), container the offset of the
-    innermost one."""
-    path, opened, last_key = [], [], None
-    for tok in _JSON_TOKEN.finditer(text):
-        if tok.group() in ("{", "["):
-            path.append(last_key)
-            opened.append(tok.start())
-            last_key = None
-        elif tok.group() in ("}", "]"):
-            path.pop()
-            opened.pop()
-            last_key = None
-        elif tok.group(1) is not None:
-            last_key = json.loads(tok.group()[:-len(tok.group(1))])
-            line = text.count("\n", 0, tok.start()) + 1
-            yield path, opened[-1], last_key, line
-
-
-def _key_line(text: str, key: str, section: str | None = None) -> int | None:
-    """Line of key in the valid JSON document text: among the top-level
-    keys, or among the keys of the top-level object section."""
-    want = [None] if section is None else [None, section]
-    return next((line for path, _, k, line in _keys(text)
-                 if k == key and path == want), None)
 
 
 _SYSTEM_KEYS = {
@@ -140,40 +107,51 @@ def _flag_error(flag: str, value, msg: str) -> ScenarioError:
 
 
 class _Source:
-    """A run's inputs as given: a JSON file's text and the flags (flag ->
-    value, see _FLAG_KEYS) that replace some of its values."""
+    """A run's inputs as given: a JSON file's key lines (netmodel.key_lines)
+    and the flags (flag -> value, see _FLAG_KEYS) that replace some of its
+    values. A section is a key of the file's top-level object or, in an
+    anchor file, an anchor's 1-based number."""
 
-    def __init__(self, path: str, text: str, flags: dict | None = None):
+    def __init__(self, path: str, lines: dict, flags: dict | None = None):
         self.path = path
-        self.text = text
+        self.lines = lines
         self.flags = flags or {}
 
-    def error(self, section: str | None, key: str, msg: str) -> ScenarioError:
+    def error(self, section, key: str | None, msg: str) -> ScenarioError:
         """msg placed at the flag that set key of section, else at the
-        key's line in the file (a top-level key when section is None)."""
+        key's line in the file (a top-level key when section is None). An
+        anchor's msg names it, and is placed at its opening brace when the
+        anchor lacks the key."""
         flag = _FLAG_KEYS.get((section, key))
         if flag in self.flags:
             return _flag_error(flag, self.flags[flag], msg)
-        return ScenarioError(self.path, key, _key_line(self.text, key, section),
-                             msg)
+        where = () if section is None else (section,)
+        line = self.lines.get((where, key))
+        if isinstance(section, int):
+            line = line or self.lines.get((where, None))
+            msg = f"anchor {section}: {msg}"
+        return ScenarioError(self.path, key, line, msg)
 
-    def checked(self, name: str, section, allowed: dict,
+    def checked(self, name, section, allowed: dict,
                 required: tuple = ()) -> dict:
-        """The object section with its flags applied, once it has its
+        """The object section name with its flags applied, once it has its
         required keys, only allowed keys, values of their keys' types
         (booleans are not numbers) and only numbers that are finite floats."""
+        label = name if isinstance(name, str) else "anchor"
         if not isinstance(section, dict):
-            raise self.error(None, name, f"section {name!r} must be an object")
+            where = (None, name) if label == name else (name, None)
+            raise self.error(*where, f"section {label!r} must be an object")
         section = {**section, **{key: self.flags[flag]
                                  for (sec, key), flag in _FLAG_KEYS.items()
                                  if sec == name and flag in self.flags}}
         for key in required:
             if key not in section:
                 raise self.error(name, key,
-                                 f"missing required {name} key {key!r}")
+                                 f"missing required {label} key {key!r}")
         for key, value in section.items():
             if key not in allowed:
-                raise self.error(name, key, f"unknown key in {name!r} section")
+                raise self.error(name, key,
+                                 f"unknown key in {label!r} section")
             expected = allowed[key]
             if isinstance(value, bool) or not isinstance(value, expected):
                 want = expected.__name__ if isinstance(expected, type) else \
@@ -188,8 +166,8 @@ class _Source:
         return section
 
 
-def _read_json(path: str):
-    """The text of a JSON file and the document it holds."""
+def _read_json(path: str, flags: dict | None = None):
+    """A JSON file read once: its _Source (with flags) and its document."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -202,29 +180,26 @@ def _read_json(path: str):
                             f"invalid JSON: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal too long to convert
         raise ScenarioError(path, None, None, f"invalid JSON: {exc}") from exc
-    seen = set()  # json.loads keeps the last copy of a repeated key
-    for _, container, key, line in _keys(text):
-        if (container, key) in seen:
-            raise ScenarioError(path, key, line, "duplicate key")
-        seen.add((container, key))
-    return text, doc
+    lines, duplicate = netmodel.key_lines(text)
+    if duplicate:
+        raise ScenarioError(path, *duplicate, "duplicate key")
+    return _Source(path, lines, flags), doc
 
 
 def parse_scenario(path: str, flags: dict | None = None):
     """Load a scenario file, replace its values by flags (flag -> value,
     the flags of _FLAG_KEYS) and validate the result once.
 
-    Returns (NetworkModel, AttackScenario, SimConfig, config): the
-    SimConfig holds the reserve preset's products, and config is the
-    report's "config" section, every key resolved to the value the run
-    uses. Raises ScenarioError at the flag that set a bad value, or at the
-    file's line and key; an attack problem is placed at the key that
-    validate_scenario names for it.
+    Returns (NetworkModel, AttackScenario, SimConfig, config, source): the
+    SimConfig holds the reserve preset's products, config is the report's
+    "config" section, every key resolved to the value the run uses, and
+    source the _Source that places later diagnostics. Raises ScenarioError
+    at the flag that set a bad value, or at the file's line and key; an
+    attack problem is placed at the key that validate_scenario names for it.
     """
-    text, doc = _read_json(path)
+    src, doc = _read_json(path, flags)
     if not isinstance(doc, dict):
         raise ScenarioError(path, None, 1, "top level must be an object")
-    src = _Source(path, text, flags)
     for key in doc:
         if key not in ("system", "attack", "output"):
             raise src.error(None, key, "unknown top-level section")
@@ -300,7 +275,7 @@ def parse_scenario(path: str, flags: dict | None = None):
                                                         scenario.target_bus)},
         "output": {key: output.get(key) for key in _OUTPUT_KEYS},
     }
-    return model, scenario, sim, config
+    return model, scenario, sim, config, src
 
 
 def _write_together(*writes) -> None:
@@ -372,20 +347,13 @@ def _flags(args) -> dict:
             if (value := getattr(args, flag[2:].replace("-", "_"))) is not None}
 
 
-def _input_error(args, section: str, key: str, msg: str) -> ScenarioError:
-    """msg at the flag that set key of section, else at the key's line."""
-    text, _ = _read_json(args.scenario)
-    return _Source(args.scenario, text, _flags(args)).error(section, key, msg)
-
-
-def _horizon_error(args, config: dynamics.SimConfig) -> ScenarioError:
+def _horizon_error(src, config: dynamics.SimConfig) -> ScenarioError:
     """Diagnostic for samples numpy could not allocate: at --dt when that
     flag alone changed the sample count, else at the horizon."""
-    key = "dt_s" if args.dt is not None and args.duration is None \
+    key = "dt_s" if "--dt" in src.flags and "--duration" not in src.flags \
         else "duration_s"
-    return _input_error(args, "system", key,
-                        f"{config.n_steps + 1:.3g} samples at dt = "
-                        f"{config.dt:g} s do not fit in memory")
+    return src.error("system", key, f"{config.n_steps + 1:.3g} samples at "
+                     f"dt = {config.dt:g} s do not fit in memory")
 
 
 def _cmd_powerflow(args) -> int:
@@ -405,20 +373,25 @@ def _cmd_powerflow(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    model, scenario, sim, config = parse_scenario(args.scenario, _flags(args))
+    model, scenario, sim, config, src = parse_scenario(args.scenario,
+                                                       _flags(args))
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
     out = config["output"]
+    given = "report_json" if out["report_json"] else "trace_csv"
     trace_path = out["trace_csv"] = _out_path(args, out["trace_csv"],
                                               f"{stem}_trace.csv")
     report_path = out["report_json"] = _out_path(args, out["report_json"],
                                                   f"{stem}_report.json")
+    if os.path.realpath(trace_path) == os.path.realpath(report_path):
+        raise src.error("output", given,
+                        f"trace and report would both be {report_path}")
 
     schedule = attacks.compile_scenario(model, scenario)
     pf = powerflow.solve(model)
     try:
         trace = dynamics.simulate(model, schedule, sim, pf)
     except MemoryError:
-        raise _horizon_error(args, sim) from None
+        raise _horizon_error(src, sim) from None
     mx = analysis.metrics(trace)
     report = {
         "config": config,
@@ -451,7 +424,8 @@ def _parse_float_list(flag: str, spec: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    model, scenario, sim, config = parse_scenario(args.scenario, _flags(args))
+    model, scenario, sim, config, src = parse_scenario(args.scenario,
+                                                       _flags(args))
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
     by_magnitude = args.magnitudes is not None
     flag, spec = (("--magnitudes", args.magnitudes) if by_magnitude
@@ -460,9 +434,9 @@ def _cmd_sweep(args) -> int:
     # min() keeps t / dt finite; a start on the last boundary acts on nothing
     if by_magnitude and dynamics.step_index(
             min(scenario.t_start, sim.duration), sim.dt) >= sim.n_steps:
-        where = (("system", "duration_s") if args.duration is not None
+        where = (("system", "duration_s") if "--duration" in src.flags
                  else ("attack", "t_start"))
-        raise _input_error(args, *where, (
+        raise src.error(*where, (
             f"the attack starts at {scenario.t_start:g} s, too late to act "
             f"within the {sim.duration:g} s horizon"))
     try:
@@ -472,7 +446,7 @@ def _cmd_sweep(args) -> int:
             optimal, per_t1 = analysis.timing_sweep(model, scenario, values,
                                                     sim)
     except MemoryError:
-        raise _horizon_error(args, sim) from None
+        raise _horizon_error(src, sim) from None
     except np.linalg.LinAlgError:
         raise  # a singular network reduction during the run
     # a list value the sweep rejects up front, or too few points to fit
@@ -514,20 +488,18 @@ def _load_anchors(spec: str):
         return analysis.DEFAULT_ANCHORS
     if spec == "incident":
         return analysis.INCIDENT_ANCHORS
-    text, raw = _read_json(spec)
+    src, raw = _read_json(spec)
     if not isinstance(raw, list) or not raw:
         raise ScenarioError(spec, None, None,
                             "expected a non-empty list of anchors")
     anchors = []
     for i, anchor in enumerate(raw, start=1):
-        src = _Source(f"{spec} anchor {i}", text)
-        anchor = src.checked("anchor", anchor, _ANCHOR_KEYS,
-                             required=("percent",))
+        anchor = src.checked(i, anchor, _ANCHOR_KEYS, required=("percent",))
         if anchor["percent"] <= 0:
-            raise src.error("anchor", "percent", "must be positive")
+            raise src.error(i, "percent", "must be positive")
         if anchor.get("nadir_hz") is None and anchor.get("settled_hz") is None:
-            raise ScenarioError(src.path, None, None,
-                                "has no targets: give nadir_hz or settled_hz")
+            raise src.error(i, None,
+                            "has no targets: give nadir_hz or settled_hz")
         anchors.append((float(anchor["percent"]), *(
             None if anchor.get(key) is None else float(anchor[key])
             for key in ("nadir_hz", "settled_hz"))))
@@ -588,8 +560,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="integration step override, s")
     common.add_argument("--duration", type=float, default=None,
                         help="simulation length override, s")
-    common.add_argument("--reserves", choices=_RESERVE_PRESETS, default=None,
-                        help="reserve preset override")
+    common.add_argument("--reserves", default=None,
+                        help="reserve preset override: "
+                        + " or ".join(_RESERVE_PRESETS))
     # a bus id when the value is digits; else the scenario check takes it
     common.add_argument("--target-bus", default=None,
                         type=lambda s: int(s) if s.isdecimal() else s,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, asdict, replace
 
 
@@ -283,15 +284,36 @@ def to_file(model: NetworkModel, path: str) -> None:
         fh.write("\n")
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object's dict, raising ValueError on a repeated key, which
-    json.load would otherwise resolve to its last copy."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate key {key!r}")
-        obj[key] = value
-    return obj
+# A JSON string, followed by its colon when it is a key, or a bracket or comma.
+_JSON_TOKEN = re.compile(r'("(?:[^"\\]|\\.)*")(\s*:)?|[][{},]')
+
+
+def key_lines(text: str):
+    """The line of each key of the valid JSON document text, and the first
+    key repeated within one object: ({(where, key): line}, (key, line) or
+    None). where is the tuple of keys and 1-based list-item numbers above
+    the key's object; (where, None) maps to that object's opening brace.
+    The walk stops at the repeat, of which json.loads keeps the last copy."""
+    lines, path, line, pos = {}, [], 1, 0
+    for tok in _JSON_TOKEN.finditer(text):
+        line += text.count("\n", pos, tok.start())
+        pos, char = tok.start(), tok.group()
+        if tok.group(2) is not None:
+            # path holds each open object's last key, each list's item number
+            where, path[-1] = tuple(path[:-1]), json.loads(tok.group(1))
+            if (where, path[-1]) in lines:
+                return lines, (path[-1], line)
+            lines[where, path[-1]] = line
+        elif char == "{":
+            lines[tuple(path), None] = line
+            path.append(None)
+        elif char == "[":
+            path.append(1)
+        elif char == "," and isinstance(path[-1], int):
+            path[-1] += 1
+        elif char in ("}", "]"):
+            path.pop()
+    return lines, None
 
 
 def from_file(path: str) -> NetworkModel:
@@ -303,7 +325,10 @@ def from_file(path: str) -> NetworkModel:
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh, object_pairs_hook=_unique_keys)
+            text = fh.read()
+        raw = json.loads(text)
+        if duplicate := key_lines(text)[1]:
+            raise ValueError(f"duplicate key {duplicate[0]!r}")
         model = NetworkModel(
             name=raw["name"],
             mva_base=float(raw["mva_base"]),

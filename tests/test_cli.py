@@ -135,7 +135,8 @@ def test_attack_problem_names_its_key_and_line(tmp_path, capsys, attack, key,
 @pytest.mark.parametrize("flag, value", [("--dt", "0"), ("--dt", "nan"),
                                          ("--duration", "0.015"),
                                          ("--target-bus", "abc"),
-                                         ("--target-bus", "99")])
+                                         ("--target-bus", "99"),
+                                         ("--reserves", "lots")])
 @pytest.mark.parametrize("args", [["simulate"],
                                   ["sweep", "--magnitudes", "4,8"]],
                          ids=["simulate", "magnitudes"])
@@ -152,7 +153,7 @@ def test_bad_flag_is_named_with_its_value(tmp_path, capsys, args, flag,
 def test_flag_replaces_the_file_value_before_it_is_checked(tmp_path):
     scn = write_scenario(tmp_path, system={"dt_s": -1.0, "reserves": "lots"},
                          attack={"target_bus": 99})
-    _, scenario, sim, config = cli.parse_scenario(
+    _, scenario, sim, config, _ = cli.parse_scenario(
         scn, {"--dt": 0.05, "--reserves": "default", "--target-bus": 5})
     assert (sim.dt, config["system"]["reserves"], scenario.target_bus) == \
         (0.05, "default", 5)
@@ -324,11 +325,26 @@ def test_key_line_skips_strings_and_other_sections():
     text = ('{"attack": {"type": "{\\"dt_s\\": [", "family": "static"},\n'
             ' "system": {"model": "dt_s",\n'
             '  "dt_s": 0.01}}\n')
-    assert cli._key_line(text, "dt_s", "system") == 3
-    assert cli._key_line(text, "family", "attack") == 1
-    assert cli._key_line(text, "family", "system") is None
-    assert cli._key_line(text, "system") == 2
-    assert cli._key_line(text, "dt_s") is None
+    lines, duplicate = netmodel.key_lines(text)
+    assert duplicate is None
+    assert lines[("system",), "dt_s"] == 3
+    assert lines[("attack",), "family"] == 1
+    assert (("system",), "family") not in lines
+    assert lines[(), "system"] == 2
+    assert ((), "dt_s") not in lines
+    # strings holding brackets, commas, colons and escaped quotes; nested
+    # lists; scalar items counted; one key in two sibling objects
+    text = ('[1, {"percent": -1,\n'
+            '  "k{,:\\"": ["}", {"x": [[2, {"y": ",:{"}]]}]},\n'
+            ' {"percent": 2}]\n')
+    deep = (2, 'k{,:"', 2, "x", 1, 2)
+    assert netmodel.key_lines(text) == ({
+        ((2,), None): 1, ((2,), "percent"): 1, ((2,), 'k{,:"'): 2,
+        (deep[:3], None): 2, (deep[:3], "x"): 2, (deep, None): 2,
+        (deep, "y"): 2, ((3,), None): 3, ((3,), "percent"): 3}, None)
+    # a repeat within one object, here a nested one, stops the walk
+    assert netmodel.key_lines('{"a": [{"p": 1, "q": 2,\n "p": 3}],\n'
+                              ' "a": 4}')[1] == ("p", 2)
 
 
 @pytest.mark.parametrize("args, system, where", [
@@ -392,6 +408,24 @@ def test_horizon_not_whole_steps_is_config_error(tmp_path, capsys):
     scn = write_scenario(tmp_path, system={"dt_s": 0.3, "duration_s": 1.0})
     assert cli.main(["simulate", scn, "--out-dir", str(tmp_path)]) == 2
     assert "(key 'duration_s')" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("output, key", [
+    ({"trace_csv": "same.out", "report_json": "same.out"}, "report_json"),
+    ({"trace_csv": "same.out", "report_json": "./same.out"}, "report_json"),
+    ({"report_json": "case_trace.csv"}, "report_json"),
+    ({"trace_csv": "case_report.json"}, "trace_csv"),
+], ids=["both", "dot", "report-default-trace", "trace-default-report"])
+def test_trace_and_report_on_one_path_are_rejected(tmp_path, capsys, output,
+                                                   key):
+    """One path for both artifacts would keep only the report: simulate
+    exits 2 at the key given for it and writes nothing."""
+    scn = write_scenario(tmp_path, output=output)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", scn, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {scn}:{line_of(scn, key)} (key {key!r}): ")
+    assert list(out.iterdir()) == []
 
 
 def test_failed_report_write_leaves_no_trace(tmp_path, capsys):
@@ -746,7 +780,7 @@ def test_calibrate_rejects_bad_anchor_values(tmp_path, capsys, anchor, key,
     assert cli.main(["calibrate", "--anchors", str(path),
                      "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path} anchor 2 (key {key!r}):")
+    assert err.startswith(f"error: {path}:2 (key {key!r}): anchor 2: ")
     assert message in err
     assert not out.exists()  # no report, and no simulation before the check
 
@@ -758,9 +792,32 @@ def test_calibrate_rejects_anchor_without_targets(tmp_path, capsys):
     assert cli.main(["calibrate", "--anchors", str(path),
                      "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"error: {path} anchor 1: has no targets: give nadir_hz or "
+        f"error: {path}:1: anchor 1: has no targets: give nadir_hz or "
         "settled_hz\n")
     assert not out.exists()  # no report, and no simulation before the check
+
+
+@pytest.mark.parametrize("anchor, line, key, message", [
+    ('{"settled_hz": 49.8,\n  "percent": -1}', 5, "percent", "positive"),
+    ('{"percent": 12.0,\n  "nadir_hz": "low"}', 5, "nadir_hz", "expected"),
+    ('{\n  "settled_hz": 49.8}', 4, "percent", "missing required"),
+    ('{\n  "percent": 12.0}', 4, None, "has no targets"),
+], ids=["value", "type", "missing-key", "no-targets"])
+def test_anchor_diagnostic_starts_at_its_line(tmp_path, capsys, anchor, line,
+                                              key, message):
+    """Each anchor diagnostic starts with path:line, the key's line or, for
+    a key or targets the anchor lacks, its opening brace's, and names the
+    anchor's number."""
+    path = tmp_path / "anchors.json"
+    path.write_text('[{"percent": 8.0, "settled_hz": 49.9},\n'
+                    ' {"percent": 4.0,\n  "settled_hz": 49.95},\n'
+                    f' {anchor}]\n')
+    assert cli.main(["calibrate", "--anchors", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    where = f"{path}:{line}" + ("" if key is None else f" (key {key!r})")
+    assert err.startswith(f"error: {where}: anchor 3: ")
+    assert message in err
 
 
 def test_feasibility_emits_json(capsys):
@@ -785,7 +842,7 @@ def test_shipped_scenarios_parse():
     shipped = sorted(glob.glob(os.path.join(here, "..", "scenarios", "*.scn")))
     assert len(shipped) >= 6
     for path in shipped:
-        model, scenario, sim, config = cli.parse_scenario(path)
+        model, scenario, sim, config, _ = cli.parse_scenario(path)
         assert scenario.family in ("static", "switching", "periodic",
                                    "combination")
         assert sim.duration > 0

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from gridswing import attacks, dynamics, netmodel, powerflow, reserves
 from gridswing.attacks import AttackType
@@ -514,3 +515,49 @@ def test_single_lane_features_reject_batches(model, pf, schedule_kw, feature):
     config = dynamics.SimConfig(duration=1.0)
     with pytest.raises(ValueError, match=feature):
         next(dynamics._lockstep([model, model], pf, [sch, sch], config))
+
+
+@pytest.mark.parametrize("kw", [{}, {"family": "switching", "t1": 6.0}],
+                         ids=["static", "switching"])
+def test_linear_coupling_matches_its_closed_form(model, pf, kw):
+    """While no governor clip binds, linear coupling is a linear
+    time-invariant system in (delta - delta0, d_omega, p_m - p_ref) driven by
+    a power offset held over each step, so a zero-order-hold step of expm
+    is its exact response; RK4 at 10 ms must agree within 1e-6 Hz."""
+    schedule = make_schedule(model, **kw)
+    trace = dynamics.simulate(model, schedule, dynamics.SimConfig(
+        duration=40.0, coupling="linear"), pf)
+    delta0, e_int, p_ref, y_red0 = dynamics.init_state(model, pf)
+    lin = dynamics._Linearization(model, pf, y_red0, e_int, delta0, p_ref)
+    _, h, d, gain, t_g, _ = dynamics.machine_params(model)
+    omega_s = 2.0 * np.pi * model.f_nominal
+    m, zero = len(h), np.zeros((len(h), len(h)))
+    swing = np.diag(1 / (2 * h))
+    a = np.block([
+        [zero, omega_s * np.eye(m), zero],
+        [-swing @ lin.k, -swing @ np.diag(d), swing],
+        [zero, np.diag(-gain / t_g), np.diag(-1 / t_g)]])
+    # the offset enters the swing rows as -offset / (2H)
+    b = np.vstack([zero, -swing, zero])
+    aug = np.zeros((4 * m, 4 * m))
+    aug[:3 * m, :3 * m], aug[:3 * m, 3 * m:] = a, b
+    step = expm(aug * DT)
+    a_d, b_d = step[:3 * m, :3 * m], step[:3 * m, 3 * m:]
+
+    loads = dynamics.base_loads(model)
+    idx = model.bus_index()
+    due = {}
+    for ev in schedule.events:
+        due.setdefault(dynamics.step_index(ev.time, DT), []).append(ev)
+    x, offset = np.zeros(3 * m), np.zeros(m)
+    f_coi, p_m = np.empty(len(trace)), np.empty((len(trace), m))
+    for k in range(len(trace)):
+        for ev in due.get(k, ()):
+            loads[idx[ev.bus]] += ev.delta_p
+            offset = lin.offset(loads)
+        f_coi[k] = model.f_nominal * (1.0 + h @ x[m:2 * m] / h.sum())
+        p_m[k] = p_ref + x[2 * m:]
+        x = a_d @ x + b_d @ offset
+    p_max = [g.governor.p_max for g in model.generators]
+    assert np.all((p_m > 0) & (p_m < p_max))  # the clip never binds
+    assert np.abs(trace.f_coi - f_coi).max() < 1e-6
