@@ -10,18 +10,19 @@ one of four shapes over those primitives:
 * combination - alternates between a raising and a lowering type every
                 `interval`, swinging the demand by twice the magnitude
 
-Compilation produces an EventSchedule of (time, bus, delta_p) tuples in
-system pu. Every scenario except static sums to zero: reversions restore
-the original demand exactly. With trigger="slope" only the first event is
-pre-timed; the rest are released by a SlopeTrigger watching the frequency
-trace for the recovery inflection, which is how an attacker without a grid
-model times repeated strikes for maximum effect.
+Compilation produces an EventSchedule of (time, bus, delta_p) events in
+system pu, in time order. Every scenario except static sums to zero:
+reversions restore the original demand exactly. With trigger="slope" only
+the first event is timed; a SlopeTrigger watching the frequency trace for
+the recovery inflection releases the rest in order, which is how an
+attacker without a grid model times repeated strikes for maximum effect.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .netmodel import NetworkModel, attack_fraction_to_pu
@@ -74,28 +75,17 @@ class Event:
 
 
 @dataclass(frozen=True)
-class SlopePolicy:
-    """Runtime plan for slope-triggered releases.
-
-    pending holds the (bus, delta_p) transitions still to fire, in order;
-    refractory_s suppresses re-triggering for one interval after a release.
-    """
-
-    pending: tuple[tuple[int, float], ...]
-    refractory_s: float
-
-
-@dataclass(frozen=True)
 class EventSchedule:
+    """An attack's transitions in time order. refractory_s is None under the
+    time trigger; under the slope trigger only events[0] is timed, the rest
+    are released by a SlopeTrigger with that refractory period."""
+
     events: tuple[Event, ...]
-    policy: SlopePolicy | None = None
+    refractory_s: float | None = None
     label: str = ""
 
     def net_delta(self) -> float:
-        total = sum(e.delta_p for e in self.events)
-        if self.policy is not None:
-            total += sum(d for _, d in self.policy.pending)
-        return total
+        return sum(e.delta_p for e in self.events)
 
 
 def resolve_target(model: NetworkModel, target: int | str | None) -> int:
@@ -194,16 +184,9 @@ def compile_scenario(model: NetworkModel, sc: AttackScenario) -> EventSchedule:
             level = nxt
         transitions.append((sc.t_start + sc.count * sc.interval, -level))
 
-    if sc.trigger == "slope":
-        first_t, first_d = transitions[0]
-        pending = tuple((bus, d) for _, d in transitions[1:])
-        return EventSchedule(
-            events=(Event(first_t, bus, first_d),),
-            policy=SlopePolicy(pending=pending, refractory_s=sc.interval),
-            label=label,
-        )
     return EventSchedule(
         events=tuple(Event(t, bus, d) for t, d in transitions),
+        refractory_s=sc.interval if sc.trigger == "slope" else None,
         label=label,
     )
 
@@ -211,37 +194,35 @@ def compile_scenario(model: NetworkModel, sc: AttackScenario) -> EventSchedule:
 class SlopeTrigger:
     """Fires on the recovery inflection of the frequency trace.
 
-    Watches a sliding window of the trace and releases the next pending
-    event just after the rate of change toward nominal has peaked: the
-    discrete slope magnitude rose within the window and then fell, while
-    the trace is still heading back to nominal. A refractory period of one
-    attack interval follows every release.
+    Watches the slopes of a sliding window of the trace and releases the
+    next pending event just after the rate of change toward nominal has
+    peaked: the discrete slope magnitude rose within the window and then
+    fell, while the trace is still heading back to nominal. A refractory
+    period follows every release. pending holds the events still to
+    release, in order; their times are not read.
     """
 
-    def __init__(self, policy: SlopePolicy, f_nominal: float, dt: float):
-        self.policy = policy
+    def __init__(self, pending, refractory_s: float, f_nominal: float,
+                 dt: float):
+        self.pending = deque(pending)
+        self.refractory_s = refractory_s
         self.f_nominal = f_nominal
         self.dt = dt
         self.window_n = max(3, int(round(SLOPE_WINDOW_S / dt)))
-        self._history: list[float] = []
-        self._pending = list(policy.pending)
+        self._slopes: deque[float] = deque(maxlen=self.window_n)
+        self._last: float | None = None
         self._blocked_until = -1.0
 
-    @property
-    def exhausted(self) -> bool:
-        return not self._pending
-
-    def observe(self, t: float, f_hz: float) -> tuple[int, float] | None:
-        """Record one sample; return the (bus, delta_p) to apply, if firing."""
-        self._history.append(f_hz)
-        if len(self._history) > self.window_n + 1:
-            self._history.pop(0)
-        if not self._pending or t < self._blocked_until:
+    def observe(self, t: float, f_hz: float) -> Event | None:
+        """Record one sample; return the event to apply, if firing."""
+        if self._last is not None:
+            self._slopes.append((f_hz - self._last) / self.dt)
+        self._last = f_hz
+        if not self.pending or t < self._blocked_until:
             return None
-        if len(self._history) < self.window_n + 1:
+        slopes = self._slopes
+        if len(slopes) < self.window_n:
             return None
-        h = self._history
-        slopes = [(h[i + 1] - h[i]) / self.dt for i in range(len(h) - 1)]
         toward = slopes[-1] * (self.f_nominal - f_hz) > 0
         if not toward:
             return None
@@ -252,6 +233,7 @@ class SlopeTrigger:
             return None
         if abs(slopes[peak]) <= abs(slopes[-1]):
             return None
-        self._blocked_until = t + self.policy.refractory_s
-        self._history.clear()
-        return self._pending.pop(0)
+        self._blocked_until = t + self.refractory_s
+        slopes.clear()
+        self._last = None
+        return self.pending.popleft()

@@ -119,16 +119,15 @@ class _Source:
 
     def error(self, section, key: str | None, msg: str) -> ScenarioError:
         """msg placed at the flag that set key of section, else at the
-        key's line in the file (a top-level key when section is None). An
-        anchor's msg names it, and is placed at its opening brace when the
-        anchor lacks the key."""
+        key's line in the file (a top-level key when section is None), or
+        at the section's opening brace when the section lacks the key. An
+        anchor's msg names it."""
         flag = _FLAG_KEYS.get((section, key))
         if flag in self.flags:
             return _flag_error(flag, self.flags[flag], msg)
         where = () if section is None else (section,)
-        line = self.lines.get((where, key))
+        line = self.lines.get((where, key)) or self.lines.get((where, None))
         if isinstance(section, int):
-            line = line or self.lines.get((where, None))
             msg = f"anchor {section}: {msg}"
         return ScenarioError(self.path, key, line, msg)
 
@@ -278,9 +277,13 @@ def parse_scenario(path: str, flags: dict | None = None):
     return model, scenario, sim, config, src
 
 
-def _write_together(*writes) -> None:
+def _write_together(out_dir: str | None, *writes) -> None:
     """Run each (writer, payload, path) on a fresh temp file beside its
-    path, then rename them all into place: a failed write leaves none."""
+    path, then rename them all into place: a failed write leaves none.
+    out_dir, the --out-dir the paths were joined to, is made only here,
+    so a run that fails before writing leaves no directory either."""
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
     staged = []
     try:
         for write, payload, path in writes:
@@ -335,10 +338,8 @@ def _metrics_dict(mx: analysis.Metrics) -> dict:
 
 
 def _out_path(args, cfg_path: str | None, default_name: str) -> str:
-    out_dir = getattr(args, "out_dir", None) or "."
-    os.makedirs(out_dir, exist_ok=True)
     # join keeps an absolute path from the scenario file as it is
-    return os.path.join(out_dir, cfg_path or default_name)
+    return os.path.join(args.out_dir or ".", cfg_path or default_name)
 
 
 def _flags(args) -> dict:
@@ -401,7 +402,8 @@ def _cmd_simulate(args) -> int:
         "events": [{"time_s": t, "what": w} for t, w in trace.events],
         "samples": len(trace),
     }
-    _write_together((write_trace_csv, trace, trace_path),
+    _write_together(args.out_dir,
+                    (write_trace_csv, trace, trace_path),
                     (write_report_json, report, report_path))
     print(f"nadir {mx.nadir_hz:.3f} Hz, zenith {mx.zenith_hz:.3f} Hz, "
           f"settled {mx.settled_f_hz:.3f} Hz")
@@ -478,7 +480,8 @@ def _cmd_sweep(args) -> int:
         print(f"optimal reversion time: {optimal:g} s")
     report_path = _out_path(args, config["output"]["report_json"],
                             f"{stem}_sweep.json")
-    _write_together((write_report_json, report, report_path))
+    _write_together(args.out_dir,
+                    (write_report_json, report, report_path))
     print(f"report: {report_path}")
     return EXIT_OK
 
@@ -519,7 +522,7 @@ def _cmd_calibrate(args) -> int:
         "quality_warning": params.quality_warning,
     }
     path = _out_path(args, None, "calibrated_params.json")
-    _write_together((write_report_json, report, path))
+    _write_together(args.out_dir, (write_report_json, report, path))
     print(f"r_droop {params.r_droop:g}, t_g {params.t_g:g} s, d {params.d:g}; "
           f"residual {params.objective_residual:.4f} Hz^2")
     if params.quality_warning:

@@ -361,7 +361,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     batch = n_lanes > 1
     if len(schedules) != n_lanes:
         raise ValueError("need one schedule per lane")
-    if batch and any(s.policy is not None for s in schedules):
+    if batch and any(s.refractory_s is not None for s in schedules):
         raise ValueError("the slope trigger needs a single lane")
     products = tuple(p for p in config.reserves if p.enabled)
 
@@ -415,20 +415,25 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     alpha = _reserves.lag_factors(products, dt)
     # Pre-bin (lane, bus, delta_p) by destination step, where the slope
     # trigger adds its releases; each lane's events keep their time order.
+    # Under the slope trigger only the first event is timed.
     by_step: dict[int, list] = {}
     for lane, schedule in enumerate(schedules):
-        for ev in sorted(schedule.events, key=lambda e: e.time):
+        for ev in schedule.events:
             if model.load_at(ev.bus) is None:
                 raise ValueError(
                     f"event targets bus {ev.bus} which has no load")
+        timed = schedule.events if schedule.refractory_s is None \
+            else schedule.events[:1]
+        for ev in sorted(timed, key=lambda e: e.time):
             if ev.time > config.duration:
                 continue  # never applies, and t / dt may be too large to snap
             by_step.setdefault(step_index(ev.time, dt), []).append(
                 (lane, ev.bus, ev.delta_p))
 
     trigger = None
-    if schedules[0].policy is not None:
-        trigger = _attacks.SlopeTrigger(schedules[0].policy, f_nom, dt)
+    if schedules[0].refractory_s is not None:
+        trigger = _attacks.SlopeTrigger(schedules[0].events[1:],
+                                        schedules[0].refractory_s, f_nom, dt)
     outputs = np.zeros((n_lanes, len(products)))  # MW per product, signed
     p_reserve = (np.zeros(n_lanes), np.zeros(n_lanes))  # up, down; pu
     if products:
@@ -464,9 +469,9 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     for k in range(n_steps + 1):
         t_now = k * dt
         f_coi = f_nom * (1.0 + np.vecdot(dw_lanes, h_sys) / h_total)
-        if trigger is not None and not trigger.exhausted and (
+        if trigger is not None and trigger.pending and (
                 fired := trigger.observe(t_now, float(f_coi))) is not None:
-            by_step.setdefault(k, []).append((0, *fired))
+            by_step.setdefault(k, []).append((0, fired.bus, fired.delta_p))
         due = by_step.get(k)
         if due:
             for lane, bus, delta_p in due:

@@ -343,7 +343,8 @@ def from_file(path: str) -> NetworkModel:
                 "national_total_mw", NetworkModel.national_total_mw)),
         )
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed case file {path}: {exc}") from exc
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"malformed case file {path}: {what}") from exc
     problems = validate(model)
     if problems:
         raise ValueError(f"invalid case file {path}: " + "; ".join(problems))

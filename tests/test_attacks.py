@@ -1,4 +1,5 @@
 """Scenario validation, event compilation, and the slope trigger."""
+import dataclasses
 import math
 
 import numpy as np
@@ -45,7 +46,7 @@ def test_compile_static(model):
     ev = sch.events[0]
     assert (ev.time, ev.bus) == (1.0, 8)
     assert ev.delta_p == pytest.approx(0.252)
-    assert sch.policy is None
+    assert sch.refractory_s is None
 
 
 def test_compile_static_reduction_sign(model):
@@ -93,12 +94,20 @@ def test_compile_combination(model):
 def test_compile_slope_trigger_defers_transitions(model):
     sch = attacks.compile_scenario(
         model, sc(family="periodic", interval=8.0, count=2, trigger="slope"))
-    assert len(sch.events) == 1  # only the opening step is pre-timed
-    assert sch.events[0].time == 1.0
-    assert sch.policy is not None
-    assert len(sch.policy.pending) == 3
-    assert sch.policy.refractory_s == 8.0
-    assert sch.net_delta() == pytest.approx(0.0, abs=1e-15)
+    # every transition is listed; the trigger releases all but the first
+    assert [e.time for e in sch.events] == [1.0, 9.0, 17.0, 25.0]
+    assert sch.refractory_s == 8.0
+    assert sch.net_delta() == 0.0
+
+
+@pytest.mark.parametrize("family", ["periodic", "combination"])
+def test_slope_and_time_schedules_differ_only_in_refractory(model, family):
+    timed = attacks.compile_scenario(
+        model, sc(family=family, interval=4.0, count=3))
+    released = attacks.compile_scenario(
+        model, sc(family=family, interval=4.0, count=3, trigger="slope"))
+    assert timed.refractory_s is None and released.refractory_s == 4.0
+    assert dataclasses.replace(released, refractory_s=None) == timed
 
 
 def test_validate_collects_all_problems(model):
@@ -186,11 +195,15 @@ def synthetic_wave(t):
     return 50.0 - 0.5 * math.exp(-0.15 * t) * math.cos(0.45 * t)
 
 
+def slope_trigger(pending, refractory_s, dt=0.01):
+    return attacks.SlopeTrigger(
+        [attacks.Event(0.0, bus, d) for bus, d in pending], refractory_s,
+        f_nominal=50.0, dt=dt)
+
+
 def test_slope_trigger_fires_near_steepest_recovery():
     dt = 0.01
-    policy = attacks.SlopePolicy(pending=((8, -0.25), (8, 0.25)),
-                                 refractory_s=5.0)
-    trig = attacks.SlopeTrigger(policy, f_nominal=50.0, dt=dt)
+    trig = slope_trigger(((8, -0.25), (8, 0.25)), refractory_s=5.0, dt=dt)
     fires = []
     for k in range(3000):
         t = k * dt
@@ -198,25 +211,85 @@ def test_slope_trigger_fires_near_steepest_recovery():
         if hit is not None:
             fires.append((t, hit))
     assert len(fires) == 2
-    t_first, (bus, delta) = fires[0]
-    assert (bus, delta) == (8, -0.25)
+    t_first, first = fires[0]
+    assert (first.bus, first.delta_p) == (8, -0.25)
     # instantaneous slope peaks at 2.061 s; the trailing window adds
     # about half its width of delay
     assert 2.0 <= t_first <= 2.7
-    t_second, (_, delta2) = fires[1]
-    assert delta2 == 0.25
-    assert t_second - t_first >= policy.refractory_s
+    t_second, second = fires[1]
+    assert second.delta_p == 0.25
+    assert t_second - t_first >= trig.refractory_s
     # next toward-nominal slope peak of the damped cosine is near 9.0 s
     assert 8.7 <= t_second <= 9.8
-    assert trig.exhausted
+    assert not trig.pending
 
 
 def test_slope_trigger_ignores_drift_away_from_nominal():
     dt = 0.01
-    policy = attacks.SlopePolicy(pending=((8, -0.25),), refractory_s=2.0)
-    trig = attacks.SlopeTrigger(policy, f_nominal=50.0, dt=dt)
+    trig = slope_trigger(((8, -0.25),), refractory_s=2.0, dt=dt)
     for k in range(1000):
         t = k * dt
         # monotone fall away from 50: slope peaks exist but point outward
         assert trig.observe(t, 50.0 - 0.3 * (1 - math.exp(-t))) is None
-    assert not trig.exhausted
+    assert len(trig.pending) == 1
+
+
+def sample_list_firings(samples, n_pending, refractory_s, dt, f_nominal=50.0):
+    """The sample indices at which the slope rule fires, by the sample-list
+    form SlopeTrigger replaced: keep the window's samples and difference
+    them again at every call. The reference for the slope deque."""
+    window_n = max(3, int(round(attacks.SLOPE_WINDOW_S / dt)))
+    history, fired, blocked_until = [], [], -1.0
+    for k, f_hz in enumerate(samples):
+        t = k * dt
+        history.append(f_hz)
+        if len(history) > window_n + 1:
+            history.pop(0)
+        if len(fired) == n_pending or t < blocked_until:
+            continue
+        if len(history) < window_n + 1:
+            continue
+        h = history
+        slopes = [(h[i + 1] - h[i]) / dt for i in range(len(h) - 1)]
+        if not slopes[-1] * (f_nominal - f_hz) > 0:
+            continue
+        peak = max(range(len(slopes)), key=lambda i: abs(slopes[i]))
+        if peak != len(slopes) - 2 or abs(slopes[peak]) <= abs(slopes[-1]):
+            continue
+        blocked_until = t + refractory_s
+        history.clear()
+        fired.append(k)
+    return fired
+
+
+def noisy_wave(t):
+    rng = np.random.default_rng(20)
+    return np.array([synthetic_wave(x) for x in t]) \
+        + rng.normal(scale=2e-4, size=len(t))
+
+
+def nan_wave(t):
+    """The damped wave with two NaN samples at 10 ms: the one at sample 207
+    hides the first recovery peak, the one at 1602 delays a release."""
+    f = np.array([synthetic_wave(x) for x in t])
+    f[[207, 1602]] = math.nan
+    return f
+
+
+@pytest.mark.parametrize("refractory_s", [5.0, 0.1])
+@pytest.mark.parametrize("wave", [
+    lambda t: [synthetic_wave(x) for x in t], noisy_wave, nan_wave],
+    ids=["damped", "noisy", "nan"])
+def test_slope_deque_fires_where_the_sample_list_fired(wave, refractory_s):
+    """The trigger's slope deque fires at the same samples as the sample
+    list it replaced, with noise and with NaN samples in the trace, and
+    with a refractory time shorter than the window, which a release's
+    fresh window then decides."""
+    dt, pending = 0.01, ((8, -0.25), (8, 0.25)) * 10
+    samples = [float(f) for f in wave(np.arange(3000) * dt)]
+    trig = slope_trigger(pending, refractory_s, dt=dt)
+    fired = [k for k, f_hz in enumerate(samples)
+             if trig.observe(k * dt, f_hz) is not None]
+    assert fired == sample_list_firings(samples, len(pending), refractory_s,
+                                        dt)
+    assert fired  # the rule fires on every one of these traces

@@ -363,15 +363,18 @@ def test_key_line_skips_strings_and_other_sections():
         "magnitudes-dt", "timings-dt"])
 def test_horizon_too_long_for_memory(tmp_path, capsys, args, system, where):
     """The diagnostic names the flag that set the sample count, else the
-    file's duration_s line, and gives the count to 3 digits."""
+    file's duration_s line, and gives the count to 3 digits; the output
+    directory is not made."""
     # numpy refuses 1e17 samples at once, without allocating any of them;
     # 5e300 samples are past its size limit, a ValueError, not MemoryError
     scn = write_scenario(tmp_path, system=system)
-    rc = cli.main([args[0], scn, *args[1:], "--out-dir", str(tmp_path)])
+    out = tmp_path / "out"
+    rc = cli.main([args[0], scn, *args[1:], "--out-dir", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert where in err and "do not fit in memory" in err
     assert err.count("\n") == 1 and len(err) < len(scn) + 100
+    assert not out.exists()
 
 
 def old_trace_csv(trace):
@@ -425,7 +428,7 @@ def test_trace_and_report_on_one_path_are_rejected(tmp_path, capsys, output,
     assert cli.main(["simulate", scn, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
         f"error: {scn}:{line_of(scn, key)} (key {key!r}): ")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_failed_report_write_leaves_no_trace(tmp_path, capsys):
@@ -435,6 +438,24 @@ def test_failed_report_write_leaves_no_trace(tmp_path, capsys):
     assert cli.main(["simulate", scn, "--out-dir", str(out)]) == 2
     assert "cannot write" in capsys.readouterr().err
     assert list(out.iterdir()) == []  # no trace CSV, no temp file
+
+
+@pytest.mark.parametrize("attack, key", [
+    ('{"family": "static", "type": "DI"}', "magnitude_percent"),
+    ('{"family": "periodic", "type": "DI",\n  "magnitude_percent": 8.0, '
+     '"count": 2}', "interval"),
+    ('{"type": "DI", "magnitude_percent": 8.0}', "family"),
+], ids=["magnitude", "interval", "family"])
+def test_missing_attack_key_is_placed_at_the_section_brace(tmp_path, capsys,
+                                                            attack, key):
+    """A key the attack section lacks is named at the line of the
+    section's opening brace."""
+    path = tmp_path / "m.scn"
+    path.write_text('{"system": {"duration_s": 5.0},\n'
+                    f' "attack":\n {attack}\n}}\n')
+    assert cli.main(["simulate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}:3 (key {key!r}): ")
 
 
 def test_missing_family_is_config_error(tmp_path, capsys):
@@ -564,6 +585,25 @@ def test_case_file_with_a_repeated_key_names_the_model_key(tmp_path, capsys):
         f"error: {scn}:4 (key 'model'): malformed case file {case}: "
         "duplicate key 'mva_base'\n")
     assert not out.exists()
+
+
+def test_case_file_missing_a_field_names_the_key(tmp_path, capsys):
+    """A case file without mva_base exits 2 naming the missing key, at the
+    scenario's model key and through powerflow, and writes nothing."""
+    raw = dataclasses.asdict(netmodel.builtin_wscc9())
+    del raw["mva_base"]
+    case = tmp_path / "short.json"
+    case.write_text(json.dumps(raw))
+    scn = write_scenario(tmp_path, system={"model": "short.json"})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", scn, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {scn}:4 (key 'model'): malformed case file {case}: "
+        "missing key 'mva_base'\n")
+    assert not out.exists()
+    assert cli.main(["powerflow", str(case)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: malformed case file {case}: missing key 'mva_base'\n")
 
 
 @pytest.mark.parametrize("field, value", [

@@ -561,3 +561,61 @@ def test_linear_coupling_matches_its_closed_form(model, pf, kw):
     p_max = [g.governor.p_max for g in model.generators]
     assert np.all((p_m > 0) & (p_m < p_max))  # the clip never binds
     assert np.abs(trace.f_coi - f_coi).max() < 1e-6
+
+
+def test_released_events_must_target_load_buses(model):
+    """Under the slope trigger the load-bus check covers the released
+    events too, before the run starts."""
+    sch = attacks.EventSchedule(events=(attacks.Event(1.0, 8, 0.1),
+                                        attacks.Event(2.0, 4, -0.1)),
+                                refractory_s=2.0)
+    with pytest.raises(ValueError, match="bus 4 which has no load"):
+        dynamics.simulate(model, sch, dynamics.SimConfig(duration=1.0))
+
+
+def sfr_response(model, pf, percent, t):
+    """The COI frequency of the one-mass system-frequency-response model
+    (Anderson and Mirheydar, IEEE Trans. Power Systems 5(3), 1990, without
+    reheat) after the static DI attack of make_schedule, on the times t:
+
+        2H x' = dPm - dP - D x,    T_g dPm' = -K x - dPm,
+
+    x the speed deviation in pu, H, D and K the sums of machine_params'
+    h_sys, d_sys and droop_gain. dP is the step of the reduced network's
+    power at the initial angles, not the scheduled demand step. The step
+    response A^-1 (exp(A s) - I) b of z' = A z + b, z = (x, dPm), is
+    evaluated through A's eigendecomposition, with no integration."""
+    _, h, d, gain, t_g, _ = dynamics.machine_params(model)
+    assert np.all(t_g == t_g[0])
+    event = make_schedule(model, magnitude_percent=percent).events[0]
+    delta0, e_int, p_ref, _ = dynamics.init_state(model, pf)
+    loads = dynamics.base_loads(model)
+    loads[model.bus_index()[event.bus]] += event.delta_p
+    d_p = (dynamics.electrical_power(dynamics.build_reduced(model, pf, loads),
+                                     e_int, delta0) - p_ref).sum()
+    two_h = 2.0 * h.sum()
+    a = np.array([[-d.sum() / two_h, 1.0 / two_h],
+                  [-gain.sum() / t_g[0], -1.0 / t_g[0]]])
+    b = np.array([-d_p / two_h, 0.0])
+    lam, vec = np.linalg.eig(a)
+    s = np.maximum(t - event.time, 0.0)
+    coef = np.linalg.solve(vec, b) / lam  # A^-1 b in the eigenbasis
+    x = ((np.exp(np.outer(s, lam)) - 1.0) * coef) @ vec[0]
+    return model.f_nominal * (1.0 + x.real)
+
+
+@pytest.mark.parametrize("params", [(0.08, 5.0, 0.0), (0.05, 2.6, 1.0),
+                                    (0.03, 1.0, 0.5)])
+@pytest.mark.parametrize("percent", [4.0, 12.0])
+def test_coi_response_matches_the_sfr_model(model, pf, params, percent):
+    """The simulated COI frequency of a static DI attack follows the
+    closed-form one-mass response: nadir within 0.02 Hz and the last
+    sample of 40 s within 0.005 Hz, at three governor and damping points
+    of the calibration box (largest gaps 0.014 and 0.0016 Hz)."""
+    tuned = netmodel.with_dynamic_params(model, *params)
+    trace = dynamics.simulate(
+        tuned, make_schedule(tuned, magnitude_percent=percent),
+        dynamics.SimConfig(duration=40.0), pf)
+    sfr = sfr_response(tuned, pf, percent, trace.t)
+    assert abs(trace.f_coi.min() - sfr.min()) < 0.02
+    assert abs(trace.f_coi[-1] - sfr[-1]) < 0.005

@@ -137,6 +137,16 @@ def test_from_file_rejects_malformed(tmp_path):
         netmodel.from_file(str(path))
 
 
+def test_from_file_names_a_missing_field(model, tmp_path):
+    path = tmp_path / "short.json"
+    raw = dataclasses.asdict(model)
+    del raw["mva_base"]
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=f"malformed case file {path}: "
+                                         "missing key 'mva_base'$"):
+        netmodel.from_file(str(path))
+
+
 @pytest.mark.parametrize("text", [
     '{"name": "x",',  # not JSON
     '{"mva_base": ' + "1" * 5001 + "}",  # beyond int conversion's limit

@@ -8,7 +8,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from gridswing import analysis, netmodel, powerflow
+from gridswing import analysis, attacks, dynamics, netmodel, powerflow
 
 PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("perfbench_tracing", PATH)
@@ -72,3 +72,20 @@ def test_tracer_counts_candidate_lanes_and_their_steps(model):
     assert out["analysis._grid_anchor_errors.calls"] == 1
     assert out["analysis._grid_anchor_errors.lanes"] == 2
     assert tracer.lane_steps() == 20
+
+
+def test_tracer_counts_slope_trigger_observations(model):
+    """The integrator looks observe up on the trigger at each boundary, so
+    the rebound method sees the calls of a slope-triggered run."""
+    original = attacks.SlopeTrigger.observe
+    schedule = attacks.compile_scenario(model, attacks.AttackScenario(
+        family="periodic", attack_type=attacks.AttackType.DEMAND_INCREASE,
+        magnitude_percent=8.0, interval=2.0, count=2, trigger="slope"))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        dynamics.simulate(model, schedule, dynamics.SimConfig(duration=5.0))
+    finally:
+        tracer.uninstall()
+    assert attacks.SlopeTrigger.observe is original
+    assert tracer.metrics()["attacks.SlopeTrigger.observe.calls"] > 0
