@@ -337,6 +337,15 @@ def _metrics_dict(mx: analysis.Metrics) -> dict:
                            for th, tt in mx.violations]}
 
 
+def _check_out_dir(out_dir: str | None) -> None:
+    """Reject an --out-dir whose first existing component is no directory."""
+    path = out_dir
+    while path and not os.path.exists(path):
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        raise _flag_error("--out-dir", out_dir, "not a directory")
+
+
 def _out_path(args, cfg_path: str | None, default_name: str) -> str:
     # join keeps an absolute path from the scenario file as it is
     return os.path.join(args.out_dir or ".", cfg_path or default_name)
@@ -466,8 +475,8 @@ def _cmd_sweep(args) -> int:
                        for x, y in fit.points],
             "skipped": [{"percent": x, "reason": r} for x, r in fit.skipped],
         }
-        print(f"slope {fit.slope:.4f} Hz/%, intercept {fit.intercept:.4f} Hz, "
-              f"R^2 {fit.r_squared:.5f}")
+        summary = (f"slope {fit.slope:.4f} Hz/%, intercept "
+                   f"{fit.intercept:.4f} Hz, R^2 {fit.r_squared:.5f}")
     else:
         report = {
             "sweep": "timing",
@@ -477,11 +486,12 @@ def _cmd_sweep(args) -> int:
             "per_t1": {f"{v:g}": _metrics_dict(mx)
                        for v, mx in sorted(per_t1.items())},
         }
-        print(f"optimal reversion time: {optimal:g} s")
+        summary = f"optimal reversion time: {optimal:g} s"
     report_path = _out_path(args, config["output"]["report_json"],
                             f"{stem}_sweep.json")
     _write_together(args.out_dir,
                     (write_report_json, report, report_path))
+    print(summary)
     print(f"report: {report_path}")
     return EXIT_OK
 
@@ -613,6 +623,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage, matching the config-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
+        _check_out_dir(getattr(args, "out_dir", None))  # before any run
         return _COMMANDS[args.command](args)
     except powerflow.DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

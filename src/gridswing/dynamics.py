@@ -39,7 +39,7 @@ import numpy as np
 
 from . import attacks as _attacks
 from . import reserves as _reserves
-from .netmodel import NetworkModel, scheduled_generation
+from .netmodel import NetworkModel, national_mw_scale
 from .powerflow import PowerFlowSolution, build_ybus, solve as solve_pf
 
 # Speed deviation beyond which a machine has lost synchronism, pu.
@@ -255,51 +255,40 @@ def _mark_trips(d_omega: np.ndarray, trip: np.ndarray, k: int) -> int:
     return int(np.count_nonzero(new))
 
 
-class _Linearization:
-    """Frozen small-signal electrical model around the base-load operating
-    point that y_red0 encodes: offset is the linear coupling's builder from
-    a lane's load vector, and a call is its power kernel on the flat (B m,)
-    angles of n_lanes lanes, in buffers made once like _power_kernel's."""
+def _linear_coupling(model, pf, y_red0, e_int, delta0, pe0):
+    """The (build, power) pair of the small-signal electrical model frozen
+    at the base-load operating point that y_red0 encodes: build(loads_p) is
+    a load vector's (m,) power offset, and power(offset, delta) is pe0 +
+    K (delta - delta0) + offset, in that order, at the flat (B m,) angles of
+    any number of lanes, offset one (m,) row or a (B, m) stack."""
+    g, b = y_red0.real, y_red0.imag
+    th = delta0[:, None] - delta0[None, :]
+    ee = e_int[:, None] * e_int[None, :]
+    # dPe_i/ddelta_j, j != i: E_i E_j (G sin - B cos); the diagonal
+    # balances rows so a uniform angle shift leaves power unchanged.
+    k = ee * (g * np.sin(th) - b * np.cos(th))
+    np.fill_diagonal(k, 0.0)
+    np.fill_diagonal(k, -k.sum(axis=1))
 
-    def __init__(self, model, pf, y_red0, e_int, delta0, pe0, n_lanes=1):
-        self.delta0, self.pe0 = np.tile(delta0, n_lanes), np.tile(pe0, n_lanes)
-        self.shift, self.p_e = buffers = np.zeros((2, n_lanes * len(delta0)))
-        self.lanes = tuple(buffers.reshape(2, n_lanes, -1))
-        g, b = y_red0.real, y_red0.imag
-        th = delta0[:, None] - delta0[None, :]
-        ee = e_int[:, None] * e_int[None, :]
-        # dPe_i/ddelta_j, j != i: E_i E_j (G sin - B cos); the diagonal
-        # balances rows so a uniform angle shift leaves power unchanged.
-        kk = ee * (g * np.sin(th) - b * np.cos(th))
-        np.fill_diagonal(kk, 0.0)
-        np.fill_diagonal(kk, -kk.sum(axis=1))
-        self.k = kk
+    def pe(loads_p):
+        return electrical_power(build_reduced(model, pf, loads_p), e_int,
+                                delta0)
 
-        def pe(loads_p):
-            return electrical_power(build_reduced(model, pf, loads_p), e_int,
-                                    delta0)
+    # Sensitivity (m, n) of machine powers to a demand change at each
+    # bus, central difference through the reduction at the frozen angles.
+    base = base_loads(model)
+    h = 1e-6
+    sens = np.column_stack([(pe(base + step) - pe(base - step)) / (2 * h)
+                            for step in np.eye(len(base)) * h])
 
-        # Sensitivity (m, n) of machine powers to a demand change at each
-        # bus, central difference through the reduction at the frozen angles.
-        self.base = base_loads(model)
-        h = 1e-6
-        self.sens = np.column_stack([
-            (pe(self.base + step) - pe(self.base - step)) / (2 * h)
-            for step in np.eye(len(self.base)) * h])
+    def build(loads_p: np.ndarray) -> np.ndarray:
+        return sens @ (loads_p - base)
 
-    def offset(self, loads_p: np.ndarray) -> np.ndarray:
-        """The (m,) power offset of the load vector loads_p."""
-        return self.sens @ (loads_p - self.base)
+    def power(offset: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        return ((pe0 + np.matvec(k, delta.reshape(-1, len(k)) - delta0))
+                + offset).reshape(-1)
 
-    def __call__(self, offset: np.ndarray, delta: np.ndarray, add=np.add,
-                 subtract=np.subtract, matvec=np.matvec) -> np.ndarray:
-        """pe0 + K (delta - delta0) + offset, in that order."""
-        shift_lanes, p_e_lanes = self.lanes
-        subtract(delta, self.delta0, self.shift)
-        matvec(self.k, shift_lanes, p_e_lanes)
-        add(self.pe0, self.p_e, self.p_e)
-        add(p_e_lanes, offset, p_e_lanes)
-        return self.p_e
+    return build, power
 
 
 def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
@@ -335,10 +324,10 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     reserve term first. That surplus is row 0 of a (2, B m) buffer whose
     row 1 holds p_ref, so one subtract from it forms both slope tails,
     surplus - D dw and p_ref - droop_gain dw, over rows 1 and 2 of the
-    slope buffer. Both power kernels keep every stage free of
-    allocations, and the step's constants (the dt multiples, p_ref and the
-    clip bounds) have the shape of the arrays they meet, which numpy
-    handles faster than 0-d or broadcast operands. The stage ufuncs are
+    slope buffer. The network kernel keeps every stage free of allocations
+    (the linear one allocates), and the step's constants (the dt multiples,
+    p_ref and the clip bounds) have the shape of the arrays they meet, which
+    numpy handles faster than 0-d or broadcast operands. The stage ufuncs are
     called through local names with positional outputs, which numpy parses
     faster than out= keywords; np.maximum and np.minimum keep out=, as
     numpy 2.4 deprecates their positional output.
@@ -373,7 +362,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     row = (n_lanes * len(mva),)  # (m,) for one lane
     h_total = h_sys.sum()
     mva_share = mva / mva.sum()
-    mw_to_pu = scheduled_generation(model) / model.national_total_mw
+    mw_to_pu = national_mw_scale(model)
 
     def stacked(*rows):
         return np.stack([np.resize(r, row) for r in rows])
@@ -381,12 +370,11 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     delta0, e_int, p_ref, y_red = init_state(model, pf)
     base = base_loads(model)
     if config.coupling == "network":
-        power = _power_kernel(e_int, n_lanes)
-        build = partial(build_reduced, model, pf)
+        build, power = partial(build_reduced, model, pf), _power_kernel(
+            e_int, n_lanes)
     else:
-        power = _Linearization(model, pf, y_red, e_int, delta0, p_ref,
-                               n_lanes)
-        build = power.offset
+        build, power = _linear_coupling(model, pf, y_red, e_int, delta0,
+                                        p_ref)
         y_red = build(base)
     offsets = np.zeros((n_lanes, len(base)))  # a reversion restores 0.0
     keys = [offsets[0].tobytes()] * n_lanes

@@ -242,26 +242,26 @@ def scheduled_generation(model: NetworkModel) -> float:
     return sum(g.p_set for g in model.generators)
 
 
+def national_mw_scale(model: NetworkModel) -> float:
+    """Model pu per national MW, the one factor of attack and reserve MW."""
+    return scheduled_generation(model) / model.national_total_mw
+
+
 def attack_fraction_to_pu(model: NetworkModel, percent: float | None = None,
                           mw: float | None = None) -> float:
     """Convert an attack magnitude to a model demand change in pu.
 
     Exactly one of ``percent`` (share of total generation) or ``mw`` (national
-    megawatts, scaled through ``national_total_mw``) must be given. 8 % of the
+    megawatts, times ``national_mw_scale``) must be given. 8 % of the
     built-in case maps to 0.08 * 3.15 = 0.252 pu; 1400 MW on the 17 500 MW
     national reference maps to the same value.
     """
     if (percent is None) == (mw is None):
         raise ValueError("give exactly one of percent or mw")
-    if percent is not None:
-        if percent < 0:
-            raise ValueError("attack magnitude must be non-negative")
-        fraction = percent / 100.0
-    else:
-        if mw < 0:
-            raise ValueError("attack magnitude must be non-negative")
-        fraction = mw / model.national_total_mw
-    return fraction * scheduled_generation(model)
+    if (percent if mw is None else mw) < 0:
+        raise ValueError("attack magnitude must be non-negative")
+    return (percent / 100.0 * scheduled_generation(model) if mw is None
+            else mw * national_mw_scale(model))
 
 
 def with_dynamic_params(model: NetworkModel, r_droop: float, t_g: float,

@@ -3,7 +3,7 @@
 The default product set mirrors the published Nordic reserve market volumes
 for late 2024: FFR, FCR-D in both directions, FCR-N, aFRR and (disabled by
 default) mFRR. Capacities are national megawatts; they reach the simulation
-through the same national-to-model scaling used for attack magnitudes.
+through ``netmodel.national_mw_scale``, like attack magnitudes in MW.
 
 Activation levels are offsets in Hz from the model's ``f_nominal``, so one
 product set serves a 50 Hz and a 60 Hz case alike. Activation is piecewise

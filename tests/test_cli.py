@@ -440,6 +440,27 @@ def test_failed_report_write_leaves_no_trace(tmp_path, capsys):
     assert list(out.iterdir()) == []  # no trace CSV, no temp file
 
 
+@pytest.mark.parametrize("argv", [["simulate"], ["sweep", "--magnitudes", "4,8"],
+                                  ["calibrate"]],
+                         ids=["simulate", "sweep", "calibrate"])
+@pytest.mark.parametrize("out_dir", ["afile", "afile/x"])
+def test_out_dir_that_is_not_a_directory_is_rejected_first(
+        tmp_path, capsys, monkeypatch, argv, out_dir):
+    """An --out-dir that is a file, or lies under one, exits 2 at the flag
+    before the scenario is read or any lane is integrated."""
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(dynamics, "_lockstep", no_run)
+    (tmp_path / "afile").write_text("")
+    out = str(tmp_path / out_dir)
+    if argv[0] != "calibrate":
+        argv = [argv[0], write_scenario(tmp_path), *argv[1:]]
+    assert cli.main([*argv, "--out-dir", out]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --out-dir {out}: not a directory\n")
+
+
 @pytest.mark.parametrize("attack, key", [
     ('{"family": "static", "type": "DI"}', "magnitude_percent"),
     ('{"family": "periodic", "type": "DI",\n  "magnitude_percent": 8.0, '

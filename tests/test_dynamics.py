@@ -90,13 +90,12 @@ def _plain_rk4(models, pf, schedules, config, n_steps):
     omega_s = 2.0 * np.pi * f_nom
     dt = config.dt
     mva, h_sys, *_ = dynamics.machine_params(model)
-    mw_to_pu = netmodel.scheduled_generation(model) / model.national_total_mw
+    mw_to_pu = netmodel.national_mw_scale(model)
     products = tuple(p for p in config.reserves if p.enabled)
     alpha = reserves.lag_factors(products, dt)
     if config.coupling == "linear":
-        power = dynamics._Linearization(model, pf, y_red0, e_int, delta0,
-                                        p_ref)
-        build = power.offset
+        build, power = dynamics._linear_coupling(model, pf, y_red0, e_int,
+                                                 delta0, p_ref)
     else:
         def power(y_red, delta):
             return dynamics.electrical_power(y_red, e_int, delta)
@@ -222,34 +221,32 @@ def test_lanes_keep_their_bits_through_every_coupling_state(model, pf,
     def record(y_red):
         states.append("stack" if np.ndim(y_red) == stack_ndim else "one")
 
-    if coupling == "network":
-        owner, builder, make = dynamics, "build_reduced", dynamics._power_kernel
-
-        def kernel_spy(*args):  # kernels that record each coupling they take
-            power = make(*args)
-
-            def spying(y_red, delta):
-                record(y_red)
-                return power(y_red, delta)
-            return spying
-
-        monkeypatch.setattr(dynamics, "_power_kernel", kernel_spy)
-    else:
-        owner, builder = dynamics._Linearization, "offset"
-        power = dynamics._Linearization.__call__
-
-        def spying(self, y_red, delta):
+    def spying(power):  # a kernel that records each coupling it takes
+        def spy(y_red, delta):
             record(y_red)
-            return power(self, y_red, delta)
+            return power(y_red, delta)
+        return spy
 
-        monkeypatch.setattr(dynamics._Linearization, "__call__", spying)
-    build = getattr(owner, builder)
+    def counting(build):  # a builder that records each load vector
+        def count(*args):
+            built.append(args[-1].tobytes())
+            return build(*args)
+        return count
 
-    def counting(*args):
-        built.append(args[-1].tobytes())
-        return build(*args)
+    if coupling == "network":
+        make = dynamics._power_kernel
+        monkeypatch.setattr(dynamics, "_power_kernel",
+                            lambda *args: spying(make(*args)))
+        monkeypatch.setattr(dynamics, "build_reduced",
+                            counting(dynamics.build_reduced))
+    else:
+        pair = dynamics._linear_coupling
 
-    monkeypatch.setattr(owner, builder, counting)
+        def coupling_spy(*args):  # the pair, both of its functions spied on
+            build, power = pair(*args)
+            return counting(build), spying(power)
+
+        monkeypatch.setattr(dynamics, "_linear_coupling", coupling_spy)
     for name, (models, schedules) in batches.items():
         built.clear()
         states.clear()
@@ -523,19 +520,26 @@ def test_linear_coupling_matches_its_closed_form(model, pf, kw):
     """While no governor clip binds, linear coupling is a linear
     time-invariant system in (delta - delta0, d_omega, p_m - p_ref) driven by
     a power offset held over each step, so a zero-order-hold step of expm
-    is its exact response; RK4 at 10 ms must agree within 1e-6 Hz."""
+    is its exact response; RK4 at 10 ms must agree within 1e-6 Hz. The
+    oracle takes K from central differences of the network kernel at
+    delta0, not from the coupling it checks."""
     schedule = make_schedule(model, **kw)
     trace = dynamics.simulate(model, schedule, dynamics.SimConfig(
         duration=40.0, coupling="linear"), pf)
     delta0, e_int, p_ref, y_red0 = dynamics.init_state(model, pf)
-    lin = dynamics._Linearization(model, pf, y_red0, e_int, delta0, p_ref)
+    build, _ = dynamics._linear_coupling(model, pf, y_red0, e_int, delta0,
+                                         p_ref)
     _, h, d, gain, t_g, _ = dynamics.machine_params(model)
     omega_s = 2.0 * np.pi * model.f_nominal
     m, zero = len(h), np.zeros((len(h), len(h)))
+    k_sync = np.column_stack([
+        (dynamics.electrical_power(y_red0, e_int, delta0 + step)
+         - dynamics.electrical_power(y_red0, e_int, delta0 - step)) / 2e-6
+        for step in np.eye(m) * 1e-6])
     swing = np.diag(1 / (2 * h))
     a = np.block([
         [zero, omega_s * np.eye(m), zero],
-        [-swing @ lin.k, -swing @ np.diag(d), swing],
+        [-swing @ k_sync, -swing @ np.diag(d), swing],
         [zero, np.diag(-gain / t_g), np.diag(-1 / t_g)]])
     # the offset enters the swing rows as -offset / (2H)
     b = np.vstack([zero, -swing, zero])
@@ -554,13 +558,71 @@ def test_linear_coupling_matches_its_closed_form(model, pf, kw):
     for k in range(len(trace)):
         for ev in due.get(k, ()):
             loads[idx[ev.bus]] += ev.delta_p
-            offset = lin.offset(loads)
+            offset = build(loads)
         f_coi[k] = model.f_nominal * (1.0 + h @ x[m:2 * m] / h.sum())
         p_m[k] = p_ref + x[2 * m:]
         x = a_d @ x + b_d @ offset
     p_max = [g.governor.p_max for g in model.generators]
     assert np.all((p_m > 0) & (p_m < p_max))  # the clip never binds
     assert np.abs(trace.f_coi - f_coi).max() < 1e-6
+
+
+def test_linear_coupling_is_the_network_kernels_first_order_expansion(
+        model, pf):
+    """K and the load sensitivities are the network kernel's derivatives
+    at the operating point: moving one machine angle by eps, or one load
+    bus by dp through build_reduced, the gap between the two couplings'
+    powers is a second-order remainder, so it shrinks about fourfold each
+    time the step halves (largest gaps 5.9e-5, 1.5e-5 and 3.7e-6 pu at
+    eps 0.01, 0.005 and 0.0025 rad; 3.5e-4, 8.7e-5 and 2.2e-5 pu at dp
+    0.1, 0.05 and 0.025 pu)."""
+    delta0, e_int, p_ref, y_red0 = dynamics.init_state(model, pf)
+    build, power = dynamics._linear_coupling(model, pf, y_red0, e_int, delta0,
+                                             p_ref)
+    base = dynamics.base_loads(model)
+    idx = model.bus_index()
+
+    def angle_gaps(eps):
+        return [np.abs(power(build(base), delta0 + step) - dynamics
+                       .electrical_power(y_red0, e_int, delta0 + step)).max()
+                for step in np.eye(len(delta0)) * eps]
+
+    def load_gaps(dp):
+        gaps = []
+        for load in model.loads:
+            loads = base.copy()
+            loads[idx[load.bus]] += dp
+            y_red = dynamics.build_reduced(model, pf, loads)
+            gaps.append(np.abs(power(build(loads), delta0) - dynamics
+                               .electrical_power(y_red, e_int, delta0)).max())
+        return gaps
+
+    for gaps, step in ((angle_gaps, 0.01), (load_gaps, 0.1)):
+        wide, mid, narrow = (np.array(gaps(step / 2 ** i)) for i in range(3))
+        for ratio in (wide / mid, mid / narrow):
+            assert np.all((3.5 <= ratio) & (ratio <= 4.5)), ratio
+
+
+@pytest.mark.parametrize("attack_type, products, bound", [
+    (AttackType.DEMAND_INCREASE, reserves.default_products(), 1e-4),
+    (AttackType.DEMAND_REDUCTION, reserves.default_products(), 1e-4),
+    (AttackType.DEMAND_INCREASE, (), 1e-6),
+], ids=["DI-reserves", "DR-reserves", "no-reserves"])
+def test_reserve_sampling_bounds_the_step_error(model, pf, attack_type,
+                                                products, bound):
+    """Reserves are sampled at each boundary and held over the step, so
+    --dt is the reserve controller's sampling period and a run with
+    reserves converges at first order in dt, without them at fourth. A
+    static 12 % attack at bus 8 over 10 s at dt = 0.01 s stays within
+    bound of a dt = 0.00125 s run (gaps 4.2e-5, 8.0e-7 and 4.3e-8 Hz)."""
+    schedule = make_schedule(model, attack_type=attack_type,
+                             magnitude_percent=12.0, target_bus=8)
+
+    def run(dt):
+        return dynamics.simulate(model, schedule, dynamics.SimConfig(
+            dt=dt, duration=10.0, reserves=products), pf).f_coi
+
+    assert np.abs(run(0.01) - run(0.00125)[::8]).max() < bound
 
 
 def test_released_events_must_target_load_buses(model):

@@ -80,6 +80,10 @@ def test_attack_fraction_mw_matches_percent(model):
     # 1400 MW of 17500 MW national is the same 8 % share
     assert netmodel.attack_fraction_to_pu(model, mw=1400.0) == pytest.approx(
         netmodel.attack_fraction_to_pu(model, percent=8.0))
+    # MW attacks take the one factor that reserve MW take too
+    scale = netmodel.national_mw_scale(model)
+    assert scale == netmodel.scheduled_generation(model) / 17500.0
+    assert netmodel.attack_fraction_to_pu(model, mw=547.0) == 547.0 * scale
 
 
 def test_attack_fraction_argument_errors(model):
