@@ -16,7 +16,7 @@ Per generator i (all in system pu on the model MVA base, delta in rad):
 One fixed-step RK4 integrator, ``_lockstep``, serves every caller: attack
 events and reserve updates land on step boundaries, and it carries either
 one system (``simulate``) or a batch of lanes, each with its own event
-schedule, governor and damping (sweeps and the calibration grid), through
+schedule and machines (sweeps and the calibration grid), through
 the same expressions; every lane is bit-identical to its one-lane run. Both
 electrical couplings build a lane's coupling from its load vector at each
 demand event and hand it to a power kernel:
@@ -32,6 +32,7 @@ demand event and hand it to a power kernel:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -230,11 +231,12 @@ def init_state(model: NetworkModel, pf: PowerFlowSolution | None = None):
 
 
 def empty_samples(*shape) -> np.ndarray:
-    """np.empty(shape), raising MemoryError past numpy's size limit too."""
-    try:
-        return np.empty(shape)
-    except ValueError:  # a size numpy cannot index, far past any memory
-        raise MemoryError(f"cannot allocate {shape} samples") from None
+    """np.empty(shape), raising MemoryError before numpy reserves more
+    float64 samples than the machine has physical memory for."""
+    if 8 * math.prod(shape) > os.sysconf("SC_PHYS_PAGES") * os.sysconf(
+            "SC_PAGE_SIZE"):
+        raise MemoryError(f"cannot allocate {shape} samples")
+    return np.empty(shape)
 
 
 def _mark_trips(d_omega: np.ndarray, trip: np.ndarray, k: int) -> int:
@@ -294,19 +296,19 @@ def _linear_coupling(model, pf, y_red0, e_int, delta0, pe0):
 def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     """The RK4 integrator: step lanes in lockstep, each with its own schedule.
 
-    Lane b runs models[b] under schedules[b]. The models share the network and
-    initial state of models[0] and may differ in governor and damping
-    (netmodel.with_dynamic_params). A lane's attack record is a row of demand
-    offsets from the base loads: base + row is its load vector, the row's sum
-    its p_attack and the row's bytes its coupling's key (its (m, m) reduction,
-    or its (m,) power offset under linear coupling), built once per key. The
-    kernel takes the lanes' one coupling while they share a row, else a stack.
-    Every lane-shaped operand is a flat (B m,) row, lane b at [b m, (b + 1) m),
-    which numpy runs on its fast loop; one lane is the B = 1 case, (m,). (B, m)
-    views serve the per-lane reductions: np.matvec, the COI vecdot, the speed
-    guard and the reserve rows. Every expression reduces each lane on its own
-    in a fixed order, so a lane's numbers do not depend on the other lanes. The
-    slope trigger needs a single lane.
+    Lane b runs models[b] under schedules[b]: every machine constant and the MW
+    scale are its model's; the network, loads, dispatch and f_nominal (so the
+    initial state, from pf) are models[0]'s; the reserve set and horizon are
+    config's. A lane's attack is a row of demand offsets from the base loads:
+    base + row is its load vector, the row's sum its p_attack and the row's
+    bytes its coupling's key (its (m, m) reduction, or its (m,) power offset
+    under linear coupling), built once per key. The kernel takes the lanes' one
+    coupling while they share a row, else a stack. Every lane-shaped operand is
+    a flat (B m,) row, lane b at [b m, (b + 1) m), which numpy runs on its fast
+    loop; one lane is the B = 1 case, (m,), with a 0-d COI. (B, m) views serve
+    the per-lane reductions: matvec, the COI vecdot, the speed guard and the
+    reserve rows. Each lane is reduced on its own in a fixed order, so its
+    numbers do not depend on the others. The slope trigger needs one lane.
 
     Buffers, all allocated once per run: the state y is one (3, B m) array
     with rows delta, d_omega and p_m. The four slopes k1..k4, the stage
@@ -356,13 +358,13 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
 
     f_nom = model.f_nominal
     omega_s = 2.0 * np.pi * f_nom
-    mva, h_sys, *_, p_max = machine_params(model)
-    _, _, d_sys, droop_gain, t_g, _ = map(
+    mva, h_sys, d_sys, droop_gain, t_g, p_max = map(
         np.concatenate, zip(*map(machine_params, models)))
-    row = (n_lanes * len(mva),)  # (m,) for one lane
-    h_total = h_sys.sum()
-    mva_share = mva / mva.sum()
-    mw_to_pu = national_mw_scale(model)
+    row = p_max.shape  # (m,) for one lane
+    h_lanes = h_sys.reshape(n_lanes, -1) if batch else h_sys
+    h_total = h_lanes.sum(axis=-1)
+    mva_share = [lane / lane.sum() for lane in mva.reshape(n_lanes, -1)]
+    mw_to_pu = list(map(national_mw_scale, models))
 
     def stacked(*rows):
         return np.stack([np.resize(r, row) for r in rows])
@@ -395,7 +397,6 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     # of the slope tails that one subtract forms
     surplus = stacked(0.0, p_ref)
     spare = surplus[0]
-    p_max = np.resize(p_max, row)
     idx = model.bus_index()
 
     dt = config.dt
@@ -425,8 +426,8 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     outputs = np.zeros((n_lanes, len(products)))  # MW per product, signed
     p_reserve = (np.zeros(n_lanes), np.zeros(n_lanes))  # up, down; pu
     if products:
-        res_rows = np.zeros((n_lanes, len(mva)))
-        p_res = res_rows.reshape(row)  # a view of res_rows
+        p_res = np.zeros(row)
+        res_rows = p_res.reshape(n_lanes, -1)  # a view of p_res
     p_attack = np.zeros(n_lanes)
     applied: list[list[tuple[float, str]]] = [[] for _ in schedules]
     trip = np.full(n_lanes, -1)
@@ -456,7 +457,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     zero = np.zeros(row)
     for k in range(n_steps + 1):
         t_now = k * dt
-        f_coi = f_nom * (1.0 + np.vecdot(dw_lanes, h_sys) / h_total)
+        f_coi = f_nom * (1.0 + np.vecdot(dw_lanes, h_lanes) / h_total)
         if trigger is not None and trigger.pending and (
                 fired := trigger.observe(t_now, float(f_coi))) is not None:
             by_step.setdefault(k, []).append((0, fired.bus, fired.delta_p))
@@ -482,9 +483,10 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
             # Python's left-to-right sums per lane: np.sum's pairwise order
             # could round differently.
             for lane, mw in enumerate(outputs.tolist()):
-                multiply(mva_share, sum(mw) * mw_to_pu, res_rows[lane])
-                p_reserve[0][lane] = sum(v for v in mw if v > 0) * mw_to_pu
-                p_reserve[1][lane] = sum(v for v in mw if v < 0) * mw_to_pu
+                scale = mw_to_pu[lane]
+                multiply(mva_share[lane], sum(mw) * scale, res_rows[lane])
+                p_reserve[0][lane] = sum(v for v in mw if v > 0) * scale
+                p_reserve[1][lane] = sum(v for v in mw if v < 0) * scale
 
         live -= _mark_trips(dw_lanes, trip, k)
         yield k, t_now, f_coi, dw_lanes, p_attack, p_reserve, applied, trip
@@ -536,8 +538,9 @@ def simulate(model: NetworkModel,
         pf = solve_pf(model)
 
     n_samp = config.n_steps + 1
-    f_coi_arr, p_atk_arr, p_up_arr, p_dn_arr = empty_samples(4, n_samp)
-    d_omega_arr = empty_samples(n_samp, len(model.generators))
+    samples = empty_samples(n_samp, 4 + len(model.generators))
+    f_coi_arr, p_atk_arr, p_up_arr, p_dn_arr = samples[:, :4].T
+    d_omega_arr = samples[:, 4:]
 
     def trace(n: int, applied) -> SimulationTrace:
         """The first n samples, speeds turned into Hz in place."""

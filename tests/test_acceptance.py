@@ -278,12 +278,13 @@ def test_c11_property_suite(model, tmp_path):
 def test_c12_feasibility_reports():
     near = analysis.feasibility(1400.0, 2025)
     far = analysis.feasibility(9000.0, 2030)
-    ok = (near.feasible is True and near.total_flexibility_mw == 1747.0
-          and far.feasible is False and far.total_flexibility_mw == 8000.0)
-    record_criterion(12, "feasibility thresholds", ok,
+    checks = {"near feasible": near.feasible is True,
+              "near cap": near.total_flexibility_mw == 1747.0,
+              "near margin": near.margin_mw == 347.0,
+              "far infeasible": far.feasible is False,
+              "far cap": far.total_flexibility_mw == 8000.0,
+              "far margin": far.margin_mw == -1000.0}
+    record_criterion(12, "feasibility thresholds", all(checks.values()),
                      f"1400 MW in 2025 feasible: {near.feasible} (cap 1747), "
                      f"9000 MW in 2030 feasible: {far.feasible} (cap 8000)")
-    assert near.feasible is True
-    assert far.feasible is False
-    assert near.margin_mw == 347.0
-    assert far.margin_mw == -1000.0
+    assert all(checks.values()), checks

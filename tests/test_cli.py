@@ -347,6 +347,15 @@ def test_key_line_skips_strings_and_other_sections():
                               ' "a": 4}')[1] == ("p", 2)
 
 
+def no_run(*args):
+    """A stand-in for dynamics._lockstep in tests where no lane may run."""
+    raise AssertionError("a run started")
+
+
+ONE_GIB_SAMPLES = (
+    "--duration 1e+06: 1e+08 samples at dt = 0.01 s do not fit in memory")
+
+
 @pytest.mark.parametrize("args, system, where", [
     (["simulate", "--duration", "1e15"], {}, "--duration 1e+15:"),
     (["sweep", "--magnitudes", "4,8", "--duration", "1e15"], {},
@@ -359,14 +368,23 @@ def test_key_line_skips_strings_and_other_sections():
      "--dt 1e-300: 5e+300 samples"),
     (["sweep", "--timings", "3,4", "--dt", "1e-300"], {},
      "--dt 1e-300: 5e+300 samples"),
+    (["simulate", "--duration", "1e6"], {}, ONE_GIB_SAMPLES),
+    (["sweep", "--magnitudes", "4,8", "--duration", "1e6"], {},
+     ONE_GIB_SAMPLES),
 ], ids=["simulate", "magnitudes", "timings", "file", "simulate-dt",
-        "magnitudes-dt", "timings-dt"])
-def test_horizon_too_long_for_memory(tmp_path, capsys, args, system, where):
+        "magnitudes-dt", "timings-dt", "simulate-1GiB", "magnitudes-1GiB"])
+def test_horizon_too_long_for_memory(tmp_path, capsys, monkeypatch, args,
+                                     system, where):
     """The diagnostic names the flag that set the sample count, else the
-    file's duration_s line, and gives the count to 3 digits; the output
-    directory is not made."""
-    # numpy refuses 1e17 samples at once, without allocating any of them;
-    # 5e300 samples are past its size limit, a ValueError, not MemoryError
+    file's duration_s line, and gives the count to 3 digits; no lane is
+    integrated and the output directory is not made. The samples are
+    checked against physical memory before numpy reserves any: 1e8 samples
+    fit the address space, but not a machine reporting 1 GiB."""
+    page = os.sysconf("SC_PAGE_SIZE")
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: 2 ** 30 // page
+                        if name == "SC_PHYS_PAGES" else sysconf(name))
+    monkeypatch.setattr(dynamics, "_lockstep", no_run)
     scn = write_scenario(tmp_path, system=system)
     out = tmp_path / "out"
     rc = cli.main([args[0], scn, *args[1:], "--out-dir", str(out)])
@@ -448,9 +466,6 @@ def test_out_dir_that_is_not_a_directory_is_rejected_first(
         tmp_path, capsys, monkeypatch, argv, out_dir):
     """An --out-dir that is a file, or lies under one, exits 2 at the flag
     before the scenario is read or any lane is integrated."""
-    def no_run(*args):
-        raise AssertionError("a run started")
-
     monkeypatch.setattr(dynamics, "_lockstep", no_run)
     (tmp_path / "afile").write_text("")
     out = str(tmp_path / out_dir)

@@ -83,14 +83,14 @@ def test_power_kernel_bits_equal_the_allocating_expression(model, pf):
 def _plain_rk4(models, pf, schedules, config, n_steps):
     """Each lane's (f_coi, d_omega) at boundaries 0 .. n_steps from the
     per-variable RK4 y + dt/6 (k1 + 2 k2 + 2 k3 + k4), one lane at a time,
-    in the integrator's boundary order: events, reserve update, step."""
+    in the integrator's boundary order: events, reserve update, step. Every
+    machine constant and the MW scale come from the lane's own model; the
+    network, loads, dispatch and f_nominal from models[0]."""
     model = models[0]
     delta0, e_int, p_ref, y_red0 = dynamics.init_state(model, pf)
     f_nom = model.f_nominal
     omega_s = 2.0 * np.pi * f_nom
     dt = config.dt
-    mva, h_sys, *_ = dynamics.machine_params(model)
-    mw_to_pu = netmodel.national_mw_scale(model)
     products = tuple(p for p in config.reserves if p.enabled)
     alpha = reserves.lag_factors(products, dt)
     if config.coupling == "linear":
@@ -105,8 +105,9 @@ def _plain_rk4(models, pf, schedules, config, n_steps):
 
     lanes = []
     for lane_model, schedule in zip(models, schedules):
-        _, _, d_sys, droop_gain, t_g, p_max = dynamics.machine_params(
+        mva, h_sys, d_sys, droop_gain, t_g, p_max = dynamics.machine_params(
             lane_model)
+        mw_to_pu = netmodel.national_mw_scale(lane_model)
         loads = dynamics.base_loads(model)
         coupling = build(loads.copy())
         delta, dw, pm = delta0.copy(), np.zeros_like(delta0), p_ref.copy()
@@ -145,12 +146,37 @@ def _plain_rk4(models, pf, schedules, config, n_steps):
     return lanes
 
 
+def machines(model, h=1.0, headroom=None, ratings=(1.0, 1.0, 1.0),
+             **fields):
+    """The model with every machine's H times h, each rating times its
+    factor in ratings and, given headroom, every governor ceiling headroom
+    pu above the machine's p_set; fields replace NetworkModel fields."""
+    def governor(g):
+        return g.governor if headroom is None else dataclasses.replace(
+            g.governor, p_max=g.p_set + headroom)
+    return dataclasses.replace(model, generators=tuple(
+        dataclasses.replace(g, h=g.h * h, mva_base=g.mva_base * rating,
+                            governor=governor(g))
+        for g, rating in zip(model.generators, ratings)), **fields)
+
+
+def own_machines(model):
+    """Lanes that differ from the model in H, in p_max (the slack's ceiling
+    sits below its dispatch, so its clip binds from the first step) and in
+    what sets the reserves' share per machine and MW scale (H, the slack's
+    rating and national_total_mw)."""
+    return [model, machines(model, h=0.6), machines(model, headroom=0.02),
+            machines(model, h=0.8, ratings=(1.5, 1.0, 1.0),
+                     national_total_mw=12000.0)]
+
+
 @pytest.mark.parametrize("coupling", ["network", "linear"])
 def test_lockstep_is_plain_rk4_bit_for_bit(model, pf, coupling):
     """The integrator's doubled-slope stages (2 k2 and 2 k3 straight from
     rhs) give the bits of textbook RK4: for one lane without reserves, for
-    three lanes with their own governors, magnitudes and the default
-    reserves, and for one lane whose governor ceiling binds."""
+    six lanes with their own governors, magnitudes, inertia, ceilings and
+    MW scale under the default reserves, and for one lane whose governor
+    ceiling binds."""
     n_steps = 100
     one = ([model], [make_schedule(model, t_start=0.05)],
            dynamics.SimConfig(duration=n_steps * DT, coupling=coupling))
@@ -163,14 +189,18 @@ def test_lockstep_is_plain_rk4_bit_for_bit(model, pf, coupling):
     clipped = ([netmodel.with_dynamic_params(capped, *fast)],
                [make_schedule(model, t_start=0.05, magnitude_percent=20.0)],
                one[2])
-    three = ([netmodel.with_dynamic_params(model, *params) for params in
-              ((0.05, 2.0, 0.0), (0.08, 5.0, 1.0), (0.03, 1.0, 2.0))],
-             [make_schedule(model, t_start=0.05, magnitude_percent=mag)
-              for mag in (4.0, 8.0, 12.0)],
-             dynamics.SimConfig(duration=n_steps * DT, coupling=coupling,
-                                reserves=reserves.default_products()))
-    for models, schedules, config in (one, three, clipped):
+    # lanes 3, 4 and 5 are lanes 0, 1 and 2 on machines of their own
+    six = ([netmodel.with_dynamic_params(lane, *params) for lane, params in
+            zip([model] * 2 + own_machines(model),
+                ((0.05, 2.0, 0.0), (0.08, 5.0, 1.0), (0.03, 1.0, 2.0)) * 2)],
+           [make_schedule(model, t_start=0.05, magnitude_percent=mag)
+            for mag in (4.0, 8.0, 12.0) * 2],
+           dynamics.SimConfig(duration=n_steps * DT, coupling=coupling,
+                              reserves=reserves.default_products()))
+    for models, schedules, config in (one, six, clipped):
         want = _plain_rk4(models, pf, schedules, config, n_steps)
+        # no two lanes end alike, so each machine difference acted
+        assert len({lane[-1][1].tobytes() for lane in want}) == len(want)
         seen = 0
         for k, _, f_coi, d_omega, *_ in dynamics._lockstep(
                 models, pf, schedules, config):
@@ -196,22 +226,26 @@ def test_lanes_keep_their_bits_through_every_coupling_state(model, pf,
     boundary, bit for bit: in a switching batch whose lanes share the base
     load vector, then differ, then share it again once every reversion has
     landed (the 4 % one too, which accumulated loads would miss by one
-    rounding), and in a grid-like batch of governors that share one schedule
-    throughout. The kernel takes one coupling while the lanes share a load
-    vector and a stack while they differ, and each distinct load vector is
-    built once."""
+    rounding), in a grid-like batch of governors that share one schedule
+    throughout, and in a batch of lanes on machines of their own (inertia,
+    ceilings, MW scale) under the default reserves. The kernel takes one
+    coupling while the lanes share a load vector and a stack while they
+    differ, and each distinct load vector is built once."""
     config = dynamics.SimConfig(duration=0.6, coupling=coupling)
+    shared = [make_schedule(model, t_start=0.1)]
     batches = {
         "switching": ([model] * 4, [
             make_schedule(model, family="switching", t_start=0.1, t1=t1,
                           magnitude_percent=mag)
             for t1, mag in ((0.2, 6.0), (0.25, 4.0), (0.3, 8.0),
-                            (0.45, 12.0))]),
+                            (0.45, 12.0))], config),
         "grid": ([netmodel.with_dynamic_params(model, *params) for params in
                   ((0.05, 2.0, 0.0), (0.08, 5.0, 1.0), (0.03, 1.0, 2.0))],
-                 [make_schedule(model, t_start=0.1)] * 3)}
-    want = {name: [dynamics.simulate(lane, schedule, config, pf)
-                   for lane, schedule in zip(*batch)]
+                 shared * 3, config),
+        "machines": (own_machines(model), shared * 4, dataclasses.replace(
+            config, reserves=reserves.default_products()))}
+    want = {name: [dynamics.simulate(lane, schedule, batch[2], pf)
+                   for lane, schedule in zip(*batch[:2])]
             for name, batch in batches.items()}
 
     built, states = [], []
@@ -247,7 +281,7 @@ def test_lanes_keep_their_bits_through_every_coupling_state(model, pf,
             return counting(build), spying(power)
 
         monkeypatch.setattr(dynamics, "_linear_coupling", coupling_spy)
-    for name, (models, schedules) in batches.items():
+    for name, (models, schedules, config) in batches.items():
         built.clear()
         states.clear()
         seen = 0
@@ -514,6 +548,70 @@ def test_single_lane_features_reject_batches(model, pf, schedule_kw, feature):
         next(dynamics._lockstep([model, model], pf, [sch, sch], config))
 
 
+def small_signal(model, pf):
+    """The 9-state small-signal matrix A of the machines linearized at the
+    operating point, in x = (delta - delta0, d_omega, p_m - p_ref), and
+    the diagonal 1 / (2H) of its swing rows:
+
+        delta' = omega_s dw,  2H dw' = p_m - K delta - D dw,
+        T_g p_m' = -droop_gain dw - p_m,
+
+    K from central differences of electrical_power at delta0, step 1e-6."""
+    delta0, e_int, _, y_red0 = dynamics.init_state(model, pf)
+    _, h, d, gain, t_g, _ = dynamics.machine_params(model)
+    omega_s = 2.0 * np.pi * model.f_nominal
+    m, zero = len(h), np.zeros((len(h), len(h)))
+    k_sync = np.column_stack([
+        (dynamics.electrical_power(y_red0, e_int, delta0 + step)
+         - dynamics.electrical_power(y_red0, e_int, delta0 - step)) / 2e-6
+        for step in np.eye(m) * 1e-6])
+    swing = np.diag(1 / (2 * h))
+    return np.block([
+        [zero, omega_s * np.eye(m), zero],
+        [-swing @ k_sync, -swing @ np.diag(d), swing],
+        [zero, np.diag(-gain / t_g), np.diag(-1 / t_g)]]), swing
+
+
+def modes(model):
+    """(frequency in Hz, damping ratio, period in s) of each oscillatory
+    mode of small_signal's matrix, fastest first."""
+    lam = np.linalg.eigvals(small_signal(model, powerflow.solve(model))[0])
+    return sorted(((mode.imag / (2.0 * np.pi), -mode.real / abs(mode),
+                    2.0 * np.pi / mode.imag) for mode in lam if mode.imag > 0),
+                  reverse=True)
+
+
+def test_modes_of_the_small_signal_matrix(model):
+    """Two lightly damped electromechanical modes and the slow governor
+    mode."""
+    (f1, z1, _), (f2, z2, _), (f3, z3, period) = modes(model)
+    assert (f1, f2, f3) == pytest.approx((1.9450, 1.2662, 0.0730),
+                                         abs=1e-4)
+    assert (z1, z2) == pytest.approx((3e-5, 6e-5), abs=5e-6)
+    assert z3 == pytest.approx(0.213, abs=5e-4)
+    assert period == pytest.approx(13.70, abs=0.01)
+
+
+def test_electromechanical_modes_show_in_the_linear_run(model, pf):
+    """In a 40 s linear DI 8 % run, each machine's f_gen - f_coi from t = 1
+    s, Hann-windowed, has its two largest spectral peaks within one bin
+    (1 / 39.01 s = 0.0256 Hz) of the two electromechanical modes (peaks
+    at 1.2561 and 1.9482 Hz)."""
+    trace = dynamics.simulate(model, make_schedule(model), dynamics.SimConfig(
+        duration=40.0, coupling="linear"), pf)
+    swing = (trace.f_gen - trace.f_coi[:, None])[
+        dynamics.step_index(1.0, DT):]
+    n = len(swing)
+    spectrum = np.abs(np.fft.rfft(swing * np.hanning(n)[:, None], axis=0))
+    freqs, bin_hz = np.fft.rfftfreq(n, DT), 1.0 / (n * DT)
+    electromechanical = sorted(f for f, *_ in modes(model)[:2])
+    for column in spectrum.T:
+        peaks = [i for i in range(1, len(column) - 1)
+                 if column[i - 1] < column[i] >= column[i + 1]]
+        top = sorted(freqs[sorted(peaks, key=column.__getitem__)[-2:]])
+        assert np.abs(np.subtract(top, electromechanical)).max() <= bin_hz
+
+
 @pytest.mark.parametrize("kw", [{}, {"family": "switching", "t1": 6.0}],
                          ids=["static", "switching"])
 def test_linear_coupling_matches_its_closed_form(model, pf, kw):
@@ -529,18 +627,9 @@ def test_linear_coupling_matches_its_closed_form(model, pf, kw):
     delta0, e_int, p_ref, y_red0 = dynamics.init_state(model, pf)
     build, _ = dynamics._linear_coupling(model, pf, y_red0, e_int, delta0,
                                          p_ref)
-    _, h, d, gain, t_g, _ = dynamics.machine_params(model)
-    omega_s = 2.0 * np.pi * model.f_nominal
+    a, swing = small_signal(model, pf)
+    h = dynamics.machine_params(model)[1]
     m, zero = len(h), np.zeros((len(h), len(h)))
-    k_sync = np.column_stack([
-        (dynamics.electrical_power(y_red0, e_int, delta0 + step)
-         - dynamics.electrical_power(y_red0, e_int, delta0 - step)) / 2e-6
-        for step in np.eye(m) * 1e-6])
-    swing = np.diag(1 / (2 * h))
-    a = np.block([
-        [zero, omega_s * np.eye(m), zero],
-        [-swing @ k_sync, -swing @ np.diag(d), swing],
-        [zero, np.diag(-gain / t_g), np.diag(-1 / t_g)]])
     # the offset enters the swing rows as -offset / (2H)
     b = np.vstack([zero, -swing, zero])
     aug = np.zeros((4 * m, 4 * m))
