@@ -307,22 +307,22 @@ def _write_together(out_dir: str | None, *writes) -> None:
 def write_trace_csv(trace: dynamics.SimulationTrace, path: str) -> None:
     """Serialize a trace with a fixed 6-decimal format; byte-stable.
 
-    Rows are formatted from Python floats a chunk at a time, one %
-    operation per chunk, so the text and the float lists of the whole
-    trace are never held at once.
+    Rows are stacked from the trace's columns and formatted from Python
+    floats a chunk at a time, one % operation per chunk, so neither a
+    table, the text nor the float lists of the whole trace are ever held.
     """
     n_gen = trace.f_gen.shape[1]
     header = ("t_s,f_coi_hz,"
               + ",".join(f"f_gen{i + 1}_hz" for i in range(n_gen))
               + ",p_attack_pu,p_reserve_up_pu,p_reserve_down_pu")
-    table = np.column_stack([trace.t, trace.f_coi, trace.f_gen,
-                             trace.p_attack, trace.p_reserve_up,
-                             trace.p_reserve_down])
-    row = ",".join(["%.6f"] * table.shape[1]) + "\n"
+    columns = (trace.t, trace.f_coi, trace.f_gen, trace.p_attack,
+               trace.p_reserve_up, trace.p_reserve_down)
+    row = ",".join(["%.6f"] * (5 + n_gen)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(table), _CSV_CHUNK_ROWS):
-            chunk = table[start:start + _CSV_CHUNK_ROWS]
+        for start in range(0, len(trace), _CSV_CHUNK_ROWS):
+            chunk = np.column_stack(
+                [c[start:start + _CSV_CHUNK_ROWS] for c in columns])
             fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
@@ -580,8 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--target-bus", default=None,
                         type=lambda s: int(s) if s.isdecimal() else s,
                         help="attack target override: bus id or 'largest'")
-    common.add_argument("--out-dir", default=None,
-                        help="directory for output artifacts")
+    common.add_argument("--out-dir", help="directory for output artifacts")
 
     p_sim = sub.add_parser("simulate", parents=[common],
                            help="run one scenario; write trace + report")
@@ -597,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal = sub.add_parser("calibrate", help="fit governor/damping to anchors")
     p_cal.add_argument("--anchors", default="simulated",
                        help="'simulated', 'incident', or anchor JSON file")
-    p_cal.add_argument("--out-dir", default=None)
+    p_cal.add_argument("--out-dir", help="directory for output artifacts")
 
     p_fe = sub.add_parser("feasibility",
                           help="check attack size against flexibility forecast")

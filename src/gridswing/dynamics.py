@@ -338,14 +338,14 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     release in one loop (an event snaps to the first boundary at or after
     its time; those past the horizon never apply), pick the coupling once,
     advance the reserve lags at f_coi, apply the speed guard (_mark_trips) and
-    yield (k, t, f_coi, d_omega, p_attack, (p_reserve_up, p_reserve_down),
-    applied, trip); then integrate to the next boundary with reserves
-    held. d_omega is (m,) or a (B, m) view and f_coi one value per lane;
-    p_attack, the reserve totals and trip (each lane's first boundary past
-    the guard, or -1) are (B,) arrays, updated in place like d_omega (a
-    view of y): copy what must outlive the step. applied holds a list of
-    (time, label) per lane. A tripped lane's later numbers mean nothing;
-    the run ends after the boundary where the last live lane trips.
+    yield (k, t, f_coi, d_omega, p_attack, outputs, applied, trip); then
+    integrate to the next boundary with reserves held. d_omega is (m,) or a
+    (B, m) view and f_coi one value per lane; p_attack and trip (each lane's
+    first boundary past the guard, or -1) are (B,) arrays, updated in place
+    like d_omega (a view of y): copy what must outlive the step. outputs is
+    each lane's signed MW per reserve product, applied its raw (time, bus,
+    delta_p) events. A tripped lane's later numbers mean nothing; the run
+    ends after the boundary where the last live lane trips.
     """
     model = models[0]
     n_lanes = len(models)
@@ -424,15 +424,13 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
         trigger = _attacks.SlopeTrigger(schedules[0].events[1:],
                                         schedules[0].refractory_s, f_nom, dt)
     outputs = np.zeros((n_lanes, len(products)))  # MW per product, signed
-    p_reserve = (np.zeros(n_lanes), np.zeros(n_lanes))  # up, down; pu
     if products:
         p_res = np.zeros(row)
         res_rows = p_res.reshape(n_lanes, -1)  # a view of p_res
     p_attack = np.zeros(n_lanes)
-    applied: list[list[tuple[float, str]]] = [[] for _ in schedules]
+    applied: list[list[tuple[float, int, float]]] = [[] for _ in schedules]
     trip = np.full(n_lanes, -1)
     live = n_lanes
-    labels = [s.label or "event" for s in schedules]
 
     multiply, add, subtract, divide = (np.multiply, np.add, np.subtract,
                                        np.divide)
@@ -470,8 +468,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
                 key = keys[lane] = offset.tobytes()
                 if key not in reduced:
                     reduced[key] = build(base + offset)
-                applied[lane].append(
-                    (t_now, f"{labels[lane]} {delta_p:+.4f} pu @ bus {bus}"))
+                applied[lane].append((t_now, bus, delta_p))
             # the lanes' one coupling while they share a row
             y_red = reduced[keys[0]] if keys.count(keys[0]) == n_lanes \
                 else np.stack([reduced[key] for key in keys])
@@ -480,16 +477,14 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
             outputs = _reserves.respond(
                 outputs, [[_reserves.command(p, f_hz, f_nom) for p in products]
                           for f_hz in f_lanes], alpha)
-            # Python's left-to-right sums per lane: np.sum's pairwise order
+            # Python's left-to-right sum per lane: np.sum's pairwise order
             # could round differently.
             for lane, mw in enumerate(outputs.tolist()):
-                scale = mw_to_pu[lane]
-                multiply(mva_share[lane], sum(mw) * scale, res_rows[lane])
-                p_reserve[0][lane] = sum(v for v in mw if v > 0) * scale
-                p_reserve[1][lane] = sum(v for v in mw if v < 0) * scale
+                multiply(mva_share[lane], sum(mw) * mw_to_pu[lane],
+                         res_rows[lane])
 
         live -= _mark_trips(dw_lanes, trip, k)
-        yield k, t_now, f_coi, dw_lanes, p_attack, p_reserve, applied, trip
+        yield k, t_now, f_coi, dw_lanes, p_attack, outputs, applied, trip
         if k == n_steps or not live:
             return
 
@@ -526,9 +521,9 @@ def simulate(model: NetworkModel,
     slope releases and reserve updates of its boundary, so the first
     sample is exactly nominal. A speed guard trip ends the run and raises
     InstabilityError carrying the trace up to that sample. Each boundary
-    records the raw speed deviations, f_coi, p_attack and the reserve
-    totals; t and the machine frequencies in Hz are formed once over the
-    recorded samples. Samples past memory raise MemoryError.
+    records the raw speeds, f_coi, p_attack and the signed reserve sums;
+    t, the machine frequencies in Hz and the event text are formed once
+    from the record. Samples past memory raise MemoryError.
     """
     if config is None:
         config = SimConfig()
@@ -541,6 +536,8 @@ def simulate(model: NetworkModel,
     samples = empty_samples(n_samp, 4 + len(model.generators))
     f_coi_arr, p_atk_arr, p_up_arr, p_dn_arr = samples[:, :4].T
     d_omega_arr = samples[:, 4:]
+    samples[:, 2:4] = 0.0  # the reserve totals stay zero without products
+    scale = national_mw_scale(model)
 
     def trace(n: int, applied) -> SimulationTrace:
         """The first n samples, speeds turned into Hz in place."""
@@ -550,16 +547,19 @@ def simulate(model: NetworkModel,
         return SimulationTrace(
             t=np.arange(n) * config.dt, f_coi=f_coi_arr[:n], f_gen=f_gen,
             p_attack=p_atk_arr[:n], p_reserve_up=p_up_arr[:n],
-            p_reserve_down=p_dn_arr[:n], events=tuple(applied),
+            p_reserve_down=p_dn_arr[:n], events=tuple(
+                (t, f"{schedule.label or 'event'} {dp:+.4f} pu @ bus {bus}")
+                for t, bus, dp in applied),
             dt=config.dt, f_nominal=model.f_nominal)
 
-    for k, t_now, f_coi, d_omega, p_attack, (p_up, p_dn), applied, trip in \
+    for k, t_now, f_coi, d_omega, p_attack, outputs, applied, trip in \
             _lockstep([model], pf, [schedule], config):
         f_coi_arr[k] = f_coi
         d_omega_arr[k] = d_omega
         p_atk_arr[k] = p_attack[0]
-        p_up_arr[k] = p_up[0]
-        p_dn_arr[k] = p_dn[0]
+        if mw := outputs[0].tolist():  # no products, no sums
+            p_up_arr[k] = sum(v for v in mw if v > 0) * scale
+            p_dn_arr[k] = sum(v for v in mw if v < 0) * scale
     if trip[0] >= 0:
         raise InstabilityError(t_now, trace(k + 1, applied[0]))
     return trace(n_samp, applied[0])

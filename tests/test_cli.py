@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -423,6 +424,24 @@ def test_trace_csv_matches_per_cell_format(tmp_path):
     assert text.count("\n") == 1 + n
     assert "-0.000000," in text
     assert text == old_trace_csv(trace)
+
+
+def test_trace_csv_holds_one_chunk(tmp_path):
+    """The writer stacks and formats one chunk of rows at a time: its peak
+    allocation stays below half the bytes of the whole 8-column table."""
+    n = 20 * cli._CSV_CHUNK_ROWS + 7
+    cols = np.random.default_rng(7).normal(size=(8, n))
+    trace = dynamics.SimulationTrace(
+        t=cols[0], f_coi=cols[1], f_gen=cols[2:5].T, p_attack=cols[5],
+        p_reserve_up=cols[6], p_reserve_down=cols[7], events=(), dt=0.01,
+        f_nominal=50.0)
+    tracemalloc.start()
+    try:
+        cli.write_trace_csv(trace, str(tmp_path / "trace.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cols.nbytes / 2
 
 
 def test_horizon_not_whole_steps_is_config_error(tmp_path, capsys):

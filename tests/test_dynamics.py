@@ -228,9 +228,11 @@ def test_lanes_keep_their_bits_through_every_coupling_state(model, pf,
     landed (the 4 % one too, which accumulated loads would miss by one
     rounding), in a grid-like batch of governors that share one schedule
     throughout, and in a batch of lanes on machines of their own (inertia,
-    ceilings, MW scale) under the default reserves. The kernel takes one
-    coupling while the lanes share a load vector and a stack while they
-    differ, and each distinct load vector is built once."""
+    ceilings, MW scale) under the default reserves, where each lane's
+    yielded product outputs, split by sign and scaled by its own MW scale,
+    are its simulate's reserve columns. The kernel takes one coupling while
+    the lanes share a load vector and a stack while they differ, and each
+    distinct load vector is built once."""
     config = dynamics.SimConfig(duration=0.6, coupling=coupling)
     shared = [make_schedule(model, t_start=0.1)]
     batches = {
@@ -285,12 +287,18 @@ def test_lanes_keep_their_bits_through_every_coupling_state(model, pf,
         built.clear()
         states.clear()
         seen = 0
-        for k, _, f_coi, d_omega, *_ in dynamics._lockstep(
+        scales = list(map(netmodel.national_mw_scale, models))
+        for k, _, f_coi, d_omega, _, outputs, *_ in dynamics._lockstep(
                 models, pf, schedules, config):
             for lane, trace in enumerate(want[name]):
                 assert same_bits(f_coi[lane], trace.f_coi[k])
                 assert same_bits(model.f_nominal * (1.0 + d_omega[lane]),
                                  trace.f_gen[k])
+                mw = outputs[lane].tolist()
+                assert same_bits(sum(v for v in mw if v > 0) * scales[lane],
+                                 trace.p_reserve_up[k])
+                assert same_bits(sum(v for v in mw if v < 0) * scales[lane],
+                                 trace.p_reserve_down[k])
             seen += 1
         assert seen == config.n_steps + 1
         assert len(built) == len(set(built)) == (5 if name == "switching"
@@ -299,6 +307,10 @@ def test_lanes_keep_their_bits_through_every_coupling_state(model, pf,
         assert runs == (["one", "stack", "one"] if name == "switching"
                         else ["one"])
     assert want["switching"][3].events[-1][0] == pytest.approx(0.45)
+    # the reserves act in every machines lane, at two MW scales
+    assert all(tr.p_reserve_up.max() > 0.0 for tr in want["machines"])
+    assert len(set(map(netmodel.national_mw_scale,
+                       batches["machines"][0]))) == 2
 
 
 def _kron_pe_by_hand(model, pf, loads_p, e_int, delta):
