@@ -189,12 +189,14 @@ def parse_scenario(path: str, flags: dict | None = None):
     """Load a scenario file, replace its values by flags (flag -> value,
     the flags of _FLAG_KEYS) and validate the result once.
 
-    Returns (NetworkModel, AttackScenario, SimConfig, config, source): the
-    SimConfig holds the reserve preset's products, config is the report's
+    Returns (NetworkModel, AttackScenario, SimConfig, PowerFlowSolution,
+    config, source): the SimConfig holds the reserve preset's products, the
+    solution is the model's operating point, config is the report's
     "config" section, every key resolved to the value the run uses, and
     source the _Source that places later diagnostics. Raises ScenarioError
     at the flag that set a bad value, or at the file's line and key; an
-    attack problem is placed at the key that validate_scenario names for it.
+    attack problem is placed at the key that validate_scenario names for
+    it, and a machine dispatched outside [0, p_max] at system.model.
     """
     src, doc = _read_json(path, flags)
     if not isinstance(doc, dict):
@@ -274,7 +276,18 @@ def parse_scenario(path: str, flags: dict | None = None):
                                                         scenario.target_bus)},
         "output": {key: output.get(key) for key in _OUTPUT_KEYS},
     }
-    return model, scenario, sim, config, src
+    # Last, so every other diagnostic comes first. The slack's dispatch
+    # also covers the losses, so only the solution can show it above its
+    # ceiling; TOL keeps a machine whose p_max equals its p_set.
+    pf = powerflow.solve(model)
+    idx = model.bus_index()
+    for g in model.generators:
+        dispatch = float(pf.p_inj[idx[g.bus]])
+        if not -powerflow.TOL <= dispatch <= g.governor.p_max + powerflow.TOL:
+            raise src.error("system", "model", (
+                f"generator bus {g.bus}: power-flow dispatch {dispatch:.4f} "
+                f"pu lies outside [0, p_max {g.governor.p_max:g}] pu"))
+    return model, scenario, sim, pf, config, src
 
 
 def _write_together(out_dir: str | None, *writes) -> None:
@@ -383,8 +396,8 @@ def _cmd_powerflow(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    model, scenario, sim, config, src = parse_scenario(args.scenario,
-                                                       _flags(args))
+    model, scenario, sim, pf, config, src = parse_scenario(args.scenario,
+                                                           _flags(args))
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
     out = config["output"]
     given = "report_json" if out["report_json"] else "trace_csv"
@@ -397,7 +410,6 @@ def _cmd_simulate(args) -> int:
                         f"trace and report would both be {report_path}")
 
     schedule = attacks.compile_scenario(model, scenario)
-    pf = powerflow.solve(model)
     try:
         trace = dynamics.simulate(model, schedule, sim, pf)
     except MemoryError:
@@ -431,12 +443,14 @@ def _parse_float_list(flag: str, spec: str) -> list[float]:
         raise _flag_error(flag, spec, "empty list")
     if not all(map(math.isfinite, vals)):
         raise _flag_error(flag, spec, "values must be finite numbers")
+    if len(set(vals)) < len(vals):
+        raise _flag_error(flag, spec, "values must not repeat")
     return vals
 
 
 def _cmd_sweep(args) -> int:
-    model, scenario, sim, config, src = parse_scenario(args.scenario,
-                                                       _flags(args))
+    model, scenario, sim, _, config, src = parse_scenario(args.scenario,
+                                                          _flags(args))
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
     by_magnitude = args.magnitudes is not None
     flag, spec = (("--magnitudes", args.magnitudes) if by_magnitude

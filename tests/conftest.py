@@ -11,9 +11,8 @@ from gridswing import analysis, netmodel, powerflow
 ACCEPTANCE_LINES: dict[int, str] = {}
 
 
-def record_criterion(num: int, title: str, ok: bool, detail: str) -> None:
-    tag = "PASS" if ok else "FAIL"
-    ACCEPTANCE_LINES[num] = f"[{tag}] C{num:02d} {title}: {detail}"
+def record_criterion(num: int, line: str) -> None:
+    ACCEPTANCE_LINES[num] = line
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridswing import analysis, attacks, dynamics, netmodel, reserves
 from gridswing.attacks import AttackType
+from criteria import attack
 
 
 def fake_trace(f, dt=0.01):
@@ -70,19 +71,15 @@ def model_60hz():
     return replace(netmodel.builtin_wscc9(), f_nominal=60.0)
 
 
-def di_4(model):
-    return attacks.compile_scenario(model, static(
-        AttackType.DEMAND_INCREASE, magnitude_percent=4.0))
-
-
 def test_60_hz_case_reads_its_levels_from_f_nominal(model_60hz):
     """A 4 % DI on a 60 Hz case crosses only the lower band edge, after
     onset; reserves absorb nothing and lift the nadir."""
-    bare = dynamics.simulate(model_60hz, di_4(model_60hz), quick_cfg(20.0))
+    di_4 = attack(model_60hz, magnitude_percent=4.0)
+    bare = dynamics.simulate(model_60hz, di_4, quick_cfg(20.0))
     mx = analysis.metrics(bare)
     assert [th for th, _ in mx.violations] == [59.9]
     assert mx.violations[0][1] > 1.0
-    held = dynamics.simulate(model_60hz, di_4(model_60hz), dynamics.SimConfig(
+    held = dynamics.simulate(model_60hz, di_4, dynamics.SimConfig(
         duration=20.0, reserves=reserves.default_products()))
     assert not held.p_reserve_down.any()
     assert held.p_reserve_up.max() > 0.0
@@ -97,8 +94,8 @@ def test_every_product_rests_at_nominal(f_nominal):
 
 def test_60_hz_timing_sweep_has_no_crossing_at_onset(model_60hz):
     _, results = analysis.timing_sweep(
-        model_60hz, base_switching(magnitude_percent=4.0), [4.0, 8.0],
-        quick_cfg(20.0))
+        model_60hz, attack(family="switching", t1=8.0, magnitude_percent=4.0),
+        [4.0, 8.0], quick_cfg(20.0))
     for mx in results.values():
         assert mx.violations and all(t > 1.0 for _, t in mx.violations)
 
@@ -118,27 +115,26 @@ def quick_cfg(duration=30.0):
     return dynamics.SimConfig(duration=duration)
 
 
-def static(attack_type, **kw):
-    """A static attack with no magnitude yet: a magnitude sweep's base."""
-    return attacks.AttackScenario(family="static", attack_type=attack_type,
-                                  **kw)
+# static attacks with no magnitude yet: a magnitude sweep's base
+DI_BASE = attack(magnitude_percent=None)
+DR_BASE = attack(attack_type=AttackType.DEMAND_REDUCTION,
+                 magnitude_percent=None)
 
 
 def test_magnitude_sweep_orders_points(model):
-    fit = analysis.magnitude_sweep(model, static(AttackType.DEMAND_INCREASE),
-                                   [8.0, 4.0], config=quick_cfg())
+    fit = analysis.magnitude_sweep(model, DI_BASE, [8.0, 4.0],
+                                   config=quick_cfg())
     assert [p for p, _ in fit.points] == [4.0, 8.0]
     assert fit.slope < 0
-    swapped = analysis.magnitude_sweep(
-        model, static(AttackType.DEMAND_INCREASE), [4.0, 8.0],
-        config=quick_cfg())
+    swapped = analysis.magnitude_sweep(model, DI_BASE, [4.0, 8.0],
+                                       config=quick_cfg())
     assert swapped.points == fit.points
 
 
 def test_magnitude_sweep_skips_unstable_runs(model):
     # overdriving a 1 pu load bus far into net export destabilizes the case
     fit = analysis.magnitude_sweep(
-        model, static(AttackType.DEMAND_REDUCTION), [60.0, 100.0, 200.0],
+        model, DR_BASE, [60.0, 100.0, 200.0],
         config=quick_cfg(10.0))
     assert len(fit.points) == 2
     assert len(fit.skipped) == 1
@@ -147,8 +143,8 @@ def test_magnitude_sweep_skips_unstable_runs(model):
 
 def test_magnitude_sweep_needs_two_points(model):
     with pytest.raises(analysis.FitError):
-        analysis.magnitude_sweep(model, static(AttackType.DEMAND_INCREASE),
-                                 [8.0], config=quick_cfg(10.0))
+        analysis.magnitude_sweep(model, DI_BASE, [8.0],
+                                 config=quick_cfg(10.0))
 
 
 def test_magnitude_sweep_with_no_response_cannot_fit(model):
@@ -156,13 +152,13 @@ def test_magnitude_sweep_with_no_response_cannot_fit(model):
     nominal: no line, rather than a flat one with R^2 = 1."""
     with pytest.raises(analysis.FitError, match="do not vary"):
         analysis.magnitude_sweep(
-            model, static(AttackType.DEMAND_INCREASE, t_start=25.0),
+            model, attack(magnitude_percent=None, t_start=25.0),
             [4.0, 8.0], config=quick_cfg(20.0))
 
 
 def test_magnitude_sweep_reduction_tracks_zenith(model):
-    fit = analysis.magnitude_sweep(model, static(AttackType.DEMAND_REDUCTION),
-                                   [4.0, 8.0], config=quick_cfg())
+    fit = analysis.magnitude_sweep(model, DR_BASE, [4.0, 8.0],
+                                   config=quick_cfg())
     assert fit.slope > 0  # zenith climbs with magnitude
     assert all(hz > 50.0 for _, hz in fit.points)
 
@@ -172,7 +168,7 @@ def test_magnitude_sweep_runs_the_scenario_it_is_given(model):
     and start, so its nadir equals a simulate of that point; the family,
     trigger and megawatt size of the base are not carried over."""
     config = quick_cfg(20.0)
-    base = static(AttackType.DEMAND_INCREASE, t_start=12.0, target_bus=5)
+    base = attack(magnitude_percent=None, t_start=12.0, target_bus=5)
     fit = analysis.magnitude_sweep(model, base, [12.0, 4.0], config)
     for mag, nadir in fit.points:
         tr = dynamics.simulate(model, attacks.compile_scenario(
@@ -184,19 +180,12 @@ def test_magnitude_sweep_runs_the_scenario_it_is_given(model):
                                     config) == fit
 
 
-def base_switching(**kw):
-    kw.setdefault("family", "switching")
-    kw.setdefault("attack_type", AttackType.DEMAND_INCREASE)
-    kw.setdefault("magnitude_percent", 8.0)
-    kw.setdefault("t1", 8.0)
-    return attacks.AttackScenario(**kw)
-
-
 def test_timing_sweep_prefers_real_reversion(model):
     """Reverting one step after onset barely disturbs anything; a reversion
     a few seconds in leaves a large post-reversion swing."""
-    optimal, results = analysis.timing_sweep(model, base_switching(),
-                                             [1.01, 4.0], quick_cfg(20.0))
+    optimal, results = analysis.timing_sweep(
+        model, attack(family="switching", t1=8.0), [1.01, 4.0],
+        quick_cfg(20.0))
     assert optimal == 4.0
     assert results[1.01].nadir_hz > 49.99
     assert results[4.0].nadir_hz < 49.7
@@ -204,25 +193,21 @@ def test_timing_sweep_prefers_real_reversion(model):
 
 def test_timing_sweep_rejects_early_t1(model):
     with pytest.raises(ValueError):
-        analysis.timing_sweep(model, base_switching(), [0.5, 4.0],
-                              quick_cfg(20.0))
+        analysis.timing_sweep(model, attack(family="switching", t1=8.0),
+                              [0.5, 4.0], quick_cfg(20.0))
 
 
 def test_late_reversion_acts_like_a_fresh_opposite_step(model):
     """Reverting after the transient has settled looks like a fresh
     demand-reduction step of the same size, by superposition."""
     sw = dynamics.simulate(
-        model, attacks.compile_scenario(model, base_switching(t1=60.0)),
+        model, attack(model, family="switching", t1=60.0),
         dynamics.SimConfig(duration=100.0))
     # deviation is measured from the droop-settled level the reversion
     # starts at, which is what the superposed step acts on
     post = np.abs(sw.f_coi[6000:] - sw.f_coi[5999]).max()
     dr = dynamics.simulate(
-        model,
-        attacks.compile_scenario(
-            model, attacks.AttackScenario(
-                family="static", attack_type=AttackType.DEMAND_REDUCTION,
-                magnitude_percent=8.0)),
+        model, attack(model, attack_type=AttackType.DEMAND_REDUCTION),
         dynamics.SimConfig(duration=40.0))
     fresh = np.abs(dr.f_coi - 50.0).max()
     assert post == pytest.approx(fresh, rel=0.10)
@@ -248,12 +233,8 @@ def test_calibrate_settled_only_anchor(model):
     assert cal.objective_residual == 2.9227508903054347e-07
     assert cal.quality_warning is False
     tuned = cal.apply(model)
-    tr = dynamics.simulate(
-        tuned,
-        attacks.compile_scenario(tuned, attacks.AttackScenario(
-            family="static", attack_type=AttackType.DEMAND_INCREASE,
-            magnitude_percent=12.0)),
-        dynamics.SimConfig(duration=40.0))
+    tr = dynamics.simulate(tuned, attack(tuned, magnitude_percent=12.0),
+                           dynamics.SimConfig(duration=40.0))
     dev_pu = (50.0 - tr.f_coi[-1]) / 50.0
     composite_gain = 0.12 / dev_pu  # pu power per pu frequency
     assert 24.0 <= composite_gain <= 33.0
@@ -284,7 +265,7 @@ def test_grid_stage_matches_scalar_objective(model):
         scalar = 0.0
         for percent, nadir_target, settled_target in anchors:
             mx = analysis.metrics(dynamics.simulate(
-                tuned, sweep_schedule(tuned, percent), cfg))
+                tuned, attack(tuned, magnitude_percent=percent), cfg))
             scalar += (mx.nadir_hz - nadir_target) ** 2
             scalar += (mx.settled_f_hz - settled_target) ** 2
         assert grid[lane] == scalar
@@ -330,17 +311,11 @@ SWEEP_MAGNITUDES = (2.0, 4.0, 6.0, 8.0, 9.4, 12.0, 14.0)
 SHORT = dynamics.SimConfig(duration=2.0)
 
 
-def sweep_schedule(model, mag):
-    return attacks.compile_scenario(model, attacks.AttackScenario(
-        family="static", attack_type=AttackType.DEMAND_INCREASE,
-        magnitude_percent=mag))
-
-
 @pytest.fixture(scope="module")
 def single_runs(model):
     """f_coi of each sweep magnitude's own simulate run over SHORT."""
-    return {mag: dynamics.simulate(model, sweep_schedule(model, mag),
-                                   SHORT).f_coi
+    return {mag: dynamics.simulate(
+        model, attack(model, magnitude_percent=mag), SHORT).f_coi
             for mag in SWEEP_MAGNITUDES}
 
 
@@ -351,7 +326,7 @@ def test_sweep_lanes_are_exact(model, single_runs, mags):
     """Any subset and order of magnitude-sweep lanes gives each lane the
     bits of its own simulate run."""
     f, trips = analysis._sweep_lanes(
-        model, [sweep_schedule(model, mag) for mag in mags], SHORT)
+        model, [attack(model, magnitude_percent=mag) for mag in mags], SHORT)
     assert f.shape == (201, len(mags))
     assert trips == [None] * len(mags)
     for lane, mag in enumerate(mags):
@@ -360,13 +335,12 @@ def test_sweep_lanes_are_exact(model, single_runs, mags):
 
 def test_sweep_skip_matches_single_run_instability(model):
     config = quick_cfg(10.0)
-    fit = analysis.magnitude_sweep(model, static(AttackType.DEMAND_REDUCTION),
-                                   [60.0, 200.0, 100.0], config)
+    fit = analysis.magnitude_sweep(model, DR_BASE, [60.0, 200.0, 100.0],
+                                   config)
     with pytest.raises(dynamics.InstabilityError) as exc:
-        dynamics.simulate(model, attacks.compile_scenario(
-            model, attacks.AttackScenario(
-                family="static", attack_type=AttackType.DEMAND_REDUCTION,
-                magnitude_percent=200.0)), config)
+        dynamics.simulate(model, attack(
+            model, attack_type=AttackType.DEMAND_REDUCTION,
+            magnitude_percent=200.0), config)
     assert fit.skipped == ((200.0, str(exc.value)),)
 
 
@@ -391,7 +365,7 @@ def test_guard_trips_beside_nan_in_every_form(model, monkeypatch):
         [[nan, 0.6, 0.0], [nan, 0.1, 0.0], [0.0, 0.0, 0.0]],
         [[0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [nan, nan, nan]]])
     config = dynamics.SimConfig(duration=0.02)
-    schedule = sweep_schedule(model, 8.0)
+    schedule = attack(model, magnitude_percent=8.0)
     single = []
     for lane in range(3):
         feed_speeds(monkeypatch, speeds[:, lane])
@@ -419,10 +393,9 @@ def test_all_tripped_batch_stops_at_its_last_trip(model, monkeypatch):
     single = []
     for mag in mags:
         with pytest.raises(dynamics.InstabilityError) as exc:
-            dynamics.simulate(model, attacks.compile_scenario(
-                model, attacks.AttackScenario(
-                    family="static", attack_type=AttackType.DEMAND_REDUCTION,
-                    magnitude_percent=mag)), config)
+            dynamics.simulate(model, attack(
+                model, attack_type=AttackType.DEMAND_REDUCTION,
+                magnitude_percent=mag), config)
         single.append(exc.value)
     assert [e.time_s for e in single] == pytest.approx([5.20, 4.36])
     seen = []  # (k, trip) of each boundary
@@ -435,8 +408,7 @@ def test_all_tripped_batch_stops_at_its_last_trip(model, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_lockstep", counted)
     with pytest.raises(analysis.FitError):
-        analysis.magnitude_sweep(
-            model, static(AttackType.DEMAND_REDUCTION), mags, config)
+        analysis.magnitude_sweep(model, DR_BASE, mags, config)
     assert [k for k, _ in seen] == list(range(521))
     reasons = [str(dynamics.InstabilityError(k * config.dt))
                for k in seen[-1][1].tolist()]
@@ -445,8 +417,9 @@ def test_all_tripped_batch_stops_at_its_last_trip(model, monkeypatch):
 
 def test_unstable_timing_sweep_raises_like_its_single_run(model):
     config = quick_cfg(10.0)
-    base = base_switching(attack_type=AttackType.DEMAND_REDUCTION,
-                          magnitude_percent=200.0)
+    base = attack(family="switching", t1=8.0,
+                  attack_type=AttackType.DEMAND_REDUCTION,
+                  magnitude_percent=200.0)
     with pytest.raises(dynamics.InstabilityError) as single:
         dynamics.simulate(model, attacks.compile_scenario(model, base), config)
     with pytest.raises(dynamics.InstabilityError) as swept:
@@ -458,11 +431,12 @@ def test_unstable_timing_sweep_raises_like_its_single_run(model):
 def test_timing_sweep_matches_single_runs(model):
     config = quick_cfg(20.0)
     t1s = [6.0, 3.0, 10.0]
-    _, results = analysis.timing_sweep(model, base_switching(), t1s, config)
+    _, results = analysis.timing_sweep(
+        model, attack(family="switching", t1=8.0), t1s, config)
     assert sorted(results) == sorted(t1s)
     for v in t1s:
-        tr = dynamics.simulate(model, attacks.compile_scenario(
-            model, base_switching(t1=v)), config)
+        tr = dynamics.simulate(
+            model, attack(model, family="switching", t1=v), config)
         assert results[v] == analysis.metrics(tr)
 
 
@@ -472,16 +446,14 @@ def test_reserve_sweep_matches_single_runs(model):
     config = dynamics.SimConfig(duration=10.0,
                                 reserves=reserves.default_products())
     mags = [12.0, 4.0, 8.0]
-    schedules = [attacks.compile_scenario(model, attacks.AttackScenario(
-        family="static", attack_type=AttackType.DEMAND_REDUCTION,
-        magnitude_percent=mag)) for mag in mags]
+    schedules = [attack(model, attack_type=AttackType.DEMAND_REDUCTION,
+                        magnitude_percent=mag) for mag in mags]
     singles = {mag: dynamics.simulate(model, sch, config)
                for mag, sch in zip(mags, schedules)}
     f, _ = analysis._sweep_lanes(model, schedules, config)
     for lane, mag in enumerate(mags):
         assert np.array_equal(f[:, lane], singles[mag].f_coi)
-    fit = analysis.magnitude_sweep(
-        model, static(AttackType.DEMAND_REDUCTION), mags, config)
+    fit = analysis.magnitude_sweep(model, DR_BASE, mags, config)
     for mag, zenith in fit.points:
         assert zenith == analysis.metrics(singles[mag]).zenith_hz
 
@@ -491,15 +463,14 @@ def test_linear_sweep_matches_single_runs(model):
     trace and sweep point equal its own linear run."""
     config = dynamics.SimConfig(duration=10.0, coupling="linear")
     mags = [12.0, 4.0, 8.0]
-    schedules = [sweep_schedule(model, mag) for mag in mags]
+    schedules = [attack(model, magnitude_percent=mag) for mag in mags]
     singles = {mag: dynamics.simulate(model, sch, config)
                for mag, sch in zip(mags, schedules)}
     f, trips = analysis._sweep_lanes(model, schedules, config)
     assert trips == [None] * len(mags)
     for lane, mag in enumerate(mags):
         assert np.array_equal(f[:, lane], singles[mag].f_coi)
-    fit = analysis.magnitude_sweep(
-        model, static(AttackType.DEMAND_INCREASE), mags, config)
+    fit = analysis.magnitude_sweep(model, DI_BASE, mags, config)
     for mag, nadir in fit.points:
         assert nadir == analysis.metrics(singles[mag]).nadir_hz
 

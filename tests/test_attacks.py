@@ -8,13 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridswing import attacks, netmodel
 from gridswing.attacks import AttackType
-
-
-def sc(**kw):
-    kw.setdefault("family", "static")
-    kw.setdefault("attack_type", AttackType.DEMAND_INCREASE)
-    kw.setdefault("magnitude_percent", 8.0)
-    return attacks.AttackScenario(**kw)
+from criteria import attack
 
 
 def test_resolve_target_default(model):
@@ -41,7 +35,7 @@ def test_type_signs():
 
 
 def test_compile_static(model):
-    sch = attacks.compile_scenario(model, sc())
+    sch = attack(model)
     assert len(sch.events) == 1
     ev = sch.events[0]
     assert (ev.time, ev.bus) == (1.0, 8)
@@ -50,25 +44,22 @@ def test_compile_static(model):
 
 
 def test_compile_static_reduction_sign(model):
-    sch = attacks.compile_scenario(
-        model, sc(attack_type=AttackType.DEMAND_REDUCTION))
+    sch = attack(model, attack_type=AttackType.DEMAND_REDUCTION)
     assert sch.events[0].delta_p == pytest.approx(-0.252)
     # supply increase acts like extra generation, so demand drops too
-    sch2 = attacks.compile_scenario(
-        model, sc(attack_type=AttackType.SUPPLY_INCREASE))
+    sch2 = attack(model, attack_type=AttackType.SUPPLY_INCREASE)
     assert sch2.events[0].delta_p == pytest.approx(-0.252)
 
 
 def test_compile_switching(model):
-    sch = attacks.compile_scenario(model, sc(family="switching", t1=8.0))
+    sch = attack(model, family="switching", t1=8.0)
     assert [e.time for e in sch.events] == [1.0, 8.0]
     assert sch.events[1].delta_p == -sch.events[0].delta_p
     assert sch.net_delta() == 0.0  # exact in floats
 
 
 def test_compile_periodic(model):
-    sch = attacks.compile_scenario(
-        model, sc(family="periodic", interval=5.0, count=3))
+    sch = attack(model, family="periodic", interval=5.0, count=3)
     assert [e.time for e in sch.events] == [1.0, 6.0, 11.0, 16.0, 21.0, 26.0]
     deltas = [e.delta_p for e in sch.events]
     assert deltas[0::2] == pytest.approx([0.252] * 3)
@@ -77,8 +68,7 @@ def test_compile_periodic(model):
 
 
 def test_compile_combination(model):
-    sch = attacks.compile_scenario(
-        model, sc(family="combination", interval=5.0, count=3))
+    sch = attack(model, family="combination", interval=5.0, count=3)
     assert [e.time for e in sch.events] == [1.0, 6.0, 11.0, 16.0]
     d = sch.events[0].delta_p
     assert d == pytest.approx(0.252)
@@ -92,8 +82,8 @@ def test_compile_combination(model):
 
 
 def test_compile_slope_trigger_defers_transitions(model):
-    sch = attacks.compile_scenario(
-        model, sc(family="periodic", interval=8.0, count=2, trigger="slope"))
+    sch = attack(model, family="periodic", interval=8.0, count=2,
+                 trigger="slope")
     # every transition is listed; the trigger releases all but the first
     assert [e.time for e in sch.events] == [1.0, 9.0, 17.0, 25.0]
     assert sch.refractory_s == 8.0
@@ -102,10 +92,9 @@ def test_compile_slope_trigger_defers_transitions(model):
 
 @pytest.mark.parametrize("family", ["periodic", "combination"])
 def test_slope_and_time_schedules_differ_only_in_refractory(model, family):
-    timed = attacks.compile_scenario(
-        model, sc(family=family, interval=4.0, count=3))
-    released = attacks.compile_scenario(
-        model, sc(family=family, interval=4.0, count=3, trigger="slope"))
+    timed = attack(model, family=family, interval=4.0, count=3)
+    released = attack(model, family=family, interval=4.0, count=3,
+                      trigger="slope")
     assert timed.refractory_s is None and released.refractory_s == 4.0
     assert dataclasses.replace(released, refractory_s=None) == timed
 
@@ -122,25 +111,25 @@ def test_validate_collects_all_problems(model):
 
 
 def test_validate_family_and_trigger(model):
-    errs = attacks.validate_scenario(model, sc(family="resonant"))
+    errs = attacks.validate_scenario(model, attack(family="resonant"))
     assert errs == [("family", "unknown family 'resonant'")]
-    errs = attacks.validate_scenario(model, sc(trigger="slope"))
+    errs = attacks.validate_scenario(model, attack(trigger="slope"))
     assert errs == [("trigger",
                      "slope trigger only applies to repeated attacks")]
 
 
 def test_validate_switching_ordering(model):
-    errs = attacks.validate_scenario(model, sc(family="switching", t1=0.5))
+    errs = attacks.validate_scenario(model, attack(family="switching", t1=0.5))
     assert errs == [("t1", "t1 must come after t_start")]
 
 
 def test_validate_both_magnitudes(model):
     errs = attacks.validate_scenario(
-        model, sc(magnitude_percent=8.0, magnitude_mw=1400.0))
+        model, attack(magnitude_percent=8.0, magnitude_mw=1400.0))
     assert errs == [("magnitude_percent", "exactly one of magnitude_percent / "
                      "magnitude_mw is required")]
     errs = attacks.validate_scenario(
-        model, sc(magnitude_percent=None, magnitude_mw=-5.0))
+        model, attack(magnitude_percent=None, magnitude_mw=-5.0))
     assert errs == [("magnitude_mw", "magnitude must be positive")]
 
 
@@ -156,7 +145,7 @@ def test_validate_both_magnitudes(model):
 def test_validate_rejects_non_finite_fields(model, field, kw, value):
     """A NaN or infinite magnitude, start, reversion time or interval is
     named once, at its field, and nothing compiles."""
-    scenario = sc(**{**kw, field: value})
+    scenario = attack(**{**kw, field: value})
     assert attacks.validate_scenario(model, scenario) == [
         (field, f"{field} must be finite")]
     with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -165,8 +154,7 @@ def test_validate_rejects_non_finite_fields(model, field, kw, value):
 
 def test_compile_raises_on_invalid(model):
     with pytest.raises(ValueError, match="interval"):
-        attacks.compile_scenario(
-            model, sc(family="periodic", interval=None, count=2))
+        attack(model, family="periodic", interval=None, count=2)
 
 
 @settings(max_examples=30, deadline=None)

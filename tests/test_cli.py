@@ -154,7 +154,7 @@ def test_bad_flag_is_named_with_its_value(tmp_path, capsys, args, flag,
 def test_flag_replaces_the_file_value_before_it_is_checked(tmp_path):
     scn = write_scenario(tmp_path, system={"dt_s": -1.0, "reserves": "lots"},
                          attack={"target_bus": 99})
-    _, scenario, sim, config, _ = cli.parse_scenario(
+    _, scenario, sim, _, config, _ = cli.parse_scenario(
         scn, {"--dt": 0.05, "--reserves": "default", "--target-bus": 5})
     assert (sim.dt, config["system"]["reserves"], scenario.target_bus) == \
         (0.05, "default", 5)
@@ -183,7 +183,9 @@ def test_bad_sweep_list_names_its_flag(tmp_path, capsys):
     scn = write_scenario(tmp_path)
     for flag, spec in (("--magnitudes", "4,x"), ("--magnitudes", ""),
                        ("--magnitudes", "0,4"), ("--timings", ","),
-                       ("--timings", "0.5,3"), ("--timings", "3,50")):
+                       ("--timings", "0.5,3"), ("--timings", "3,50"),
+                       ("--magnitudes", "6,4,4"), ("--magnitudes", "4,4.0"),
+                       ("--timings", "6,5,5")):
         # also when the horizon is past numpy's array size
         for horizon in ([], ["--dt", "1e-300"]):
             assert cli.main(["sweep", scn, flag, spec, *horizon]) == 2
@@ -937,7 +939,7 @@ def test_shipped_scenarios_parse():
     shipped = sorted(glob.glob(os.path.join(here, "..", "scenarios", "*.scn")))
     assert len(shipped) >= 6
     for path in shipped:
-        model, scenario, sim, config, _ = cli.parse_scenario(path)
+        model, scenario, sim, _, config, _ = cli.parse_scenario(path)
         assert scenario.family in ("static", "switching", "periodic",
                                    "combination")
         assert sim.duration > 0
@@ -1035,13 +1037,15 @@ GOLDEN_SWEEPS = {
 }
 
 
-def write_capped_case(tmp_path):
-    """A 20 s static DI scenario on the built-in case with machine 3's
-    governor ceiling at 0.9 pu, just above its 0.85 pu dispatch."""
+def write_capped_case(tmp_path, machine=2, p_max=0.9):
+    """A 20 s static DI scenario on the built-in case with one machine's
+    governor ceiling lowered: by default machine 3's to 0.9 pu, just above
+    its 0.85 pu dispatch."""
     m = netmodel.builtin_wscc9()
-    *rest, g3 = m.generators
-    capped = dataclasses.replace(m, generators=(*rest, dataclasses.replace(
-        g3, governor=dataclasses.replace(g3.governor, p_max=0.9))))
+    gens = list(m.generators)
+    gov = dataclasses.replace(gens[machine].governor, p_max=p_max)
+    gens[machine] = dataclasses.replace(gens[machine], governor=gov)
+    capped = dataclasses.replace(m, generators=tuple(gens))
     netmodel.to_file(capped, str(tmp_path / "capped.json"))
     return write_scenario(tmp_path, "capped.scn",
                           system={"model": "capped.json", "duration_s": 20.0})
@@ -1061,3 +1065,20 @@ def test_sweep_golden_hashes(tmp_path, case):
     del report["config"]["output"]
     dumped = json.dumps(report, sort_keys=True).encode()
     assert hashlib.sha256(dumped).hexdigest() == digest, numpy_build()
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate"], ["sweep", "--magnitudes", "4,8"],
+], ids=["simulate", "sweep"])
+def test_ceiling_below_the_dispatch_is_rejected(tmp_path, capsys, args):
+    """A slack ceiling of 0.69 pu passes the case check against its 0.67 pu
+    p_set, but not its power-flow dispatch, which covers the losses."""
+    scn = write_capped_case(tmp_path, machine=0, p_max=0.69)
+    assert cli.main([args[0], scn, *args[1:], "--out-dir", str(tmp_path)]) == 2
+    with open(scn) as fh:
+        line_no = next(i for i, ln in enumerate(fh, start=1)
+                       if '"model"' in ln)
+    assert capsys.readouterr().err == (
+        f"error: {scn}:{line_no} (key 'model'): generator bus 1: power-flow "
+        f"dispatch 0.7164 pu lies outside [0, p_max 0.69] pu\n")
+    assert sorted(os.listdir(tmp_path)) == ["capped.json", "capped.scn"]

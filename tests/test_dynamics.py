@@ -8,15 +8,9 @@ from scipy.linalg import expm
 
 from gridswing import attacks, dynamics, netmodel, powerflow, reserves
 from gridswing.attacks import AttackType
+from criteria import attack
 
 DT = 0.01
-
-
-def make_schedule(model, **kw):
-    kw.setdefault("family", "static")
-    kw.setdefault("attack_type", AttackType.DEMAND_INCREASE)
-    kw.setdefault("magnitude_percent", 8.0)
-    return attacks.compile_scenario(model, attacks.AttackScenario(**kw))
 
 
 def test_equilibrium_is_a_fixed_point(model):
@@ -178,7 +172,7 @@ def test_lockstep_is_plain_rk4_bit_for_bit(model, pf, coupling):
     MW scale under the default reserves, and for one lane whose governor
     ceiling binds."""
     n_steps = 100
-    one = ([model], [make_schedule(model, t_start=0.05)],
+    one = ([model], [attack(model, t_start=0.05)],
            dynamics.SimConfig(duration=n_steps * DT, coupling=coupling))
     # machine 3's ceiling 0.9 pu, 0.05 above its dispatch, binds from about
     # 0.66 s under a fast, stiff governor
@@ -187,13 +181,13 @@ def test_lockstep_is_plain_rk4_bit_for_bit(model, pf, coupling):
         g3, governor=dataclasses.replace(g3.governor, p_max=0.9))))
     fast = (0.03, 1.0, 0.0)
     clipped = ([netmodel.with_dynamic_params(capped, *fast)],
-               [make_schedule(model, t_start=0.05, magnitude_percent=20.0)],
+               [attack(model, t_start=0.05, magnitude_percent=20.0)],
                one[2])
     # lanes 3, 4 and 5 are lanes 0, 1 and 2 on machines of their own
     six = ([netmodel.with_dynamic_params(lane, *params) for lane, params in
             zip([model] * 2 + own_machines(model),
                 ((0.05, 2.0, 0.0), (0.08, 5.0, 1.0), (0.03, 1.0, 2.0)) * 2)],
-           [make_schedule(model, t_start=0.05, magnitude_percent=mag)
+           [attack(model, t_start=0.05, magnitude_percent=mag)
             for mag in (4.0, 8.0, 12.0) * 2],
            dynamics.SimConfig(duration=n_steps * DT, coupling=coupling,
                               reserves=reserves.default_products()))
@@ -234,11 +228,11 @@ def test_lanes_keep_their_bits_through_every_coupling_state(model, pf,
     the lanes share a load vector and a stack while they differ, and each
     distinct load vector is built once."""
     config = dynamics.SimConfig(duration=0.6, coupling=coupling)
-    shared = [make_schedule(model, t_start=0.1)]
+    shared = [attack(model, t_start=0.1)]
     batches = {
         "switching": ([model] * 4, [
-            make_schedule(model, family="switching", t_start=0.1, t1=t1,
-                          magnitude_percent=mag)
+            attack(model, family="switching", t_start=0.1, t1=t1,
+                   magnitude_percent=mag)
             for t1, mag in ((0.2, 6.0), (0.25, 4.0), (0.3, 8.0),
                             (0.45, 12.0))], config),
         "grid": ([netmodel.with_dynamic_params(model, *params) for params in
@@ -347,7 +341,7 @@ def test_initial_rocof_matches_power_jump(model, pf):
     _, h_sys, _, _, _, _ = dynamics.machine_params(model)
     predicted = -dpe / (2 * h_sys.sum()) * 50.0
 
-    tr = dynamics.simulate(model, make_schedule(model),
+    tr = dynamics.simulate(model, attack(model),
                            dynamics.SimConfig(duration=2.0))
     f = tr.f_coi
     k = 100  # boundary where the event lands
@@ -360,7 +354,7 @@ def test_initial_rocof_matches_power_jump(model, pf):
 @pytest.mark.parametrize("coupling", ["network", "linear"])
 def test_settled_droop_band(model, coupling):
     """Settled deviation sits just under the rigid droop prediction."""
-    tr = dynamics.simulate(model, make_schedule(model),
+    tr = dynamics.simulate(model, attack(model),
                            dynamics.SimConfig(duration=40.0, coupling=coupling))
     dev = 50.0 - tr.f_coi[-1]
     _, _, _, gain, _, _ = dynamics.machine_params(model)
@@ -369,9 +363,9 @@ def test_settled_droop_band(model, coupling):
 
 
 def test_voltage_relief_larger_with_network_coupling(model):
-    net = dynamics.simulate(model, make_schedule(model),
+    net = dynamics.simulate(model, attack(model),
                             dynamics.SimConfig(duration=40.0))
-    lin = dynamics.simulate(model, make_schedule(model),
+    lin = dynamics.simulate(model, attack(model),
                             dynamics.SimConfig(duration=40.0, coupling="linear"))
     assert (50.0 - net.f_coi[-1]) <= (50.0 - lin.f_coi[-1])
     assert abs(net.f_coi.min() - lin.f_coi.min()) < 0.02
@@ -403,7 +397,7 @@ def test_base_reduction_is_built_once(model, pf, monkeypatch, kw):
 
     build = dynamics.build_reduced
     monkeypatch.setattr(dynamics, "build_reduced", counting)
-    tr = dynamics.simulate(model, make_schedule(model, **kw),
+    tr = dynamics.simulate(model, attack(model, **kw),
                            dynamics.SimConfig(duration=2.0), pf)
     assert len(tr.events) == (4 if kw else 1)
     assert len(loads) == 2
@@ -428,10 +422,10 @@ def test_event_on_last_boundary_applies(model, t_event):
 
 
 def test_switching_prefix_equals_static(model):
-    static = dynamics.simulate(model, make_schedule(model),
+    static = dynamics.simulate(model, attack(model),
                                dynamics.SimConfig(duration=20.0))
     switching = dynamics.simulate(
-        model, make_schedule(model, family="switching", t1=8.0),
+        model, attack(model, family="switching", t1=8.0),
         dynamics.SimConfig(duration=20.0))
     cut = 800  # t < 8.0
     assert np.array_equal(static.f_coi[:cut], switching.f_coi[:cut])
@@ -455,9 +449,8 @@ def test_instability_guard_preserves_partial_trace(model):
                              PARTIAL_TRACE_SHA256):
         with pytest.raises(dynamics.InstabilityError) as exc:
             dynamics.simulate(
-                model, make_schedule(model,
-                                     attack_type=AttackType.DEMAND_REDUCTION,
-                                     magnitude_percent=200.0),
+                model, attack(model, attack_type=AttackType.DEMAND_REDUCTION,
+                              magnitude_percent=200.0),
                 dynamics.SimConfig(duration=20.0, reserves=prods))
         err = exc.value
         tr = err.trace
@@ -477,30 +470,30 @@ def test_instability_guard_preserves_partial_trace(model):
 def test_reserve_columns_signed(model):
     prods = reserves.default_products()
     tr = dynamics.simulate(
-        model, make_schedule(model, attack_type=AttackType.DEMAND_REDUCTION,
-                             magnitude_percent=12.0),
+        model, attack(model, attack_type=AttackType.DEMAND_REDUCTION,
+                      magnitude_percent=12.0),
         dynamics.SimConfig(duration=30.0, reserves=prods))
     assert np.all(tr.p_reserve_up >= 0.0)
     assert np.all(tr.p_reserve_down <= 0.0)
     assert tr.p_reserve_down.min() < 0.0  # down products actually engaged
 
-    bare = dynamics.simulate(model, make_schedule(model),
+    bare = dynamics.simulate(model, attack(model),
                              dynamics.SimConfig(duration=5.0))
     assert np.all(bare.p_reserve_up == 0.0)
     assert np.all(bare.p_reserve_down == 0.0)
 
 
 def test_reserves_lift_the_nadir(model):
-    plain = dynamics.simulate(model, make_schedule(model, magnitude_percent=12.0),
+    plain = dynamics.simulate(model, attack(model, magnitude_percent=12.0),
                               dynamics.SimConfig(duration=30.0))
     helped = dynamics.simulate(
-        model, make_schedule(model, magnitude_percent=12.0),
+        model, attack(model, magnitude_percent=12.0),
         dynamics.SimConfig(duration=30.0, reserves=reserves.default_products()))
     assert helped.f_coi.min() > plain.f_coi.min()
 
 
 def test_coi_is_inertia_weighted(model):
-    tr = dynamics.simulate(model, make_schedule(model),
+    tr = dynamics.simulate(model, attack(model),
                            dynamics.SimConfig(duration=5.0))
     _, h_sys, _, _, _, _ = dynamics.machine_params(model)
     recomputed = tr.f_gen @ h_sys / h_sys.sum()
@@ -508,8 +501,8 @@ def test_coi_is_inertia_weighted(model):
 
 
 def test_slope_triggered_periodic_in_simulation(model):
-    sch = make_schedule(model, family="periodic", interval=8.0, count=2,
-                        trigger="slope")
+    sch = attack(model, family="periodic", interval=8.0, count=2,
+                 trigger="slope")
     tr = dynamics.simulate(model, sch, dynamics.SimConfig(duration=80.0))
     assert len(tr.events) == 4  # opening step plus three triggered releases
     times = [t for t, _ in tr.events]
@@ -554,7 +547,7 @@ def test_machine_params_totals(model):
       "trigger": "slope"}, "slope trigger"),
 ], ids=["slope"])
 def test_single_lane_features_reject_batches(model, pf, schedule_kw, feature):
-    sch = make_schedule(model, **schedule_kw)
+    sch = attack(model, **schedule_kw)
     config = dynamics.SimConfig(duration=1.0)
     with pytest.raises(ValueError, match=feature):
         next(dynamics._lockstep([model, model], pf, [sch, sch], config))
@@ -609,7 +602,7 @@ def test_electromechanical_modes_show_in_the_linear_run(model, pf):
     s, Hann-windowed, has its two largest spectral peaks within one bin
     (1 / 39.01 s = 0.0256 Hz) of the two electromechanical modes (peaks
     at 1.2561 and 1.9482 Hz)."""
-    trace = dynamics.simulate(model, make_schedule(model), dynamics.SimConfig(
+    trace = dynamics.simulate(model, attack(model), dynamics.SimConfig(
         duration=40.0, coupling="linear"), pf)
     swing = (trace.f_gen - trace.f_coi[:, None])[
         dynamics.step_index(1.0, DT):]
@@ -633,7 +626,7 @@ def test_linear_coupling_matches_its_closed_form(model, pf, kw):
     is its exact response; RK4 at 10 ms must agree within 1e-6 Hz. The
     oracle takes K from central differences of the network kernel at
     delta0, not from the coupling it checks."""
-    schedule = make_schedule(model, **kw)
+    schedule = attack(model, **kw)
     trace = dynamics.simulate(model, schedule, dynamics.SimConfig(
         duration=40.0, coupling="linear"), pf)
     delta0, e_int, p_ref, y_red0 = dynamics.init_state(model, pf)
@@ -716,8 +709,8 @@ def test_reserve_sampling_bounds_the_step_error(model, pf, attack_type,
     reserves converges at first order in dt, without them at fourth. A
     static 12 % attack at bus 8 over 10 s at dt = 0.01 s stays within
     bound of a dt = 0.00125 s run (gaps 4.2e-5, 8.0e-7 and 4.3e-8 Hz)."""
-    schedule = make_schedule(model, attack_type=attack_type,
-                             magnitude_percent=12.0, target_bus=8)
+    schedule = attack(model, attack_type=attack_type,
+                      magnitude_percent=12.0, target_bus=8)
 
     def run(dt):
         return dynamics.simulate(model, schedule, dynamics.SimConfig(
@@ -739,7 +732,7 @@ def test_released_events_must_target_load_buses(model):
 def sfr_response(model, pf, percent, t):
     """The COI frequency of the one-mass system-frequency-response model
     (Anderson and Mirheydar, IEEE Trans. Power Systems 5(3), 1990, without
-    reheat) after the static DI attack of make_schedule, on the times t:
+    reheat) after the static DI attack of criteria.attack, on the times t:
 
         2H x' = dPm - dP - D x,    T_g dPm' = -K x - dPm,
 
@@ -750,7 +743,7 @@ def sfr_response(model, pf, percent, t):
     evaluated through A's eigendecomposition, with no integration."""
     _, h, d, gain, t_g, _ = dynamics.machine_params(model)
     assert np.all(t_g == t_g[0])
-    event = make_schedule(model, magnitude_percent=percent).events[0]
+    event = attack(model, magnitude_percent=percent).events[0]
     delta0, e_int, p_ref, _ = dynamics.init_state(model, pf)
     loads = dynamics.base_loads(model)
     loads[model.bus_index()[event.bus]] += event.delta_p
@@ -777,7 +770,7 @@ def test_coi_response_matches_the_sfr_model(model, pf, params, percent):
     of the calibration box (largest gaps 0.014 and 0.0016 Hz)."""
     tuned = netmodel.with_dynamic_params(model, *params)
     trace = dynamics.simulate(
-        tuned, make_schedule(tuned, magnitude_percent=percent),
+        tuned, attack(tuned, magnitude_percent=percent),
         dynamics.SimConfig(duration=40.0), pf)
     sfr = sfr_response(tuned, pf, percent, trace.t)
     assert abs(trace.f_coi.min() - sfr.min()) < 0.02

@@ -9,6 +9,7 @@ import inspect
 from pathlib import Path
 
 from gridswing import analysis, attacks, dynamics, netmodel, powerflow
+from criteria import attack
 
 PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("perfbench_tracing", PATH)
@@ -78,9 +79,8 @@ def test_tracer_counts_slope_trigger_observations(model):
     """The integrator looks observe up on the trigger at each boundary, so
     the rebound method sees the calls of a slope-triggered run."""
     original = attacks.SlopeTrigger.observe
-    schedule = attacks.compile_scenario(model, attacks.AttackScenario(
-        family="periodic", attack_type=attacks.AttackType.DEMAND_INCREASE,
-        magnitude_percent=8.0, interval=2.0, count=2, trigger="slope"))
+    schedule = attack(model, family="periodic", interval=2.0, count=2,
+                      trigger="slope")
     tracer = tracing.Tracer()
     tracer.install()
     try:

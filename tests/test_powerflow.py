@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import fsolve
 
+import criteria
 from gridswing import powerflow
 
 # Published solution of the 9-bus case, bus order 1..9.
@@ -33,58 +33,15 @@ def test_converges_quickly(pf):
     assert pf.mismatch_norm < 1e-8
 
 
-def _ybus_by_hand(model):
-    idx = model.bus_index()
-    n = len(model.buses)
-    y = np.zeros((n, n), complex)
-    for ln in model.lines:
-        i, j = idx[ln.from_bus], idx[ln.to_bus]
-        ys = 1.0 / complex(ln.r, ln.x)
-        y[i, i] += ys + 1j * ln.b / 2
-        y[j, j] += ys + 1j * ln.b / 2
-        y[i, j] -= ys
-        y[j, i] -= ys
-    return y
-
-
 def test_build_ybus_matches_hand_rolled(model):
-    assert np.allclose(powerflow.build_ybus(model), _ybus_by_hand(model),
-                       atol=1e-12)
+    assert np.allclose(powerflow.build_ybus(model),
+                       criteria.ybus_by_hand(model), atol=1e-12)
 
 
 def test_fsolve_oracle_agrees(model, pf):
     """Independent root find of the mismatch equations, scipy as the solver."""
-    idx = model.bus_index()
-    ybus = _ybus_by_hand(model)
-    p_sched = np.zeros(9)
-    q_sched = np.zeros(9)
-    for g in model.generators:
-        p_sched[idx[g.bus]] += g.p_set
-    for ld in model.loads:
-        p_sched[idx[ld.bus]] -= ld.p
-        q_sched[idx[ld.bus]] -= ld.q
-    kinds = [b.kind for b in model.buses]
-    ang_idx = [i for i, k in enumerate(kinds) if k != "slack"]
-    pq_idx = [i for i, k in enumerate(kinds) if k == "pq"]
-    v_fixed = np.array([b.v_set if b.v_set is not None else 1.0
-                        for b in model.buses])
-
-    def residual(x):
-        theta = np.zeros(9)
-        theta[ang_idx] = x[:len(ang_idx)]
-        v = v_fixed.copy()
-        v[pq_idx] = x[len(ang_idx):]
-        s = v * np.exp(1j * theta) * np.conj(ybus @ (v * np.exp(1j * theta)))
-        return np.concatenate([(s.real - p_sched)[ang_idx],
-                               (s.imag - q_sched)[pq_idx]])
-
-    x0 = np.concatenate([np.zeros(len(ang_idx)), np.ones(len(pq_idx))])
-    sol, info, ok, msg = fsolve(residual, x0, full_output=True)
-    assert ok == 1, msg
-    theta = np.zeros(9)
-    theta[ang_idx] = sol[:len(ang_idx)]
-    v = v_fixed.copy()
-    v[pq_idx] = sol[len(ang_idx):]
+    v, theta, converged, msg = criteria.fsolve_operating_point(model)
+    assert converged, msg
     assert pf.v == pytest.approx(v, abs=1e-6)
     assert pf.theta == pytest.approx(theta, abs=1e-6)
 
