@@ -9,7 +9,10 @@ produce identical reports.
 from __future__ import annotations
 
 import itertools
+import os
+import signal
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -116,8 +119,10 @@ def _ols(points):
 
 
 def _sweep_lanes(model: NetworkModel, schedules,
-                 config: dynamics.SimConfig):
-    """Run each schedule as one lane of a single lockstep batch.
+                 config: dynamics.SimConfig,
+                 pf: powerflow.PowerFlowSolution | None = None):
+    """Run each schedule as one lane of a single lockstep batch over pf,
+    the model's power flow, solved here when not given.
 
     Returns the COI frequency as a (samples, lanes) array and, per lane,
     the time _lockstep marked its speed guard trip at (what simulate would
@@ -129,16 +134,18 @@ def _sweep_lanes(model: NetworkModel, schedules,
     if not schedules:
         return dynamics.empty_samples(n_samp, 0), []
     f = dynamics.empty_samples(n_samp, len(schedules))
+    if pf is None:
+        pf = powerflow.solve(model)
     for k, _, f_coi, *_, trip in dynamics._lockstep(
-            [model] * len(schedules), powerflow.solve(model), schedules,
-            config):
+            [model] * len(schedules), pf, schedules, config):
         f[k] = f_coi
     return f[:k + 1], [step * config.dt if step >= 0 else None
                        for step in trip.tolist()]
 
 
 def magnitude_sweep(model: NetworkModel, base: attacks.AttackScenario,
-                    magnitudes, config: dynamics.SimConfig | None = None
+                    magnitudes, config: dynamics.SimConfig | None = None,
+                    pf: powerflow.PowerFlowSolution | None = None
                     ) -> SweepFit:
     """Static attacks over a magnitude list, fitted to a line.
 
@@ -146,12 +153,13 @@ def magnitude_sweep(model: NetworkModel, base: attacks.AttackScenario,
     so it keeps the scenario's type, target and t_start. The extracted
     response is the nadir for demand-increase-like types and the zenith for
     demand-reduction-like ones. Every magnitude is one lane of a single
-    lockstep batch over one power flow, so a base case whose power flow
-    diverges raises DivergenceError, as simulate does. Runs that leave the
-    speed guard are skipped and recorded; fewer than two surviving points
-    raises FitError, whose message lists each skipped magnitude with its
-    reason, and so do flat responses (an attack too late to act). The fit
-    is order-independent: points are sorted by magnitude before fitting.
+    lockstep batch over one power flow (pf, solved when not given), so a
+    base case whose power flow diverges raises DivergenceError, as
+    simulate does. Runs that leave the speed guard are skipped and
+    recorded; fewer than two surviving points raises FitError, whose
+    message lists each skipped magnitude with its reason, and so do flat
+    responses (an attack too late to act). The fit is order-independent:
+    points are sorted by magnitude before fitting.
     """
     if config is None:
         config = dynamics.SimConfig(duration=60.0)
@@ -161,7 +169,7 @@ def magnitude_sweep(model: NetworkModel, base: attacks.AttackScenario,
         attacks.compile_scenario(model, replace(
             base, family="static", magnitude_percent=mag, magnitude_mw=None,
             trigger="time"))
-        for mag in mags], config)
+        for mag in mags], config, pf)
     points = []
     skipped = []
     for mag, f_lane, trip in zip(mags, f.T, trips):
@@ -181,15 +189,16 @@ def magnitude_sweep(model: NetworkModel, base: attacks.AttackScenario,
 
 
 def timing_sweep(model: NetworkModel, base: attacks.AttackScenario,
-                 t1_values, config: dynamics.SimConfig | None = None):
+                 t1_values, config: dynamics.SimConfig | None = None,
+                 pf: powerflow.PowerFlowSolution | None = None):
     """Sweep the reversion time of base as a time-triggered switching attack.
 
     Returns (optimal_t1, {t1: Metrics}) where optimal maximizes the largest
     absolute deviation from nominal after the reversion; ties break toward
     the earliest t1. t1 values are absolute times and must lie beyond the
     scenario's t_start and within the horizon. Every t1 is one lane of a
-    single lockstep batch over one power flow; a run that leaves the speed
-    guard raises InstabilityError.
+    single lockstep batch over one power flow (pf, solved when not given);
+    a run that leaves the speed guard raises InstabilityError.
     """
     if config is None:
         config = dynamics.SimConfig(duration=40.0)
@@ -206,7 +215,7 @@ def timing_sweep(model: NetworkModel, base: attacks.AttackScenario,
     f, trips = _sweep_lanes(model, [
         attacks.compile_scenario(model, replace(
             base, family="switching", t1=v, trigger="time"))
-        for v in t1_values], config)
+        for v in t1_values], config, pf)
     for trip in trips:
         if trip is not None:
             raise dynamics.InstabilityError(trip)
@@ -266,12 +275,93 @@ def _grid_anchor_errors(model, anchors, candidates,
     behind dynamics.simulate, one batched run per anchor, and each lane's
     error equals the candidate's _anchor_error, bit for bit. A lane that
     the integrator marks as tripped scores inf, as its scalar run would.
+
+    The lanes are split into contiguous slices, one per usable CPU
+    (_slice_count), over one power flow solved here. This process scores
+    the first slice and a forked child each other one, and the errors are
+    joined in candidate order: a lane's bits do not depend on its batch.
     """
     lanes = [with_dynamic_params(model, r, tg, d) for r, tg, d in candidates]
     if not lanes:  # no lanes to step, as in _sweep_lanes
         return np.zeros(0)
-    pf = powerflow.solve(model)
-    config = dynamics.SimConfig(dt=dt, duration=duration)
+    score = partial(_lane_errors, model=model, anchors=anchors,
+                    pf=powerflow.solve(model),
+                    config=dynamics.SimConfig(dt=dt, duration=duration))
+    n, k = len(lanes), _slice_count(len(lanes))
+    edges = [-(-i * n // k) for i in range(k + 1)]  # ceil(i n / k)
+    return np.concatenate(_scored_in_forks(
+        score, [lanes[a:b] for a, b in zip(edges, edges[1:])]))
+
+
+def _slice_count(n: int) -> int:
+    """How many processes score n lanes: one per usable CPU, at most one
+    per lane, and only this one unless it may fork. A fork copies just the
+    calling thread, so a process with more OS threads than one (numpy's
+    BLAS pool, unless OPENBLAS_NUM_THREADS=1), or whose threads cannot be
+    counted, never forks."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 1
+    return min(n, len(os.sched_getaffinity(0))) if threads == 1 else 1
+
+
+def _scored_in_forks(score, parts) -> list[np.ndarray]:
+    """[score(part) for part in parts], each part past the first scored in
+    a child forked for it, which sends its float64 errors back through a
+    pipe. A part whose child cannot start, fails, dies or sends a short
+    payload is scored here instead, so the results and any error raised
+    are those of the one-process run. No child outlives the call."""
+    children = []  # (pid, read end) per part past the first, or None
+    try:
+        for part in parts[1:]:
+            children.append(_fork_scorer(score, part))
+        results = [score(parts[0])]
+        for part, child in zip(parts[1:], children):
+            payload = b""
+            if child:
+                with open(child[1], "rb", closefd=False) as pipe:
+                    payload = pipe.read()
+            results.append(np.frombuffer(payload)
+                           if len(payload) == 8 * len(part) else score(part))
+        return results
+    finally:
+        for pid, fd in filter(None, children):
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)  # a child still scoring after an error
+            os.waitpid(pid, 0)
+
+
+def _fork_scorer(score, part):
+    """(pid, read end) of a child forked to send score(part) back, or None
+    when no pipe or child can be made."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:  # the child never returns into its parent's stack
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                out.write(score(part).tobytes())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _lane_errors(lanes, model, anchors, pf, config) -> np.ndarray:
+    """_grid_anchor_errors of the candidate models lanes of model."""
     errors = np.zeros(len(lanes))
     for percent, nadir_target, settled_target in anchors:
         f_min = np.full(len(lanes), np.inf)

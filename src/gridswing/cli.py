@@ -449,8 +449,8 @@ def _parse_float_list(flag: str, spec: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    model, scenario, sim, _, config, src = parse_scenario(args.scenario,
-                                                          _flags(args))
+    model, scenario, sim, pf, config, src = parse_scenario(args.scenario,
+                                                           _flags(args))
     stem = os.path.splitext(os.path.basename(args.scenario))[0]
     by_magnitude = args.magnitudes is not None
     flag, spec = (("--magnitudes", args.magnitudes) if by_magnitude
@@ -466,10 +466,10 @@ def _cmd_sweep(args) -> int:
             f"within the {sim.duration:g} s horizon"))
     try:
         if by_magnitude:
-            fit = analysis.magnitude_sweep(model, scenario, values, sim)
+            fit = analysis.magnitude_sweep(model, scenario, values, sim, pf)
         else:
             optimal, per_t1 = analysis.timing_sweep(model, scenario, values,
-                                                    sim)
+                                                    sim, pf)
     except MemoryError:
         raise _horizon_error(src, sim) from None
     except np.linalg.LinAlgError:

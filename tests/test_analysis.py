@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gridswing import analysis, attacks, dynamics, netmodel, reserves
 from gridswing.attacks import AttackType
 from criteria import attack
+from forking import requires_fork, run_forking
 
 
 def fake_trace(f, dt=0.01):
@@ -307,6 +308,73 @@ def test_grid_of_no_candidates_scores_nothing(model):
     assert f.shape == (101, 0) and trips == []
 
 
+@requires_fork
+def test_split_grid_keeps_every_bit():
+    """Forced into three slices, two of them forked, the grid gives the
+    one-slice errors bit for bit and leaves no child; two lanes take two
+    slices, not three. A process with a second OS thread never forks."""
+    run_forking('''
+        import threading
+
+        usable_cpus(1)
+        one = errors()
+        assert not FORKS
+        usable_cpus(3)
+        assert errors().tobytes() == one.tobytes()
+        assert len(FORKS) == 2 and no_child_left()
+        assert errors(CANDIDATES[:2]).tobytes() == one[:2].tobytes()
+        assert len(FORKS) == 3 and no_child_left()
+
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        def refuse():
+            raise AssertionError("forked beside a second thread")
+        os.fork = refuse
+        try:
+            assert errors().tobytes() == one.tobytes()
+        finally:
+            release.set()
+            thread.join(10)
+    ''')
+
+
+@requires_fork
+def test_split_grid_survives_its_children():
+    """A child that dies, or that cannot start, leaves its slice to the
+    caller, and the errors stay exact. A slice that raises raises what the
+    one-slice run raises. No child outlives a call."""
+    run_forking('''
+        import errno
+
+        usable_cpus(1)
+        one = errors()
+        poisoned = CANDIDATES + [(0.0, 1.0, 0.5)]  # zero droop: 1 / 0
+        expected = raised(lambda: errors(poisoned))
+        assert expected is ZeroDivisionError
+
+        usable_cpus(3)
+        parent = os.getpid()
+        score = analysis._lane_errors
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return score(*args, **kwargs)
+        analysis._lane_errors = dying
+        assert errors().tobytes() == one.tobytes()
+        assert len(FORKS) == 2 and no_child_left()
+        analysis._lane_errors = score
+
+        assert raised(lambda: errors(poisoned)) is expected
+        assert len(FORKS) == 4 and no_child_left()
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "no process to spare")
+        os.fork = no_fork
+        assert errors().tobytes() == one.tobytes()
+    ''')
+
+
 SWEEP_MAGNITUDES = (2.0, 4.0, 6.0, 8.0, 9.4, 12.0, 14.0)
 SHORT = dynamics.SimConfig(duration=2.0)
 
@@ -378,6 +446,8 @@ def test_guard_trips_beside_nan_in_every_form(model, monkeypatch):
     feed_speeds(monkeypatch, speeds)
     _, trips = analysis._sweep_lanes(model, [schedule] * 3, config)
     assert trips == single
+    # the fed speeds are one batch of all three lanes, so no split
+    monkeypatch.setattr(analysis, "_slice_count", lambda n: 1)
     errors = analysis._grid_anchor_errors(
         model, analysis.DEFAULT_ANCHORS,
         [(0.03, 1.0, 0.5), (0.05, 1.0, 0.5), (0.08, 1.0, 0.5)],

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gridswing import analysis, cli, dynamics, netmodel
+from gridswing import analysis, cli, dynamics, netmodel, powerflow
 
 HEADER = ("t_s,f_coi_hz,f_gen1_hz,f_gen2_hz,f_gen3_hz,"
           "p_attack_pu,p_reserve_up_pu,p_reserve_down_pu")
@@ -752,11 +752,22 @@ def test_target_bus_override(tmp_path):
     assert doc["config"]["attack"]["target_bus"] == 5
 
 
-def test_sweep_magnitudes(tmp_path, capsys):
+def count_power_flows(monkeypatch):
+    """A list that gains an entry at each power-flow solve."""
+    solves = []
+    solve = powerflow.solve
+    monkeypatch.setattr(powerflow, "solve",
+                        lambda model: solves.append(model) or solve(model))
+    return solves
+
+
+def test_sweep_magnitudes(tmp_path, capsys, monkeypatch):
+    solves = count_power_flows(monkeypatch)
     scn = write_scenario(tmp_path, system={"duration_s": 20.0})
     rc = cli.main(["sweep", scn, "--magnitudes", "4,8",
                    "--out-dir", str(tmp_path)])
     assert rc == 0
+    assert len(solves) == 1  # the parse's solution serves the sweep
     doc = json.loads((tmp_path / "case_sweep.json").read_text())
     assert doc["sweep"] == "magnitude"
     assert doc["fit"]["slope_hz_per_percent"] < 0
@@ -764,11 +775,13 @@ def test_sweep_magnitudes(tmp_path, capsys):
     assert "slope" in capsys.readouterr().out
 
 
-def test_sweep_timings(tmp_path, capsys):
+def test_sweep_timings(tmp_path, capsys, monkeypatch):
+    solves = count_power_flows(monkeypatch)
     scn = write_scenario(tmp_path, system={"duration_s": 15.0})
     rc = cli.main(["sweep", scn, "--timings", "3,5",
                    "--out-dir", str(tmp_path)])
     assert rc == 0
+    assert len(solves) == 1
     doc = json.loads((tmp_path / "case_sweep.json").read_text())
     assert doc["sweep"] == "timing"
     assert doc["optimal_t1_s"] in (3.0, 5.0)

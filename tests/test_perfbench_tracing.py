@@ -10,6 +10,7 @@ from pathlib import Path
 
 from gridswing import analysis, attacks, dynamics, netmodel, powerflow
 from criteria import attack
+from forking import requires_fork, run_forking
 
 PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 _spec = importlib.util.spec_from_file_location("perfbench_tracing", PATH)
@@ -73,6 +74,33 @@ def test_tracer_counts_candidate_lanes_and_their_steps(model):
     assert out["analysis._grid_anchor_errors.calls"] == 1
     assert out["analysis._grid_anchor_errors.lanes"] == 2
     assert tracer.lane_steps() == 20
+
+
+@requires_fork
+def test_tracer_counts_every_lane_of_a_split_grid():
+    """The slices of a forked grid are scored through an inner helper, so
+    the tracer sees one _grid_anchor_errors call with all 12 lanes and
+    their 1000 steps each."""
+    run_forking(f'''
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                      {str(PATH)!r})
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        usable_cpus(2)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            errors()
+        finally:
+            tracer.uninstall()
+        assert len(FORKS) == 1
+        out = tracer.metrics()
+        assert out["analysis._grid_anchor_errors.calls"] == 1
+        assert out["analysis._grid_anchor_errors.lanes"] == 12
+        assert tracer.lane_steps() == 12 * 1000
+    ''')
 
 
 def test_tracer_counts_slope_trigger_observations(model):
