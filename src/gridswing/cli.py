@@ -13,9 +13,11 @@ Scenario files are flat JSON documents with three sections::
 Only "attack" is mandatory. The flags --dt, --duration, --reserves and
 --target-bus replace system.dt_s, system.duration_s, system.reserves and
 attack.target_bus before any check runs, and are checked exactly like them.
+Scenario, anchor and case files all go through netmodel's one JSON reader.
 Validation is strict: unknown or repeated keys are rejected, and each
 diagnostic names the flag and its value, or the file, the key, and the line
-where the key appears (an anchor's also names the anchor's number). Commands
+where the key appears (an anchor's also names the anchor's number; a case
+file's follows the scenario's system.model key). Commands
 write their trace CSVs and report JSONs atomically (temp file + rename),
 byte-stable for identical runs; ``simulate`` renames its two artifacts into
 place only once both are written, and never writes both to one path.
@@ -50,19 +52,6 @@ _RESERVE_PRESETS = ("off", "default")
 _CSV_CHUNK_ROWS = 4096
 
 
-class ScenarioError(ValueError):
-    """Configuration problem located at the flag that set the value, or at
-    the file, line and key."""
-
-    def __init__(self, path: str, key: str | None, line: int | None, msg: str):
-        where = path
-        if line is not None:
-            where += f":{line}"
-        if key is not None:
-            where += f" (key {key!r})"
-        super().__init__(f"{where}: {msg}")
-
-
 _SYSTEM_KEYS = {
     "model": str,
     "national_total_mw": (int, float),
@@ -92,97 +81,14 @@ _ANCHOR_KEYS = {
     "settled_hz": (int, float, type(None)),
 }
 
-# The flags that replace a scenario file value: (section, key) -> flag.
+# The flags that replace a scenario file value: flag -> (where, key), where
+# a key path of netmodel.key_lines.
 _FLAG_KEYS = {
-    ("system", "dt_s"): "--dt",
-    ("system", "duration_s"): "--duration",
-    ("system", "reserves"): "--reserves",
-    ("attack", "target_bus"): "--target-bus",
+    "--dt": (("system",), "dt_s"),
+    "--duration": (("system",), "duration_s"),
+    "--reserves": (("system",), "reserves"),
+    "--target-bus": (("attack",), "target_bus"),
 }
-
-
-def _flag_error(flag: str, value, msg: str) -> ScenarioError:
-    shown = f"{value:g}" if isinstance(value, float) else value
-    return ScenarioError(f"{flag} {shown}", None, None, msg)
-
-
-class _Source:
-    """A run's inputs as given: a JSON file's key lines (netmodel.key_lines)
-    and the flags (flag -> value, see _FLAG_KEYS) that replace some of its
-    values. A section is a key of the file's top-level object or, in an
-    anchor file, an anchor's 1-based number."""
-
-    def __init__(self, path: str, lines: dict, flags: dict | None = None):
-        self.path = path
-        self.lines = lines
-        self.flags = flags or {}
-
-    def error(self, section, key: str | None, msg: str) -> ScenarioError:
-        """msg placed at the flag that set key of section, else at the
-        key's line in the file (a top-level key when section is None), or
-        at the section's opening brace when the section lacks the key. An
-        anchor's msg names it."""
-        flag = _FLAG_KEYS.get((section, key))
-        if flag in self.flags:
-            return _flag_error(flag, self.flags[flag], msg)
-        where = () if section is None else (section,)
-        line = self.lines.get((where, key)) or self.lines.get((where, None))
-        if isinstance(section, int):
-            msg = f"anchor {section}: {msg}"
-        return ScenarioError(self.path, key, line, msg)
-
-    def checked(self, name, section, allowed: dict,
-                required: tuple = ()) -> dict:
-        """The object section name with its flags applied, once it has its
-        required keys, only allowed keys, values of their keys' types
-        (booleans are not numbers) and only numbers that are finite floats."""
-        label = name if isinstance(name, str) else "anchor"
-        if not isinstance(section, dict):
-            where = (None, name) if label == name else (name, None)
-            raise self.error(*where, f"section {label!r} must be an object")
-        section = {**section, **{key: self.flags[flag]
-                                 for (sec, key), flag in _FLAG_KEYS.items()
-                                 if sec == name and flag in self.flags}}
-        for key in required:
-            if key not in section:
-                raise self.error(name, key,
-                                 f"missing required {label} key {key!r}")
-        for key, value in section.items():
-            if key not in allowed:
-                raise self.error(name, key,
-                                 f"unknown key in {label!r} section")
-            expected = allowed[key]
-            if isinstance(value, bool) or not isinstance(value, expected):
-                want = expected.__name__ if isinstance(expected, type) else \
-                    "/".join(t.__name__ for t in expected)
-                raise self.error(name, key, f"expected {want}, got {value!r}")
-            # json accepts NaN, Infinity, 1e999 and integers of any size;
-            # the comparison is exact for ints and false for NaN
-            if isinstance(value, (int, float)) \
-                    and not abs(value) <= sys.float_info.max:
-                raise self.error(name, key,
-                                 f"expected a finite number, got {value!r}")
-        return section
-
-
-def _read_json(path: str, flags: dict | None = None):
-    """A JSON file read once: its _Source (with flags) and its document."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeError) as exc:
-        raise ScenarioError(path, None, None, f"cannot read: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(path, None, exc.lineno,
-                            f"invalid JSON: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal too long to convert
-        raise ScenarioError(path, None, None, f"invalid JSON: {exc}") from exc
-    lines, duplicate = netmodel.key_lines(text)
-    if duplicate:
-        raise ScenarioError(path, *duplicate, "duplicate key")
-    return _Source(path, lines, flags), doc
 
 
 def parse_scenario(path: str, flags: dict | None = None):
@@ -193,31 +99,28 @@ def parse_scenario(path: str, flags: dict | None = None):
     config, source): the SimConfig holds the reserve preset's products, the
     solution is the model's operating point, config is the report's
     "config" section, every key resolved to the value the run uses, and
-    source the _Source that places later diagnostics. Raises ScenarioError
-    at the flag that set a bad value, or at the file's line and key; an
-    attack problem is placed at the key that validate_scenario names for
-    it, and a machine dispatched outside [0, p_max] at system.model.
+    source the netmodel.Source that places later diagnostics. Raises
+    netmodel.ScenarioError at the flag that set a bad value, or at the
+    file's line and key; an attack problem is placed at the key that
+    validate_scenario names for it, and a case-file problem or a machine
+    dispatched outside [0, p_max] at system.model.
     """
-    src, doc = _read_json(path, flags)
-    if not isinstance(doc, dict):
-        raise ScenarioError(path, None, 1, "top level must be an object")
-    for key in doc:
-        if key not in ("system", "attack", "output"):
-            raise src.error(None, key, "unknown top-level section")
-    if "attack" not in doc:
-        raise src.error(None, "attack", "missing 'attack' section")
-    system = src.checked("system", doc.get("system", {}), _SYSTEM_KEYS)
-    atk = src.checked("attack", doc["attack"], _ATTACK_KEYS,
+    src, doc = netmodel.read_json(path, {
+        _FLAG_KEYS[f]: (f, value) for f, value in (flags or {}).items()})
+    doc = src.checked((), doc, dict.fromkeys(("system", "attack", "output"),
+                                             dict), required=("attack",))
+    system = src.checked(("system",), doc.get("system", {}), _SYSTEM_KEYS)
+    atk = src.checked(("attack",), doc["attack"], _ATTACK_KEYS,
                       required=("family", "type"))
-    output = src.checked("output", doc.get("output", {}), _OUTPUT_KEYS)
+    output = src.checked(("output",), doc.get("output", {}), _OUTPUT_KEYS)
 
     preset = system.get("reserves", "off")
     if preset not in _RESERVE_PRESETS:
-        raise src.error("system", "reserves",
+        raise src.error(("system",), "reserves",
                         f"expected one of {_RESERVE_PRESETS}")
     for key in ("national_total_mw", "dt_s", "duration_s"):
         if key in system and system[key] <= 0:
-            raise src.error("system", key, "must be positive")
+            raise src.error(("system",), key, "must be positive")
     try:
         sim = dynamics.SimConfig(reserves=(
             reserves.default_products() if preset == "default" else ()), **{
@@ -225,7 +128,7 @@ def parse_scenario(path: str, flags: dict | None = None):
             for key, arg in (("dt_s", "dt"), ("duration_s", "duration"))
             if key in system})
     except ValueError as exc:  # the horizon is not a whole number of steps
-        raise src.error("system", "duration_s", str(exc)) from None
+        raise src.error(("system",), "duration_s", str(exc)) from None
 
     model_ref = system.get("model", "wscc9")
     if model_ref == "wscc9":
@@ -235,8 +138,8 @@ def parse_scenario(path: str, flags: dict | None = None):
         model_path = os.path.join(os.path.dirname(path), model_ref)
         try:
             model = netmodel.from_file(model_path)
-        except (OSError, ValueError) as exc:
-            raise src.error("system", "model", str(exc)) from exc
+        except ValueError as exc:
+            raise src.error(("system",), "model", str(exc)) from exc
     if "national_total_mw" in system:
         model = replace(model,
                         national_total_mw=float(system["national_total_mw"]))
@@ -245,7 +148,7 @@ def parse_scenario(path: str, flags: dict | None = None):
         atype = attacks.AttackType(atk["type"])
     except ValueError:
         raise src.error(
-            "attack", "type",
+            ("attack",), "type",
             f"unknown attack type {atk['type']!r}; "
             f"expected one of {[t.value for t in attacks.AttackType]}") from None
     scenario = attacks.AttackScenario(attack_type=atype, **{
@@ -253,14 +156,14 @@ def parse_scenario(path: str, flags: dict | None = None):
         for key, value in atk.items() if key != "type"})
     problems = attacks.validate_scenario(model, scenario)
     if problems:
-        raise src.error("attack", problems[0][0],
+        raise src.error(("attack",), problems[0][0],
                         "; ".join(msg for _, msg in problems))
     # More cycles than step boundaries cannot each land on a boundary of
     # their own, and compile_scenario makes two transitions per cycle
     # before any horizon check: a huge count would exhaust memory there.
     if scenario.family in ("periodic", "combination") \
             and scenario.count > sim.n_steps + 1:
-        raise src.error("attack", "count",
+        raise src.error(("attack",), "count",
                         f"count {scenario.count} exceeds the "
                         f"{sim.n_steps + 1} step boundaries of the horizon")
     config = {
@@ -284,7 +187,7 @@ def parse_scenario(path: str, flags: dict | None = None):
     for g in model.generators:
         dispatch = float(pf.p_inj[idx[g.bus]])
         if not -powerflow.TOL <= dispatch <= g.governor.p_max + powerflow.TOL:
-            raise src.error("system", "model", (
+            raise src.error(("system",), "model", (
                 f"generator bus {g.bus}: power-flow dispatch {dispatch:.4f} "
                 f"pu lies outside [0, p_max {g.governor.p_max:g}] pu"))
     return model, scenario, sim, pf, config, src
@@ -356,7 +259,7 @@ def _check_out_dir(out_dir: str | None) -> None:
     while path and not os.path.exists(path):
         path = os.path.dirname(path)
     if path and not os.path.isdir(path):
-        raise _flag_error("--out-dir", out_dir, "not a directory")
+        raise netmodel.flag_error("--out-dir", out_dir, "not a directory")
 
 
 def _out_path(args, cfg_path: str | None, default_name: str) -> str:
@@ -366,17 +269,18 @@ def _out_path(args, cfg_path: str | None, default_name: str) -> str:
 
 def _flags(args) -> dict:
     """The flags of _FLAG_KEYS given on the command line, with values."""
-    return {flag: value for flag in _FLAG_KEYS.values()
+    return {flag: value for flag in _FLAG_KEYS
             if (value := getattr(args, flag[2:].replace("-", "_"))) is not None}
 
 
-def _horizon_error(src, config: dynamics.SimConfig) -> ScenarioError:
+def _horizon_error(src, config: dynamics.SimConfig):
     """Diagnostic for samples numpy could not allocate: at --dt when that
     flag alone changed the sample count, else at the horizon."""
-    key = "dt_s" if "--dt" in src.flags and "--duration" not in src.flags \
+    given = dict(src.flags.values())  # flag -> value
+    key = "dt_s" if "--dt" in given and "--duration" not in given \
         else "duration_s"
-    return src.error("system", key, f"{config.n_steps + 1:.3g} samples at "
-                     f"dt = {config.dt:g} s do not fit in memory")
+    return src.error(("system",), key, f"{config.n_steps + 1:.3g} samples "
+                     f"at dt = {config.dt:g} s do not fit in memory")
 
 
 def _cmd_powerflow(args) -> int:
@@ -406,7 +310,7 @@ def _cmd_simulate(args) -> int:
     report_path = out["report_json"] = _out_path(args, out["report_json"],
                                                   f"{stem}_report.json")
     if os.path.realpath(trace_path) == os.path.realpath(report_path):
-        raise src.error("output", given,
+        raise src.error(("output",), given,
                         f"trace and report would both be {report_path}")
 
     schedule = attacks.compile_scenario(model, scenario)
@@ -437,14 +341,14 @@ def _parse_float_list(flag: str, spec: str) -> list[float]:
     try:
         vals = [float(tok) for tok in spec.split(",") if tok.strip() != ""]
     except ValueError:
-        raise _flag_error(flag, spec,
-                          "expected comma-separated numbers") from None
+        raise netmodel.flag_error(
+            flag, spec, "expected comma-separated numbers") from None
     if not vals:
-        raise _flag_error(flag, spec, "empty list")
+        raise netmodel.flag_error(flag, spec, "empty list")
     if not all(map(math.isfinite, vals)):
-        raise _flag_error(flag, spec, "values must be finite numbers")
+        raise netmodel.flag_error(flag, spec, "values must be finite numbers")
     if len(set(vals)) < len(vals):
-        raise _flag_error(flag, spec, "values must not repeat")
+        raise netmodel.flag_error(flag, spec, "values must not repeat")
     return vals
 
 
@@ -459,8 +363,8 @@ def _cmd_sweep(args) -> int:
     # min() keeps t / dt finite; a start on the last boundary acts on nothing
     if by_magnitude and dynamics.step_index(
             min(scenario.t_start, sim.duration), sim.dt) >= sim.n_steps:
-        where = (("system", "duration_s") if "--duration" in src.flags
-                 else ("attack", "t_start"))
+        where = ((("system",), "duration_s") if args.duration is not None
+                 else (("attack",), "t_start"))
         raise src.error(*where, (
             f"the attack starts at {scenario.t_start:g} s, too late to act "
             f"within the {sim.duration:g} s horizon"))
@@ -476,7 +380,7 @@ def _cmd_sweep(args) -> int:
         raise  # a singular network reduction during the run
     # a list value the sweep rejects up front, or too few points to fit
     except (ValueError, analysis.FitError) as exc:
-        raise _flag_error(flag, spec, str(exc)) from None
+        raise netmodel.flag_error(flag, spec, str(exc)) from None
     if by_magnitude:
         report = {
             "sweep": "magnitude",
@@ -510,32 +414,37 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _load_anchors(spec: str):
+def _load_anchors(spec: str, f_nominal: float):
     if spec == "simulated":
         return analysis.DEFAULT_ANCHORS
     if spec == "incident":
         return analysis.INCIDENT_ANCHORS
-    src, raw = _read_json(spec)
+    src, raw = netmodel.read_json(spec)
     if not isinstance(raw, list) or not raw:
-        raise ScenarioError(spec, None, None,
-                            "expected a non-empty list of anchors")
+        raise src.error((), None, "expected a non-empty list of anchors")
     anchors = []
     for i, anchor in enumerate(raw, start=1):
-        anchor = src.checked(i, anchor, _ANCHOR_KEYS, required=("percent",))
+        anchor = src.checked((i,), anchor, _ANCHOR_KEYS,
+                             required=("percent",))
         if anchor["percent"] <= 0:
-            raise src.error(i, "percent", "must be positive")
-        if anchor.get("nadir_hz") is None and anchor.get("settled_hz") is None:
-            raise src.error(i, None,
+            raise src.error((i,), "percent", "must be positive")
+        targets = {key: float(value) for key in ("nadir_hz", "settled_hz")
+                   if (value := anchor.get(key)) is not None}
+        if not targets:
+            raise src.error((i,), None,
                             "has no targets: give nadir_hz or settled_hz")
-        anchors.append((float(anchor["percent"]), *(
-            None if anchor.get(key) is None else float(anchor[key])
-            for key in ("nadir_hz", "settled_hz"))))
+        for key, hz in targets.items():
+            if not 0 < hz < 2 * f_nominal:
+                raise src.error((i,), key, f"must lie between 0 and "
+                                f"{2 * f_nominal:g} Hz")
+        anchors.append((float(anchor["percent"]),
+                        *map(targets.get, ("nadir_hz", "settled_hz"))))
     return tuple(anchors)
 
 
 def _cmd_calibrate(args) -> int:
     model = netmodel.builtin_wscc9()
-    anchors = _load_anchors(args.anchors)
+    anchors = _load_anchors(args.anchors, model.f_nominal)
     params = analysis.calibrate(model, anchors)
     report = {
         "anchors": [{"percent": p, "nadir_hz": n, "settled_hz": s}

@@ -8,6 +8,10 @@ nominal frequency is set: reserve activation levels and metric thresholds are
 offsets from it. The case is used as a reduced-scale proxy for a national grid,
 so attack magnitudes given in national MW are mapped through
 ``national_total_mw``.
+
+Case, scenario and anchor files have one reader here: ``read_json`` and
+``Source.checked`` raise ``ScenarioError`` at ``file:line (key ...)``, and
+a case file's field types are the dataclass annotations.
 """
 
 from __future__ import annotations
@@ -15,7 +19,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, asdict, replace
+import sys
+from dataclasses import (MISSING, asdict, dataclass, fields, is_dataclass,
+                         replace)
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 
 @dataclass(frozen=True)
@@ -316,35 +324,143 @@ def key_lines(text: str):
     return lines, None
 
 
-def from_file(path: str) -> NetworkModel:
-    """Read a JSON case file written by :func:`to_file`.
+class ScenarioError(ValueError):
+    """Input problem located at the flag that set the value, or at the
+    file, line and key."""
 
-    Raises OSError if the file cannot be opened and ValueError naming the
-    file for anything else: not UTF-8, not JSON, a key repeated within one
-    object, a number out of range or a missing or mistyped field.
-    """
+    def __init__(self, path: str, key: str | None, line: int | None, msg: str):
+        where = path
+        if line is not None:
+            where += f":{line}"
+        if key is not None:
+            where += f" (key {key!r})"
+        super().__init__(f"{where}: {msg}")
+
+
+def flag_error(flag: str, value, msg: str) -> ScenarioError:
+    """msg placed at a command-line flag and its value."""
+    shown = f"{value:g}" if isinstance(value, float) else value
+    return ScenarioError(f"{flag} {shown}", None, None, msg)
+
+
+class Source:
+    """An input as given: a JSON file's key lines (key_lines) and the flags
+    that replace some of its values, {(where, key): (flag, value)}. where
+    is a key path of key_lines: the keys and 1-based list-item numbers
+    down to an object."""
+
+    def __init__(self, path: str, lines: dict, flags: dict | None = None):
+        self.path = path
+        self.lines = lines
+        self.flags = flags or {}
+
+    def error(self, where: tuple, key: str | None, msg: str) -> ScenarioError:
+        """msg placed at the flag that set key of the object at where, else
+        at the key's line in the file, or at the object's opening brace
+        when it lacks the key. An item of a top-level list, which only an
+        anchor file has, is named by its number."""
+        if (where, key) in self.flags:
+            return flag_error(*self.flags[where, key], msg)
+        line = self.lines.get((where, key)) or self.lines.get((where, None))
+        if len(where) == 1 and isinstance(where[0], int):
+            msg = f"anchor {where[0]}: {msg}"
+        return ScenarioError(self.path, key, line, msg)
+
+    def checked(self, where: tuple, obj, allowed: dict,
+                required: tuple = ()) -> dict:
+        """The object obj at where with its flags applied, once it has its
+        required keys, only allowed keys (key -> type or tuple of types),
+        values of their keys' types (booleans are not numbers) and only
+        numbers that are finite floats."""
+        if not isinstance(obj, dict):
+            if len(where) > 1:  # an item of the list at key where[-2]
+                raise self.error(where[:-2], where[-2],
+                                 f"item {where[-1]}: expected an object")
+            raise self.error(where, None, "expected an object")
+        obj = {**obj, **{key: value for (at, key), (_, value)
+                         in self.flags.items() if at == where}}
+        for key in required:
+            if key not in obj:
+                raise self.error(where, key, "missing required key")
+        for key, value in obj.items():
+            if key not in allowed:
+                raise self.error(where, key, "unknown key")
+            expected = allowed[key]
+            if isinstance(value, bool) or not isinstance(value, expected):
+                want = expected.__name__ if isinstance(expected, type) else \
+                    "/".join(t.__name__ for t in expected)
+                raise self.error(where, key, f"expected {want}, got {value!r}")
+            # json accepts NaN, Infinity, 1e999 and integers of any size;
+            # the comparison is exact for ints and false for NaN
+            if isinstance(value, (int, float)) \
+                    and not abs(value) <= sys.float_info.max:
+                raise self.error(where, key,
+                                 f"expected a finite number, got {value!r}")
+        return obj
+
+
+def read_json(path: str, flags: dict | None = None):
+    """A JSON file read once: its Source (with flags) and its document."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        raw = json.loads(text)
-        if duplicate := key_lines(text)[1]:
-            raise ValueError(f"duplicate key {duplicate[0]!r}")
-        model = NetworkModel(
-            name=raw["name"],
-            mva_base=float(raw["mva_base"]),
-            f_nominal=float(raw["f_nominal"]),
-            buses=tuple(Bus(**b) for b in raw["buses"]),
-            lines=tuple(Line(**ln) for ln in raw["lines"]),
-            generators=tuple(
-                Generator(**{**g, "governor": Governor(**g["governor"])})
-                for g in raw["generators"]),
-            loads=tuple(Load(**ld) for ld in raw["loads"]),
-            national_total_mw=float(raw.get(
-                "national_total_mw", NetworkModel.national_total_mw)),
-        )
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"malformed case file {path}: {what}") from exc
+    except (OSError, UnicodeError) as exc:
+        raise ScenarioError(path, None, None, f"cannot read: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(path, None, exc.lineno,
+                            f"invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal too long to convert
+        raise ScenarioError(path, None, None, f"invalid JSON: {exc}") from exc
+    lines, duplicate = key_lines(text)
+    if duplicate:
+        raise ScenarioError(path, *duplicate, "duplicate key")
+    return Source(path, lines, flags), doc
+
+
+def _json_types(hint) -> tuple:
+    """The JSON value types a field annotated hint takes: an int for a
+    float, a list for a tuple of records and an object for a record."""
+    if isinstance(hint, UnionType):
+        return sum(map(_json_types, get_args(hint)), ())
+    if get_origin(hint) is tuple:
+        return (list,)
+    if is_dataclass(hint):
+        return (dict,)
+    return (int, float) if hint is float else (hint,)
+
+
+def _record(src: Source, cls, where: tuple, obj):
+    """The dataclass cls read from obj, the object at where, its fields
+    checked against their annotations."""
+    hints = get_type_hints(cls)
+    allowed = {key: _json_types(hint) for key, hint in hints.items()}
+    obj = src.checked(where, obj, allowed, required=tuple(
+        f.name for f in fields(cls) if f.default is MISSING))
+    for key, value in obj.items():
+        hint = hints[key]
+        if get_origin(hint) is tuple:
+            obj[key] = tuple(
+                _record(src, get_args(hint)[0], (*where, key, i), item)
+                for i, item in enumerate(value, start=1))
+        elif is_dataclass(hint):
+            obj[key] = _record(src, hint, (*where, key), value)
+        elif float in allowed[key] and isinstance(value, int):
+            obj[key] = float(value)
+    return cls(**obj)
+
+
+def from_file(path: str) -> NetworkModel:
+    """Read a JSON case file written by :func:`to_file`.
+
+    Raises ScenarioError at the file, line and key for a file that cannot
+    be read, is not JSON, repeats a key within one object, or lacks, adds
+    or mistypes a field (an int is taken for a float), and ValueError
+    naming the file for the problems :func:`validate` finds.
+    """
+    src, doc = read_json(path)
+    model = _record(src, NetworkModel, (), doc)
     problems = validate(model)
     if problems:
         raise ValueError(f"invalid case file {path}: " + "; ".join(problems))

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -173,7 +174,7 @@ def test_count_beyond_the_horizon_is_rejected_before_compiling(tmp_path,
                        if '"count"' in ln)
     for count in (502, 10 ** 300):
         scn = write_scenario(tmp_path, attack={**attack, "count": count})
-        with pytest.raises(cli.ScenarioError) as exc:
+        with pytest.raises(netmodel.ScenarioError) as exc:
             cli.parse_scenario(scn)
         assert str(exc.value).startswith(f"{scn}:{line_no} (key 'count'): ")
         assert "501 step boundaries" in str(exc.value)
@@ -214,7 +215,7 @@ def test_sweep_run_error_keeps_its_message(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("exc, code, err", [
-    (cli.ScenarioError("a.scn", "dt_s", 3, "must be positive"), 2,
+    (netmodel.ScenarioError("a.scn", "dt_s", 3, "must be positive"), 2,
      "error: a.scn:3 (key 'dt_s'): must be positive\n"),
     (analysis.FitError("only 1 sweep points survived; cannot fit"), 2,
      "error: only 1 sweep points survived; cannot fit\n"),
@@ -308,7 +309,7 @@ def test_parse_scenario_fuzz(tmp_path, doc, flags):
     path.write_text(json.dumps(doc))
     try:
         cli.parse_scenario(str(path), flags)
-    except cli.ScenarioError as exc:
+    except netmodel.ScenarioError as exc:
         assert str(exc).startswith((str(path), *(f"{f} " for f in flags)))
 
 
@@ -519,7 +520,8 @@ def test_missing_family_is_config_error(tmp_path, capsys):
     scn = write_scenario(tmp_path, raw={"attack": {"type": "DI",
                                                    "magnitude_percent": 8.0}})
     assert cli.main(["simulate", scn]) == 2
-    assert "family" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {scn}:2 (key 'family'): missing required key\n")
 
 
 def test_bad_interval_names_key_and_line(tmp_path, capsys):
@@ -537,7 +539,8 @@ def test_bad_interval_names_key_and_line(tmp_path, capsys):
 def test_unknown_key_rejected(tmp_path, capsys):
     scn = write_scenario(tmp_path, attack={"colour": "red"})
     assert cli.main(["simulate", scn]) == 2
-    assert "colour" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {scn}:9 (key 'colour'): unknown key\n")
 
 
 def test_unknown_section_rejected(tmp_path, capsys):
@@ -546,14 +549,17 @@ def test_unknown_section_rejected(tmp_path, capsys):
                                                    "magnitude_percent": 8.0},
                                         "plotting": {}})
     assert cli.main(["simulate", scn]) == 2
-    assert "plotting" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {scn}:7 (key 'plotting'): unknown key\n")
 
 
 def test_invalid_json_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.scn"
-    path.write_text('{"attack": {,}}')
+    path.write_text('{"attack":\n {,}}')
     assert cli.main(["simulate", str(path)]) == 2
-    assert "JSON" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {path}:2: invalid JSON: Expecting property name enclosed "
+        "in double quotes\n")
 
 
 def test_overlong_integer_literal_names_the_file(tmp_path, capsys):
@@ -610,62 +616,135 @@ def test_duplicate_anchor_key_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+# One edit of to_file's text of the built-in case, a regular expression
+# replaced once, and the diagnostic after the case file's path. The lines
+# are those of that text: line 1 is the top-level brace.
+CASE_FILE_FAULTS = {
+    "missing-field": (r'\n  "mva_base": 100\.0,', "",
+                      ":1 (key 'mva_base'): missing required key"),
+    "not-json": (r'"wscc9",', '"wscc9",,',
+                 ":2: invalid JSON: Expecting property name enclosed in "
+                 "double quotes"),
+    "long-int": (r"100\.0", "1" * 5001,
+                 ": invalid JSON: Exceeds the limit (4300 digits) for integer "
+                 "string conversion: value has 5001 digits; use "
+                 "sys.set_int_max_str_digits() to increase the limit"),
+    "not-utf8": (r"wscc9", "\udcff",  # written as the byte 0xff
+                 ": cannot read: 'utf-8' codec can't decode byte 0xff in "
+                 "position 13: invalid start byte"),
+    "beyond-float": (r"100\.0", "1" + "0" * 400,
+                     ":3 (key 'mva_base'): expected a finite number, got 1"
+                     + "0" * 400),
+    "nan-f-nominal": (r"50\.0", "NaN",
+                      ":4 (key 'f_nominal'): expected a finite number, "
+                      "got nan"),
+    "nan-national-total": (r"17500\.0", "NaN",
+                           ":181 (key 'national_total_mw'): expected a "
+                           "finite number, got nan"),
+    "repeated-key": (r'"mva_base": 100\.0', '"mva_base": 100.0, '
+                     '"mva_base": 50.0', ":3 (key 'mva_base'): duplicate key"),
+    "repeated-nested-key": (r'"t_g": 5\.0', '"t_g": 5.0, "t_g": 1.0',
+                            ":126 (key 't_g'): duplicate key"),
+    "generator-v-set": (r'"h": 9\.55', '"h": 9.55, "v_set": 1.0',
+                        ":122 (key 'v_set'): unknown key"),
+    "unknown-bus-key": (r'"slack"', '"slack", "colour": "red"',
+                        ":8 (key 'colour'): unknown key"),
+    "string-h": (r'"h": 9\.55', '"h": "9.55"',
+                 ":122 (key 'h'): expected int/float, got '9.55'"),
+    "bool-x": (r'"x": 0\.0576', '"x": true',
+               ":57 (key 'x'): expected int/float, got True"),
+    "null-r": (r'"r": 0\.0', '"r": null',
+               ":56 (key 'r'): expected int/float, got None"),
+    "float-id": (r'"id": 4,', '"id": 4.0,',
+                 ":22 (key 'id'): expected int, got 4.0"),
+    "list-governor": (r'"governor": \{.*?\}', '"governor": []',
+                      ":124 (key 'governor'): expected dict, got []"),
+    "object-buses": (r'"buses": \[.*?\n  \]', '"buses": {}',
+                     ":5 (key 'buses'): expected list, got {}"),
+    "number-bus": (r'\{\s*"id": 3,.*?\}', "3",
+                   ":5 (key 'buses'): item 3: expected an object"),
+    "missing-t-g": (r'\s*"t_g": 5\.0,', "",
+                    ":124 (key 't_g'): missing required key"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CASE_FILE_FAULTS))
+def test_case_file_fault_is_placed_at_its_key(tmp_path, capsys, fault):
+    """Each case file fault exits 2 at the case file's line and key: from
+    from_file and powerflow as it is, and from simulate after the
+    scenario's model key. Nothing is written."""
+    pattern, repl, where = CASE_FILE_FAULTS[fault]
+    case = tmp_path / "bad.json"
+    netmodel.to_file(netmodel.builtin_wscc9(), str(case))
+    text, edits = re.subn(pattern, lambda _: repl, case.read_text(),
+                          count=1, flags=re.S)
+    assert edits == 1
+    case.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(netmodel.ScenarioError) as exc:
+        netmodel.from_file(str(case))
+    assert str(exc.value) == f"{case}{where}"
+    assert cli.main(["powerflow", str(case)]) == 2
+    assert capsys.readouterr().err == f"error: {case}{where}\n"
+    scn = write_scenario(tmp_path, system={"model": "bad.json"})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", scn, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {scn}:4 (key 'model'): {case}{where}\n")
+    assert sorted(os.listdir(tmp_path)) == ["bad.json", "case.scn"]
+
+
 def test_case_file_beyond_float_range_names_the_model_key(tmp_path, capsys):
-    """A case file whose mva_base overflows a float exits 2 at the
+    """A case file whose line reactance overflows a float exits 2 at the
     scenario's model key, and powerflow on the case exits 2 naming it."""
     raw = json.loads(json.dumps(dataclasses.asdict(netmodel.builtin_wscc9())))
-    raw["mva_base"] = 10 ** 400
+    raw["lines"][2]["x"] = 10 ** 400
     case = tmp_path / "huge.json"
     case.write_text(json.dumps(raw))
+    where = f"{case}:1 (key 'x'): expected a finite number, got 1" + "0" * 400
     scn = write_scenario(tmp_path, system={"model": "huge.json"})
     out = tmp_path / "out"
     assert cli.main(["simulate", scn, "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: {scn}:4 (key 'model'): malformed case file {case}:")
+    assert capsys.readouterr().err == (
+        f"error: {scn}:4 (key 'model'): {where}\n")
     assert not out.exists()
     assert cli.main(["powerflow", str(case)]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: malformed case file {case}:")
+    assert capsys.readouterr().err == f"error: {where}\n"
 
 
 def test_case_file_with_a_repeated_key_names_the_model_key(tmp_path, capsys):
-    """A case file repeating mva_base exits 2 at the scenario's model key,
+    """A case file repeating a load's q exits 2 at the scenario's model key,
     naming the repeated key, and writes nothing."""
     text = json.dumps(dataclasses.asdict(netmodel.builtin_wscc9()))
     case = tmp_path / "twice.json"
-    case.write_text(text.replace('"mva_base": 100.0',
-                                 '"mva_base": 100.0, "mva_base": 50.0', 1))
+    case.write_text(text.replace('"q": 0.5', '"q": 0.5, "q": 0.1', 1))
     scn = write_scenario(tmp_path, system={"model": "twice.json"})
     out = tmp_path / "out"
     assert cli.main(["simulate", scn, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"error: {scn}:4 (key 'model'): malformed case file {case}: "
-        "duplicate key 'mva_base'\n")
+        f"error: {scn}:4 (key 'model'): {case}:1 (key 'q'): duplicate key\n")
     assert not out.exists()
 
 
 def test_case_file_missing_a_field_names_the_key(tmp_path, capsys):
-    """A case file without mva_base exits 2 naming the missing key, at the
-    scenario's model key and through powerflow, and writes nothing."""
+    """A case file whose load has no p exits 2 naming the missing key, at
+    the scenario's model key and through powerflow, and writes nothing."""
     raw = dataclasses.asdict(netmodel.builtin_wscc9())
-    del raw["mva_base"]
+    del raw["loads"][1]["p"]
     case = tmp_path / "short.json"
     case.write_text(json.dumps(raw))
+    where = f"{case}:1 (key 'p'): missing required key"
     scn = write_scenario(tmp_path, system={"model": "short.json"})
     out = tmp_path / "out"
     assert cli.main(["simulate", scn, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"error: {scn}:4 (key 'model'): malformed case file {case}: "
-        "missing key 'mva_base'\n")
+        f"error: {scn}:4 (key 'model'): {where}\n")
     assert not out.exists()
     assert cli.main(["powerflow", str(case)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: malformed case file {case}: missing key 'mva_base'\n")
+    assert capsys.readouterr().err == f"error: {where}\n"
 
 
 @pytest.mark.parametrize("field, value", [
-    ("f_nominal", -50.0), ("f_nominal", 0.0), ("f_nominal", float("nan")),
-    ("mva_base", -100.0), ("national_total_mw", float("nan"))])
+    ("f_nominal", -50.0), ("f_nominal", 0.0), ("mva_base", -100.0)])
 def test_case_file_bad_base_quantity_names_the_field(tmp_path, capsys,
                                                       field, value):
     """A nominal frequency, MVA base or national total that is not finite
@@ -688,7 +767,9 @@ def test_case_file_bad_base_quantity_names_the_field(tmp_path, capsys,
 def test_unknown_reserve_preset(tmp_path, capsys):
     scn = write_scenario(tmp_path, system={"reserves": "lots"})
     assert cli.main(["simulate", scn]) == 2
-    assert "reserves" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {scn}:4 (key 'reserves'): expected one of "
+        "('off', 'default')\n")
 
 
 def test_instability_exit_code_and_no_partial_artifacts(tmp_path, capsys):
@@ -812,7 +893,8 @@ def test_magnitude_sweep_starting_past_the_horizon(tmp_path, capsys,
     scn = write_scenario(tmp_path, system={"duration_s": 20.0},
                          attack={"magnitude_percent": 12.0,
                                  "t_start": t_start})
-    line = 1 + open(scn).read().splitlines().index(f'  "t_start": {t_start}')
+    with open(scn) as fh:
+        line = 1 + fh.read().splitlines().index(f'  "t_start": {t_start}')
     for flags, where in (([], f"{scn}:{line} (key 't_start')"),
                          (["--duration", "20"], "--duration 20")):
         assert cli.main(["sweep", scn, "--magnitudes", "4,8",
@@ -869,10 +951,12 @@ def test_calibrate_with_anchor_file(tmp_path, capsys):
     assert capsys.readouterr().err == ""  # no warning on a clean fit
 
 
-def test_calibrate_rejects_bad_anchor_file(tmp_path):
+def test_calibrate_rejects_bad_anchor_file(tmp_path, capsys):
     anchors = tmp_path / "anchors.json"
     anchors.write_text("[]")
     assert cli.main(["calibrate", "--anchors", str(anchors)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {anchors}: expected a non-empty list of anchors\n")
 
 
 @pytest.mark.parametrize("anchor, key, message", [
@@ -881,7 +965,14 @@ def test_calibrate_rejects_bad_anchor_file(tmp_path):
     ('{"percent": 0, "settled_hz": 49.8}', "percent", "positive"),
     ('{"settled_hz": 49.8}', "percent", "missing"),
     ('{"percent": 12.0, "nadir": 49.2}', "nadir", "unknown key"),
-], ids=["nan", "bool", "zero-percent", "no-percent", "unknown-key"])
+    ('{"percent": 8, "nadir_hz": 1e308}', "nadir_hz", "between 0 and 100 Hz"),
+    ('{"percent": 8, "nadir_hz": 100}', "nadir_hz", "between 0 and 100 Hz"),
+    ('{"percent": 8, "settled_hz": 0}', "settled_hz", "between 0 and 100 Hz"),
+    ('{"percent": 8, "settled_hz": -49.8}', "settled_hz",
+     "between 0 and 100 Hz"),
+], ids=["nan", "bool", "zero-percent", "no-percent", "unknown-key",
+        "huge-nadir", "nadir-at-twice-nominal", "zero-settled",
+        "negative-settled"])
 def test_calibrate_rejects_bad_anchor_values(tmp_path, capsys, anchor, key,
                                              message):
     path = tmp_path / "anchors.json"
@@ -943,7 +1034,11 @@ def test_feasibility_unknown_year(capsys):
 
 
 def test_missing_scenario_file(tmp_path, capsys):
-    assert cli.main(["simulate", str(tmp_path / "nope.scn")]) == 2
+    path = tmp_path / "nope.scn"
+    assert cli.main(["simulate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: cannot read: [Errno 2] No such file or directory: "
+        f"'{path}'\n")
 
 
 def test_shipped_scenarios_parse():
