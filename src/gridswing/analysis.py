@@ -136,11 +136,12 @@ def _sweep_lanes(model: NetworkModel, schedules,
     f = dynamics.empty_samples(n_samp, len(schedules))
     if pf is None:
         pf = powerflow.solve(model)
-    for k, _, f_coi, *_, trip in dynamics._lockstep(
+    for k0, f_coi, *_, trip in dynamics._lockstep(
             [model] * len(schedules), pf, schedules, config):
-        f[k] = f_coi
-    return f[:k + 1], [step * config.dt if step >= 0 else None
-                       for step in trip.tolist()]
+        k1 = k0 + len(f_coi)
+        f[k0:k1] = f_coi
+    return f[:k1], [step * config.dt if step >= 0 else None
+                    for step in trip.tolist()]
 
 
 def magnitude_sweep(model: NetworkModel, base: attacks.AttackScenario,
@@ -366,13 +367,13 @@ def _lane_errors(lanes, model, anchors, pf, config) -> np.ndarray:
     for percent, nadir_target, settled_target in anchors:
         f_min = np.full(len(lanes), np.inf)
         schedule = _anchor_schedule(model, percent)
-        for _, _, f_coi, *_, trip in dynamics._lockstep(
+        for _, f_coi, *_, trip in dynamics._lockstep(
                 lanes, pf, [schedule] * len(lanes), config):
-            np.minimum(f_min, f_coi, out=f_min)
+            np.minimum(f_min, np.minimum.reduce(f_coi), out=f_min)
         if nadir_target is not None:
             errors += (f_min - nadir_target) ** 2
         if settled_target is not None:
-            errors += (f_coi - settled_target) ** 2
+            errors += (f_coi[-1] - settled_target) ** 2
         errors[trip >= 0] = np.inf
     return errors
 

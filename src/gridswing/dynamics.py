@@ -14,10 +14,13 @@ Per generator i (all in system pu on the model MVA base, delta in rad):
     T_g d p_m_i/dt  = (p_ref_i - dw_i / R_i) - p_m_i,   0 <= p_m_i <= p_max_i
 
 One fixed-step RK4 integrator, ``_lockstep``, serves every caller: attack
-events and reserve updates land on step boundaries, and it carries either
-one system (``simulate``) or a batch of lanes, each with its own event
-schedule and machines (sweeps and the calibration grid), through
-the same expressions; every lane is bit-identical to its one-lane run. Both
+events, slope releases and reserve updates land on step boundaries, and it
+carries either one system (``simulate``) or a batch of lanes, each with its
+own event schedule and machines (sweeps and the calibration grid), through
+the same expressions; every lane is bit-identical to its one-lane run. The
+boundary work that no step needs (every boundary's COI frequency, the speed
+guard and the record) is done once per span of up to SPAN_STEPS steps,
+which ends where an event is due. Both
 electrical couplings build a lane's coupling from its load vector at each
 demand event and hand it to a power kernel:
 
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 
@@ -114,12 +118,10 @@ class SimulationTrace:
 
 def machine_params(model: NetworkModel):
     """System-base machine constants as arrays ordered like model.generators."""
-    s_base = model.mva_base
     mva = np.array([g.mva_base for g in model.generators])
-    h_sys = np.array([g.h * g.mva_base / s_base for g in model.generators])
-    d_sys = np.array([g.d * g.mva_base / s_base for g in model.generators])
-    droop_gain = np.array([(g.mva_base / s_base) / g.governor.r_droop
-                           for g in model.generators])
+    h_sys, d_sys, droop_gain = np.array([
+        g.on_system_base(model.mva_base) for g in model.generators
+    ]).reshape(-1, 3).T.copy()
     t_g = np.array([g.governor.t_g for g in model.generators])
     p_max = np.array([g.governor.p_max for g in model.generators])
     return mva, h_sys, d_sys, droop_gain, t_g, p_max
@@ -239,21 +241,20 @@ def empty_samples(*shape) -> np.ndarray:
     return np.empty(shape)
 
 
-def _mark_trips(d_omega: np.ndarray, trip: np.ndarray, k: int) -> int:
-    """The speed guard: mark boundary k in trip for each unmarked lane of
-    the (m,) or (B, m) speeds past SPEED_GUARD_PU; return how many it
-    marked. A NaN speed trips nothing, but a machine past the guard beside
-    it does. Only when a quick test fails (one lane's Python floats, which
-    is faster, or a batch's global max, which a NaN fails too) does fmax,
-    skipping NaN, take each lane's largest speed."""
-    if d_omega.ndim == 1:
-        if not any(abs(w) > SPEED_GUARD_PU for w in d_omega.tolist()):
-            return 0
-    elif np.abs(d_omega).max() <= SPEED_GUARD_PU:
+def _mark_trips(speeds: np.ndarray, trip: np.ndarray, k0: int) -> int:
+    """The speed guard over a span: speeds holds the (rows, B, m) speeds of
+    boundaries k0, k0 + 1, ...; mark in trip, for each unmarked lane, the
+    first of them where a machine is past SPEED_GUARD_PU, and return how
+    many lanes it marked. A NaN speed trips nothing, as it compares false,
+    but a machine past the guard beside it does. Most spans end at the
+    one test over all their speeds: numpy reduces the short machine axis
+    slowly (an fmax over it took 0.9 ms on 64 rows of 405 lanes)."""
+    over = np.abs(speeds) > SPEED_GUARD_PU
+    if not over.any():
         return 0
-    new = (trip < 0) & (np.fmax.reduce(np.abs(d_omega), axis=-1)
-                        > SPEED_GUARD_PU)
-    trip[new] = k
+    over = over.any(axis=-1)
+    new = (trip < 0) & over.any(axis=0)
+    trip[new] = k0 + over.argmax(axis=0)[new]
     return int(np.count_nonzero(new))
 
 
@@ -293,6 +294,14 @@ def _linear_coupling(model, pf, y_red0, e_int, delta0, pe0):
     return build, power
 
 
+# Boundaries in one span at most; the span buffers hold this many rows.
+# Against 64, 32 rows read 1.01-1.03x and 256 rows 0.96-1.01x on sweep
+# passes, one-lane runs and a 162-lane grid, all within the noise of a
+# 2-core VM; 64 rows of a 405-lane grid's speeds take 0.6 MB, 256 rows
+# four times that.
+SPAN_STEPS = 64
+
+
 def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     """The RK4 integrator: step lanes in lockstep, each with its own schedule.
 
@@ -305,10 +314,10 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     under linear coupling), built once per key. The kernel takes the lanes' one
     coupling while they share a row, else a stack. Every lane-shaped operand is
     a flat (B m,) row, lane b at [b m, (b + 1) m), which numpy runs on its fast
-    loop; one lane is the B = 1 case, (m,), with a 0-d COI. (B, m) views serve
-    the per-lane reductions: matvec, the COI vecdot, the speed guard and the
-    reserve rows. Each lane is reduced on its own in a fixed order, so its
-    numbers do not depend on the others. The slope trigger needs one lane.
+    loop; one lane is the B = 1 case. (B, m) views serve the per-lane
+    reductions: matvec, the COI vecdot, the speed guard and the reserve rows.
+    Each lane is reduced on its own in a fixed order, so its numbers do not
+    depend on the others. The slope trigger needs one lane.
 
     Buffers, all allocated once per run: the state y is one (3, B m) array
     with rows delta, d_omega and p_m. The four slopes k1..k4, the stage
@@ -334,25 +343,37 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     faster than out= keywords; np.maximum and np.minimum keep out=, as
     numpy 2.4 deprecates their positional output.
 
-    At each boundary k = 0 .. n_steps: apply the events due and any slope
-    release in one loop (an event snaps to the first boundary at or after
-    its time; those past the horizon never apply), pick the coupling once,
-    advance the reserve lags at f_coi, apply the speed guard (_mark_trips) and
-    yield (k, t, f_coi, d_omega, p_attack, outputs, applied, trip); then
-    integrate to the next boundary with reserves held. d_omega is (m,) or a
-    (B, m) view and f_coi one value per lane; p_attack and trip (each lane's
-    first boundary past the guard, or -1) are (B,) arrays, updated in place
-    like d_omega (a view of y): copy what must outlive the step. outputs is
-    each lane's signed MW per reserve product, applied its raw (time, bus,
-    delta_p) events. A tripped lane's later numbers mean nothing; the run
-    ends after the boundary where the last live lane trips.
+    The run goes a span of boundaries k0 .. k1 - 1 at a time, and only what
+    changes the next step stays at its boundary. A span opens by applying
+    the events due at k0 (an event snaps to the first boundary at or after
+    its time; those past the horizon never apply) and picking the coupling
+    once, so every event lands on a span's first row and p_attack holds
+    within a span. It ends before the next boundary with events due, after
+    SPAN_STEPS rows or at the horizon, and early at a boundary where the
+    slope trigger releases an event, which opens the next span. At each of
+    its boundaries the reserve lags advance at f_coi, the slope trigger
+    observes f_coi while it holds events (both from an inline f_coi, the
+    formula of the span's, so the same bits) and the speeds fill a row of
+    the span buffer; then the lanes are integrated to the next boundary with
+    reserves held. Once per span, one vecdot over its rows gives every
+    boundary's f_coi and one test of all its speeds the speed guard
+    (_mark_trips), and the generator yields (k0, f_coi, d_omega, p_attack,
+    outputs, applied, trip): f_coi is a (rows, B) array of its own; d_omega
+    (rows, B, m) and outputs (rows, B, products), each lane's signed MW per
+    reserve product, are views of buffers made once for SPAN_STEPS rows,
+    SPAN_STEPS B (m + products) float64 in all; p_attack and trip (each
+    lane's first boundary past the guard, or -1) are (B,) arrays updated in
+    place, and applied holds each lane's raw (time, bus, delta_p) events.
+    Copy the views that must outlive the span. A tripped lane's later
+    numbers mean nothing, and it integrates at most to the end of the span
+    it trips in; the run ends with the span in which the last live lane
+    trips, cut after that boundary.
     """
     model = models[0]
     n_lanes = len(models)
-    batch = n_lanes > 1
     if len(schedules) != n_lanes:
         raise ValueError("need one schedule per lane")
-    if batch and any(s.refractory_s is not None for s in schedules):
+    if n_lanes > 1 and any(s.refractory_s is not None for s in schedules):
         raise ValueError("the slope trigger needs a single lane")
     products = tuple(p for p in config.reserves if p.enabled)
 
@@ -360,9 +381,10 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     omega_s = 2.0 * np.pi * f_nom
     mva, h_sys, d_sys, droop_gain, t_g, p_max = map(
         np.concatenate, zip(*map(machine_params, models)))
-    row = p_max.shape  # (m,) for one lane
-    h_lanes = h_sys.reshape(n_lanes, -1) if batch else h_sys
+    row = p_max.shape  # (B m,)
+    h_lanes = h_sys.reshape(n_lanes, -1)
     h_total = h_lanes.sum(axis=-1)
+    h_totals = h_total.tolist()
     mva_share = [lane / lane.sum() for lane in mva.reshape(n_lanes, -1)]
     mw_to_pu = list(map(national_mw_scale, models))
 
@@ -383,7 +405,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     reduced = {keys[0]: y_red}
     y = stacked(delta0, 0.0, p_ref)
     _, d_omega, p_m = y_rows = tuple(y)
-    dw_lanes = d_omega.reshape(n_lanes, -1) if batch else d_omega
+    dw_lanes = d_omega.reshape(n_lanes, -1)
     k1, k2, k3, k4, stage, acc = (np.empty_like(y) for _ in range(6))
     stage_rows = tuple(stage)
     # Each slope buffer with its row 2 and rows 1: and its rhs constants;
@@ -418,6 +440,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
                 continue  # never applies, and t / dt may be too large to snap
             by_step.setdefault(step_index(ev.time, dt), []).append(
                 (lane, ev.bus, ev.delta_p))
+    stops = sorted(by_step) + [n_steps + 1]  # boundaries no span runs past
 
     trigger = None
     if schedules[0].refractory_s is not None:
@@ -431,9 +454,34 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     applied: list[list[tuple[float, int, float]]] = [[] for _ in schedules]
     trip = np.full(n_lanes, -1)
     live = n_lanes
+    # the span buffers and their rows
+    span = min(SPAN_STEPS, n_steps + 1)
+    speeds = np.empty((span, *dw_lanes.shape))
+    mw_rows = np.empty((span, *outputs.shape))
+    speed_rows = list(speeds)
 
-    multiply, add, subtract, divide = (np.multiply, np.add, np.subtract,
-                                       np.divide)
+    multiply, add, subtract, divide, copyto = (
+        np.multiply, np.add, np.subtract, np.divide, np.copyto)
+
+    def coi(dw):
+        """f_coi in Hz of the (..., B, m) speeds dw, one per lane."""
+        return f_nom * (1.0 + np.vecdot(dw, h_lanes) / h_total)
+
+    def coi_now() -> list[float]:
+        """coi of the current speeds as Python floats, whose operations
+        round like numpy's and cost less on the one row of a boundary."""
+        return [f_nom * (1.0 + v / h) for v, h in zip(
+            np.vecdot(dw_lanes, h_lanes).tolist(), h_totals)]
+
+    def released(k: int) -> bool:
+        """Let the slope trigger observe boundary k while it holds events;
+        true when it releases one, which is then due at k."""
+        if trigger is None or not trigger.pending:
+            return False
+        if (fired := trigger.observe(k * dt, coi_now()[0])) is None:
+            return False
+        by_step.setdefault(k, []).append((0, fired.bus, fired.delta_p))
+        return True
 
     def rhs(src, slopes):
         """Write the slopes at the state rows src into slopes[0]."""
@@ -453,43 +501,10 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
     half_dt, quarter_dt, sixth_dt = (np.full(y.shape, c) for c in (
         0.5 * dt, 0.25 * dt, dt / 6.0))
     zero = np.zeros(row)
-    for k in range(n_steps + 1):
-        t_now = k * dt
-        f_coi = f_nom * (1.0 + np.vecdot(dw_lanes, h_lanes) / h_total)
-        if trigger is not None and trigger.pending and (
-                fired := trigger.observe(t_now, float(f_coi))) is not None:
-            by_step.setdefault(k, []).append((0, fired.bus, fired.delta_p))
-        due = by_step.get(k)
-        if due:
-            for lane, bus, delta_p in due:
-                offset = offsets[lane]
-                offset[idx[bus]] += delta_p
-                p_attack[lane] = offset.sum()
-                key = keys[lane] = offset.tobytes()
-                if key not in reduced:
-                    reduced[key] = build(base + offset)
-                applied[lane].append((t_now, bus, delta_p))
-            # the lanes' one coupling while they share a row
-            y_red = reduced[keys[0]] if keys.count(keys[0]) == n_lanes \
-                else np.stack([reduced[key] for key in keys])
-        if products:
-            f_lanes = f_coi.tolist() if batch else [float(f_coi)]
-            outputs = _reserves.respond(
-                outputs, [[_reserves.command(p, f_hz, f_nom) for p in products]
-                          for f_hz in f_lanes], alpha)
-            # Python's left-to-right sum per lane: np.sum's pairwise order
-            # could round differently.
-            for lane, mw in enumerate(outputs.tolist()):
-                multiply(mva_share[lane], sum(mw) * mw_to_pu[lane],
-                         res_rows[lane])
 
-        live -= _mark_trips(dw_lanes, trip, k)
-        yield k, t_now, f_coi, dw_lanes, p_attack, outputs, applied, trip
-        if k == n_steps or not live:
-            return
-
-        # RK4 over [t, t+dt] with constant reserves and admittances; k2
-        # and k3 hold 2 k2 and 2 k3, so they take dt / 4 and dt / 2.
+    def step():
+        """RK4 over one dt with constant reserves and admittances; k2 and k3
+        hold 2 k2 and 2 k3, so they take dt / 4 and dt / 2."""
         rhs(y_rows, s1)
         multiply(k1, half_dt, stage)
         add(y, stage, stage)
@@ -509,6 +524,51 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
         np.maximum(p_m, zero, out=p_m)
         np.minimum(p_m, p_max, out=p_m)
 
+    released(0)
+    k = 0
+    while True:
+        k0 = k
+        if due := by_step.get(k0):
+            for lane, bus, delta_p in due:
+                offset = offsets[lane]
+                offset[idx[bus]] += delta_p
+                p_attack[lane] = offset.sum()
+                key = keys[lane] = offset.tobytes()
+                if key not in reduced:
+                    reduced[key] = build(base + offset)
+                applied[lane].append((k0 * dt, bus, delta_p))
+            # the lanes' one coupling while they share a row
+            y_red = reduced[keys[0]] if keys.count(keys[0]) == n_lanes \
+                else np.stack([reduced[key] for key in keys])
+        stop = min(k0 + span, stops[bisect_right(stops, k0)])
+        while True:
+            copyto(speed_rows[k - k0], dw_lanes)
+            if products:
+                outputs = _reserves.respond(outputs, [
+                    [_reserves.command(p, f_hz, f_nom) for p in products]
+                    for f_hz in coi_now()], alpha)
+                # Python's left-to-right sum per lane: np.sum's pairwise
+                # order could round differently.
+                for lane, mw in enumerate(outputs.tolist()):
+                    multiply(mva_share[lane], sum(mw) * mw_to_pu[lane],
+                             res_rows[lane])
+                mw_rows[k - k0] = outputs
+            k += 1
+            if k > n_steps:
+                break
+            step()
+            if released(k) or k == stop:
+                break
+
+        n = k - k0
+        live -= _mark_trips(speeds[:n], trip, k0)
+        if not live:
+            n = int(trip.max()) - k0 + 1
+        yield (k0, coi(speeds[:n]), speeds[:n], p_attack,
+               mw_rows[:n], applied, trip)
+        if k > n_steps or not live:
+            return
+
 
 def simulate(model: NetworkModel,
              schedule: _attacks.EventSchedule | None = None,
@@ -520,10 +580,11 @@ def simulate(model: NetworkModel,
     after their timestamp, and each sample is recorded after the events,
     slope releases and reserve updates of its boundary, so the first
     sample is exactly nominal. A speed guard trip ends the run and raises
-    InstabilityError carrying the trace up to that sample. Each boundary
-    records the raw speeds, f_coi, p_attack and the signed reserve sums;
-    t, the machine frequencies in Hz and the event text are formed once
-    from the record. Samples past memory raise MemoryError.
+    InstabilityError carrying the trace up to that sample. Each span
+    records its raw speeds, f_coi and p_attack by slice, and the signed
+    reserve sums per boundary; t, the machine frequencies in Hz and the
+    event text are formed once from the record. Samples past memory raise
+    MemoryError.
     """
     if config is None:
         config = SimConfig()
@@ -552,14 +613,17 @@ def simulate(model: NetworkModel,
                 for t, bus, dp in applied),
             dt=config.dt, f_nominal=model.f_nominal)
 
-    for k, t_now, f_coi, d_omega, p_attack, outputs, applied, trip in \
-            _lockstep([model], pf, [schedule], config):
-        f_coi_arr[k] = f_coi
-        d_omega_arr[k] = d_omega
-        p_atk_arr[k] = p_attack[0]
-        if mw := outputs[0].tolist():  # no products, no sums
-            p_up_arr[k] = sum(v for v in mw if v > 0) * scale
-            p_dn_arr[k] = sum(v for v in mw if v < 0) * scale
+    for k0, f_coi, d_omega, p_attack, outputs, applied, trip in _lockstep(
+            [model], pf, [schedule], config):
+        k1 = k0 + len(f_coi)
+        f_coi_arr[k0:k1] = f_coi[:, 0]
+        d_omega_arr[k0:k1] = d_omega[:, 0]
+        p_atk_arr[k0:k1] = p_attack[0]
+        if outputs.size:  # no products, no sums
+            for k, mw in enumerate(outputs[:, 0].tolist(), k0):
+                p_up_arr[k] = sum(v for v in mw if v > 0) * scale
+                p_dn_arr[k] = sum(v for v in mw if v < 0) * scale
     if trip[0] >= 0:
-        raise InstabilityError(t_now, trace(k + 1, applied[0]))
+        raise InstabilityError(int(trip[0]) * config.dt,
+                               trace(k1, applied[0]))
     return trace(n_samp, applied[0])

@@ -69,6 +69,12 @@ class Generator:
     q_min: float = -3.0  # reactive limits, system pu; wide enough to not bind
     q_max: float = 3.0
 
+    def on_system_base(self, s_base: float) -> tuple[float, float, float]:
+        """H, D and the droop gain 1 / R converted to the s_base MVA base."""
+        return (self.h * self.mva_base / s_base,
+                self.d * self.mva_base / s_base,
+                (self.mva_base / s_base) / self.governor.r_droop)
+
 
 @dataclass(frozen=True)
 class Load:
@@ -202,6 +208,11 @@ def validate(model: NetworkModel) -> list[str]:
             problems.append(f"generator bus {g.bus}: negative damping")
         if g.q_min > g.q_max:
             problems.append(f"generator bus {g.bus}: q_min above q_max")
+        if (g.governor.r_droop > 0 and 0 < model.mva_base < math.inf
+                and not all(map(math.isfinite,
+                                g.on_system_base(model.mva_base)))):
+            problems.append(f"generator bus {g.bus}: h, d and droop gain on "
+                            "the system base must be finite")
 
     for ld in model.loads:
         if ld.bus not in known:
@@ -456,12 +467,12 @@ def from_file(path: str) -> NetworkModel:
 
     Raises ScenarioError at the file, line and key for a file that cannot
     be read, is not JSON, repeats a key within one object, or lacks, adds
-    or mistypes a field (an int is taken for a float), and ValueError
-    naming the file for the problems :func:`validate` finds.
+    or mistypes a field (an int is taken for a float), and at the file for
+    the problems :func:`validate` finds.
     """
     src, doc = read_json(path)
     model = _record(src, NetworkModel, (), doc)
     problems = validate(model)
     if problems:
-        raise ValueError(f"invalid case file {path}: " + "; ".join(problems))
+        raise ScenarioError(path, None, None, "; ".join(problems))
     return model

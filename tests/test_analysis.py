@@ -416,17 +416,18 @@ GUARD = dynamics._mark_trips
 
 
 def feed_speeds(monkeypatch, speeds):
-    """Make the speed guard of the real integrator see speeds[k] at
-    boundary k instead of the integrated d_omega."""
-    monkeypatch.setattr(dynamics, "_mark_trips",
-                        lambda d_omega, trip, k: GUARD(speeds[k], trip, k))
+    """Make the speed guard of the real integrator see speeds[k0:k1], the
+    (rows, lanes, machines) speeds of boundaries k0 .. k1 - 1, for each
+    span instead of the integrated ones."""
+    monkeypatch.setattr(dynamics, "_mark_trips", lambda span, trip, k0: GUARD(
+        speeds[k0:k0 + len(span)], trip, k0))
 
 
 def test_guard_trips_beside_nan_in_every_form(model, monkeypatch):
     """A NaN speed trips nothing, but a machine past the guard beside it
-    does: lane 0 trips at step 1, lane 1 at step 2, lane 2 never. The
-    one-lane form decides simulate, the batched form the sweep's trip
-    times and the grid's inf."""
+    does: lane 0 trips at step 1, lane 1 at step 2, lane 2 never. The span
+    guard decides simulate's trip for one lane, and the sweep's trip times
+    and the grid's inf for a batch."""
     nan = float("nan")
     speeds = np.array([
         [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
@@ -436,7 +437,7 @@ def test_guard_trips_beside_nan_in_every_form(model, monkeypatch):
     schedule = attack(model, magnitude_percent=8.0)
     single = []
     for lane in range(3):
-        feed_speeds(monkeypatch, speeds[:, lane])
+        feed_speeds(monkeypatch, speeds[:, lane:lane + 1])
         try:
             dynamics.simulate(model, schedule, config)
             single.append(None)
@@ -456,8 +457,9 @@ def test_guard_trips_beside_nan_in_every_form(model, monkeypatch):
 
 
 def test_all_tripped_batch_stops_at_its_last_trip(model, monkeypatch):
-    """A batch whose lanes have all tripped integrates no further, and
-    its skip reasons are the single runs' messages."""
+    """A batch whose lanes have all tripped integrates no further than the
+    end of the span of its last trip, its rows end at that trip, and its
+    skip reasons are the single runs' messages."""
     config = dynamics.SimConfig(duration=60.0)
     mags = [200.0, 400.0]
     single = []
@@ -468,20 +470,32 @@ def test_all_tripped_batch_stops_at_its_last_trip(model, monkeypatch):
                 magnitude_percent=mag), config)
         single.append(exc.value)
     assert [e.time_s for e in single] == pytest.approx([5.20, 4.36])
-    seen = []  # (k, trip) of each boundary
-    lockstep = dynamics._lockstep
+    seen = []  # (first boundary, rows, trip) of each span
+    powers = []  # one per kernel call of the two-lane batch, 4 per step
+    lockstep, kernel = dynamics._lockstep, dynamics._power_kernel
 
     def counted(*args):
         for out in lockstep(*args):
-            seen.append((out[0], out[-1]))
+            seen.append((out[0], len(out[1]), out[-1]))
             yield out
 
+    def counting(e_int, n_lanes):
+        power = kernel(e_int, n_lanes)
+
+        def count(*args):
+            powers.append(n_lanes)
+            return power(*args)
+        return count if n_lanes == len(mags) else power
+
     monkeypatch.setattr(dynamics, "_lockstep", counted)
+    monkeypatch.setattr(dynamics, "_power_kernel", counting)
     with pytest.raises(analysis.FitError):
         analysis.magnitude_sweep(model, DR_BASE, mags, config)
-    assert [k for k, _ in seen] == list(range(521))
+    assert [k for k0, rows, _ in seen
+            for k in range(k0, k0 + rows)] == list(range(521))
+    assert 520 * 4 <= len(powers) <= (520 + dynamics.SPAN_STEPS) * 4
     reasons = [str(dynamics.InstabilityError(k * config.dt))
-               for k in seen[-1][1].tolist()]
+               for k in seen[-1][2].tolist()]
     assert reasons == [str(e) for e in single]
 
 

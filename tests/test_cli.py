@@ -665,6 +665,11 @@ CASE_FILE_FAULTS = {
                    ":5 (key 'buses'): item 3: expected an object"),
     "missing-t-g": (r'\s*"t_g": 5\.0,', "",
                     ":124 (key 't_g'): missing required key"),
+    # 1e300 MVA times 1e300 s: each finite, their system-base H is not
+    "inertia-beyond-float": (r'"mva_base": 247\.5,\s*"h": 9\.55',
+                             '"mva_base": 1e300, "h": 1e300',
+                             ": generator bus 1: h, d and droop gain on the "
+                             "system base must be finite"),
 }
 
 
@@ -758,8 +763,7 @@ def test_case_file_bad_base_quantity_names_the_field(tmp_path, capsys,
     out = tmp_path / "out"
     assert cli.main(["simulate", scn, "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(
-        f"error: {scn}:4 (key 'model'): invalid case file {case}:")
+    assert err.startswith(f"error: {scn}:4 (key 'model'): {case}: ")
     assert f"{field} must be finite and positive" in err
     assert not out.exists()
 

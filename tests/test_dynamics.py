@@ -196,13 +196,14 @@ def test_lockstep_is_plain_rk4_bit_for_bit(model, pf, coupling):
         # no two lanes end alike, so each machine difference acted
         assert len({lane[-1][1].tobytes() for lane in want}) == len(want)
         seen = 0
-        for k, _, f_coi, d_omega, *_ in dynamics._lockstep(
+        for k0, f_coi, d_omega, *_ in dynamics._lockstep(
                 models, pf, schedules, config):
-            for lane, samples in enumerate(want):
-                f_ref, dw_ref = samples[k]
-                assert same_bits(np.reshape(f_coi, -1)[lane], f_ref)
-                assert same_bits(np.reshape(d_omega, (-1, 3))[lane], dw_ref)
-            seen += 1
+            for k, (f_row, dw_row) in enumerate(zip(f_coi, d_omega), k0):
+                for lane, samples in enumerate(want):
+                    f_ref, dw_ref = samples[k]
+                    assert same_bits(f_row[lane], f_ref)
+                    assert same_bits(dw_row[lane], dw_ref)
+                seen += 1
         assert seen == n_steps + 1
         assert np.abs(want[-1][-1][1]).max() > 1e-4  # the attack acted
     # the clip fired: without the ceiling the clipped lane, the loop's last,
@@ -282,18 +283,22 @@ def test_lanes_keep_their_bits_through_every_coupling_state(model, pf,
         states.clear()
         seen = 0
         scales = list(map(netmodel.national_mw_scale, models))
-        for k, _, f_coi, d_omega, _, outputs, *_ in dynamics._lockstep(
+        for k0, f_coi, d_omega, _, outputs, *_ in dynamics._lockstep(
                 models, pf, schedules, config):
-            for lane, trace in enumerate(want[name]):
-                assert same_bits(f_coi[lane], trace.f_coi[k])
-                assert same_bits(model.f_nominal * (1.0 + d_omega[lane]),
-                                 trace.f_gen[k])
-                mw = outputs[lane].tolist()
-                assert same_bits(sum(v for v in mw if v > 0) * scales[lane],
-                                 trace.p_reserve_up[k])
-                assert same_bits(sum(v for v in mw if v < 0) * scales[lane],
-                                 trace.p_reserve_down[k])
-            seen += 1
+            for k, rows in enumerate(zip(f_coi, d_omega, outputs), k0):
+                for lane, trace in enumerate(want[name]):
+                    f_row, dw_row, mw_row = (r[lane] for r in rows)
+                    assert same_bits(f_row, trace.f_coi[k])
+                    assert same_bits(model.f_nominal * (1.0 + dw_row),
+                                     trace.f_gen[k])
+                    mw = mw_row.tolist()
+                    assert same_bits(
+                        sum(v for v in mw if v > 0) * scales[lane],
+                        trace.p_reserve_up[k])
+                    assert same_bits(
+                        sum(v for v in mw if v < 0) * scales[lane],
+                        trace.p_reserve_down[k])
+                seen += 1
         assert seen == config.n_steps + 1
         assert len(built) == len(set(built)) == (5 if name == "switching"
                                                  else 2)
@@ -540,6 +545,81 @@ def test_machine_params_totals(model):
     assert gain.sum() == pytest.approx(70.9375)
     assert np.all(d_sys == 0.0)
     assert p_max.tolist() == [2.5, 3.0, 2.7]
+
+
+def spans_of(models, pf, schedules, config):
+    """(k0, rows, p_attack copy, f_coi, d_omega, outputs) of each span of
+    _lockstep, and its applied events."""
+    spans = []
+    for k0, f_coi, d_omega, p_attack, outputs, applied, _ in \
+            dynamics._lockstep(models, pf, schedules, config):
+        assert 1 <= len(f_coi) <= dynamics.SPAN_STEPS
+        assert len(d_omega) == len(outputs) == len(f_coi)
+        spans.append((k0, len(f_coi), p_attack.copy(), f_coi, d_omega,
+                      outputs))
+    assert [k for k0, rows, *_ in spans for k in range(k0, k0 + rows)] == \
+        list(range(config.n_steps + 1))
+    return spans, applied
+
+
+def test_spans_end_where_the_next_step_changes(model, pf, monkeypatch):
+    """Every applied event and every slope release lands on a span's first
+    row, so p_attack holds within a span, and no span exceeds SPAN_STEPS
+    rows: in a switching batch under the default reserves and in a
+    slope-triggered periodic attack. Reserves update and the trigger
+    observes at every boundary once, as one boundary at a time did."""
+    calls = {"command": 0, "respond": 0}
+    observed = []
+    for name in calls:
+        def counted(*args, fn=getattr(reserves, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(reserves, name, counted)
+    observe = attacks.SlopeTrigger.observe
+    monkeypatch.setattr(attacks.SlopeTrigger, "observe",
+                        lambda self, t, f_hz: observed.append(t)
+                        or observe(self, t, f_hz))
+    products = reserves.default_products()
+    switching = ([model] * 3, [
+        attack(model, family="switching", t_start=0.1, t1=t1)
+        for t1 in (0.73, 1.5, 2.0)], dynamics.SimConfig(
+            duration=3.0, reserves=products))
+    slope = ([model], [attack(model, family="periodic", interval=8.0,
+                              count=2, trigger="slope")],
+             dynamics.SimConfig(duration=20.0))
+    for models, schedules, config in (switching, slope):
+        spans, applied = spans_of(models, pf, schedules, config)
+        starts = {k0 for k0, *_ in spans}
+        event_steps = set()
+        for lane, events in enumerate(applied):
+            steps = [dynamics.step_index(t, config.dt) for t, *_ in events]
+            event_steps.update(steps)
+            for k0, _, p_attack, *_ in spans:  # the events up to k0 apply
+                assert p_attack[lane] == pytest.approx(sum(
+                    dp for k, (_, _, dp) in zip(steps, events) if k <= k0),
+                    abs=1e-12)
+        assert event_steps <= starts
+        assert starts - event_steps - {0}  # the cap cut spans too
+    assert [len(events) for events in applied] == [3]  # two releases
+    boundaries = switching[2].n_steps + 1
+    assert calls == {"command": boundaries * 3 * len(
+        [p for p in products if p.enabled]), "respond": boundaries}
+    assert observed == [k * 0.01 for k in range(slope[2].n_steps + 1)]
+
+
+def test_span_buffers_are_made_once_within_their_budget(model, pf):
+    """A 405-lane run, three spans long (the cap, then the attack at 1 s),
+    reuses one pair of span buffers, SPAN_STEPS rows of every lane's speeds
+    and reserve outputs: SPAN_STEPS * 405 * m float64 without reserves."""
+    config = dynamics.SimConfig(duration=1.0)
+    spans, _ = spans_of([model] * 405, pf, [attack(model)] * 405, config)
+    cap = dynamics.SPAN_STEPS
+    assert [(k0, rows) for k0, rows, *_ in spans] == [
+        (0, cap), (cap, 100 - cap), (100, 1)]
+    bases = {id(a.base): a.base for *_, d_omega, outputs in spans
+             for a in (d_omega, outputs)}
+    assert len(bases) == 2
+    assert sum(b.nbytes for b in bases.values()) == cap * 405 * 3 * 8
 
 
 @pytest.mark.parametrize("schedule_kw, feature", [

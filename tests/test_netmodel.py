@@ -186,8 +186,10 @@ def test_from_file_rejects_invalid(model, tmp_path):
     raw = json.loads(json.dumps(dataclasses.asdict(model)))
     raw["generators"][0]["h"] = -1.0
     path.write_text(json.dumps(raw))
-    with pytest.raises(ValueError, match="invalid case file"):
+    with pytest.raises(netmodel.ScenarioError) as exc:
         netmodel.from_file(str(path))
+    assert str(exc.value) == (f"{path}: generator bus 1: h, mva_base, xd_t "
+                              "must be positive")
 
 
 def test_load_at(model):
