@@ -9,6 +9,7 @@ produce identical reports.
 from __future__ import annotations
 
 import itertools
+import mmap
 import os
 import signal
 from dataclasses import dataclass, replace
@@ -277,21 +278,16 @@ def _grid_anchor_errors(model, anchors, candidates,
     error equals the candidate's _anchor_error, bit for bit. A lane that
     the integrator marks as tripped scores inf, as its scalar run would.
 
-    The lanes are split into contiguous slices, one per usable CPU
-    (_slice_count), over one power flow solved here. This process scores
-    the first slice and a forked child each other one, and the errors are
-    joined in candidate order: a lane's bits do not depend on its batch.
+    The lanes are scored by _scored_in_forks over one power flow solved
+    here: a lane's bits do not depend on its batch, so the errors of its
+    slices, joined in candidate order, are those of one batch.
     """
     lanes = [with_dynamic_params(model, r, tg, d) for r, tg, d in candidates]
     if not lanes:  # no lanes to step, as in _sweep_lanes
         return np.zeros(0)
-    score = partial(_lane_errors, model=model, anchors=anchors,
-                    pf=powerflow.solve(model),
-                    config=dynamics.SimConfig(dt=dt, duration=duration))
-    n, k = len(lanes), _slice_count(len(lanes))
-    edges = [-(-i * n // k) for i in range(k + 1)]  # ceil(i n / k)
-    return np.concatenate(_scored_in_forks(
-        score, [lanes[a:b] for a, b in zip(edges, edges[1:])]))
+    return _scored_in_forks(partial(
+        _lane_errors, model=model, anchors=anchors, pf=powerflow.solve(model),
+        config=dynamics.SimConfig(dt=dt, duration=duration)), lanes)
 
 
 def _slice_count(n: int) -> int:
@@ -309,56 +305,48 @@ def _slice_count(n: int) -> int:
     return min(n, len(os.sched_getaffinity(0))) if threads == 1 else 1
 
 
-def _scored_in_forks(score, parts) -> list[np.ndarray]:
-    """[score(part) for part in parts], each part past the first scored in
-    a child forked for it, which sends its float64 errors back through a
-    pipe. A part whose child cannot start, fails, dies or sends a short
-    payload is scored here instead, so the results and any error raised
+def _scored_in_forks(score, lanes) -> np.ndarray:
+    """score(lanes), the float64 errors of independent lanes, scored in
+    contiguous slices, one per _slice_count process. A child forked for
+    each slice past the first writes its errors in place, into one
+    anonymous shared mapping, and exits 0, or 1 if anything raised. This
+    process scores the first slice, reaps the children in slice order and
+    scores each slice whose child could not start or did not exit 0 (with
+    no shared mapping, the whole list), so the errors and any error raised
     are those of the one-process run. No child outlives the call."""
-    children = []  # (pid, read end) per part past the first, or None
+    n, k = len(lanes), _slice_count(len(lanes))
+    edges = [-(-i * n // k) for i in range(k + 1)]  # ceil(i n / k)
+    parts = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    try:
+        out = np.frombuffer(mmap.mmap(-1, 8 * n))
+    except OSError:  # nowhere for a child to write its slice
+        return score(lanes)
+    pids = []  # per slice past the first: its child, None once reaped
     try:
         for part in parts[1:]:
-            children.append(_fork_scorer(score, part))
-        results = [score(parts[0])]
-        for part, child in zip(parts[1:], children):
-            payload = b""
-            if child:
-                with open(child[1], "rb", closefd=False) as pipe:
-                    payload = pipe.read()
-            results.append(np.frombuffer(payload)
-                           if len(payload) == 8 * len(part) else score(part))
-        return results
+            try:
+                pid = os.fork()
+            except OSError:
+                pid = None
+            if pid == 0:  # the child never returns into its parent's stack
+                code = 1
+                try:
+                    out[part] = score(lanes[part])
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        out[parts[0]] = score(lanes[parts[0]])
+        for i, part in enumerate(parts[1:]):
+            done = pids[i] is not None and os.waitpid(pids[i], 0)[1] == 0
+            pids[i] = None
+            if not done:
+                out[part] = score(lanes[part])
+        return out
     finally:
-        for pid, fd in filter(None, children):
-            os.close(fd)
+        for pid in filter(None, pids):
             os.kill(pid, signal.SIGKILL)  # a child still scoring after an error
             os.waitpid(pid, 0)
-
-
-def _fork_scorer(score, part):
-    """(pid, read end) of a child forked to send score(part) back, or None
-    when no pipe or child can be made."""
-    try:
-        r, w = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:  # the child never returns into its parent's stack
-        code = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as out:
-                out.write(score(part).tobytes())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
 
 
 def _lane_errors(lanes, model, anchors, pf, config) -> np.ndarray:

@@ -428,6 +428,9 @@ def _load_anchors(spec: str, f_nominal: float):
                              required=("percent",))
         if anchor["percent"] <= 0:
             raise src.error((i,), "percent", "must be positive")
+        if anchor["percent"] > 100:
+            raise src.error((i,), "percent", "must not exceed 100, the "
+                            "scheduled generation")
         targets = {key: float(value) for key in ("nadir_hz", "settled_hz")
                    if (value := anchor.get(key)) is not None}
         if not targets:

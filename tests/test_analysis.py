@@ -375,6 +375,25 @@ def test_split_grid_survives_its_children():
     ''')
 
 
+@requires_fork
+def test_split_grid_without_shared_memory_forks_nothing():
+    """With no shared mapping for the children to write to, the grid forks
+    none and scores every lane here, bit for bit."""
+    run_forking('''
+        import errno
+        import mmap
+
+        usable_cpus(1)
+        one = errors()
+        usable_cpus(3)
+        def no_mapping(*args):
+            raise OSError(errno.ENOMEM, "no memory to map")
+        mmap.mmap = no_mapping
+        assert errors().tobytes() == one.tobytes()
+        assert not FORKS and no_child_left()
+    ''')
+
+
 SWEEP_MAGNITUDES = (2.0, 4.0, 6.0, 8.0, 9.4, 12.0, 14.0)
 SHORT = dynamics.SimConfig(duration=2.0)
 

@@ -125,7 +125,9 @@ def test_bad_target_bus_names_its_key_and_line(tmp_path, capsys):
      "magnitude_percent",
      "magnitude must be positive; t1 must come after t_start"),
     ({"family": "switching", "t1": 0.5}, "t1", "t1 must come after t_start"),
-], ids=["magnitude", "magnitude-and-t1", "t1"])
+    ({"type": "XX"}, "type",
+     "unknown attack type 'XX'; expected one of ['DI', 'DR', 'SI', 'SR']"),
+], ids=["magnitude", "magnitude-and-t1", "t1", "type"])
 def test_attack_problem_names_its_key_and_line(tmp_path, capsys, attack, key,
                                                msg):
     scn = write_scenario(tmp_path, attack=attack)
@@ -670,6 +672,36 @@ CASE_FILE_FAULTS = {
                              '"mva_base": 1e300, "h": 1e300',
                              ": generator bus 1: h, d and droop gain on the "
                              "system base must be finite"),
+    # each problem netmodel.validate finds, reported at the file
+    "no-slack": (r'"kind": "slack"', '"kind": "pq"',
+                 ": expected exactly one slack bus, found 0"),
+    "unknown-kind": (r'"kind": "pv"', '"kind": "PV"',
+                     ": bus 2: unknown kind 'PV'"),
+    "pv-without-v-set": (r'"v_set": 1\.025', '"v_set": null',
+                         ": bus 2: pv bus needs v_set"),
+    "v-set-out-of-range": (r'"v_set": 1\.04', '"v_set": 1.5',
+                           ": bus 1: v_set 1.5 outside 0.8..1.2"),
+    "zero-impedance": (r'"x": 0\.0576', '"x": 0.0',
+                       ": line 1-4: zero impedance"),
+    "generator-unknown-bus": (r'"bus": 1,', '"bus": 10,',
+                              ": generator at unknown bus 10"),
+    "negative-p-set": (r'"p_set": 0\.67', '"p_set": -0.67',
+                       ": generator bus 1: negative p_set; scheduled "
+                       "generation 1.8100 pu below total load 3.1500 pu"),
+    "p-max-below-p-set": (r'"p_max": 2\.5', '"p_max": 0.5',
+                          ": generator bus 1: p_max below p_set"),
+    "negative-damping": (r'"d": 0\.0', '"d": -1.0',
+                         ": generator bus 1: negative damping"),
+    "q-min-above-q-max": (r'"q_min": -3\.0', '"q_min": 4.0',
+                          ": generator bus 1: q_min above q_max"),
+    "load-unknown-bus": (r'"bus": 5,', '"bus": 10,',
+                         ": load at unknown bus 10"),
+    "negative-demand": (r'"p": 1\.25', '"p": -1.25',
+                        ": load bus 5: negative demand"),
+    "load-on-generator-bus": (r'"bus": 5,', '"bus": 1,',
+                              ": load bus 1: load and generator share a bus"),
+    "stranded-bus": (r'"from_bus": 3,', '"from_bus": 2,',
+                     ": buses not connected to the network: [3]"),
 }
 
 
@@ -696,6 +728,19 @@ def test_case_file_fault_is_placed_at_its_key(tmp_path, capsys, fault):
     assert capsys.readouterr().err == (
         f"error: {scn}:4 (key 'model'): {case}{where}\n")
     assert sorted(os.listdir(tmp_path)) == ["bad.json", "case.scn"]
+
+
+def test_case_file_takes_an_int_for_a_float(tmp_path):
+    """A case file giving mva_base as the int 100 reads back as the
+    built-in model, its mva_base the float 100.0."""
+    case = tmp_path / "int.json"
+    netmodel.to_file(netmodel.builtin_wscc9(), str(case))
+    case.write_text(case.read_text().replace('"mva_base": 100.0',
+                                             '"mva_base": 100', 1))
+    assert '"mva_base": 100,' in case.read_text()
+    model = netmodel.from_file(str(case))
+    assert model == netmodel.builtin_wscc9()
+    assert type(model.mva_base) is float
 
 
 def test_case_file_beyond_float_range_names_the_model_key(tmp_path, capsys):
@@ -955,6 +1000,38 @@ def test_calibrate_with_anchor_file(tmp_path, capsys):
     assert capsys.readouterr().err == ""  # no warning on a clean fit
 
 
+@pytest.mark.parametrize("spec, anchors, warned", [
+    ("simulated", analysis.DEFAULT_ANCHORS, False),
+    ("incident", analysis.INCIDENT_ANCHORS, True),
+])
+def test_calibrate_presets_and_quality_warning(tmp_path, capsys, monkeypatch,
+                                               spec, anchors, warned):
+    """Each --anchors preset reaches calibrate as its anchors, and a fit
+    past the residual threshold warns on stderr, from a stub that runs no
+    grid."""
+    seen = []
+
+    def fit(model, given):
+        seen.append(given)
+        return analysis.CalibratedParams(0.05, 2.0, 0.5, 0.25, warned)
+
+    monkeypatch.setattr(analysis, "calibrate", fit)
+    assert cli.main(["calibrate", "--anchors", spec,
+                     "--out-dir", str(tmp_path)]) == 0
+    assert seen == [anchors]
+    path = tmp_path / "calibrated_params.json"
+    doc = json.loads(path.read_text())
+    assert [(a["percent"], a["nadir_hz"], a["settled_hz"])
+            for a in doc["anchors"]] == list(anchors)
+    assert doc["quality_warning"] is warned
+    out, err = capsys.readouterr()
+    assert out == ("r_droop 0.05, t_g 2 s, d 0.5; residual 0.2500 Hz^2\n"
+                   f"report: {path}\n")
+    assert err == ("warning: calibration residual exceeds the quality "
+                   "threshold; anchors are not reproducible inside the "
+                   "search bounds\n" if warned else "")
+
+
 def test_calibrate_rejects_bad_anchor_file(tmp_path, capsys):
     anchors = tmp_path / "anchors.json"
     anchors.write_text("[]")
@@ -974,9 +1051,14 @@ def test_calibrate_rejects_bad_anchor_file(tmp_path, capsys):
     ('{"percent": 8, "settled_hz": 0}', "settled_hz", "between 0 and 100 Hz"),
     ('{"percent": 8, "settled_hz": -49.8}', "settled_hz",
      "between 0 and 100 Hz"),
+    # an attack beyond the system's generation: 10 000 % reads no response
+    ('{"percent": 101, "nadir_hz": 49.0}', "percent", "must not exceed 100"),
+    ('{"percent": 400, "nadir_hz": 49.0}', "percent", "must not exceed 100"),
+    ('{"percent": 1e300, "nadir_hz": 49.0}', "percent",
+     "must not exceed 100, the scheduled generation"),
 ], ids=["nan", "bool", "zero-percent", "no-percent", "unknown-key",
         "huge-nadir", "nadir-at-twice-nominal", "zero-settled",
-        "negative-settled"])
+        "negative-settled", "percent-101", "percent-400", "percent-1e300"])
 def test_calibrate_rejects_bad_anchor_values(tmp_path, capsys, anchor, key,
                                              message):
     path = tmp_path / "anchors.json"

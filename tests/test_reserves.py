@@ -136,3 +136,13 @@ def test_product_validation():
                  (-0.1, -0.5, 2.0, nan)]:
         with pytest.raises(ValueError, match="must be finite"):
             reserves.ReserveProduct("x", "up", *args)
+    for direction, start, full, message in [
+            ("up", -0.5, -0.1, "up product needs activation_start >= "
+             "full_activation"),
+            ("down", 0.5, 0.1, "down product needs activation_start <= "
+             "full_activation"),
+            ("both", 0.0, 0.0, "band half-width must be positive"),
+            ("both", 0.0, -0.1, "band half-width must be positive")]:
+        with pytest.raises(ValueError) as exc:
+            reserves.ReserveProduct("x", direction, start, full, 2.0, 100.0)
+        assert str(exc.value) == f"x: {message}"
