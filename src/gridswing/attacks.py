@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .netmodel import NetworkModel, attack_fraction_to_pu
 
@@ -56,7 +56,7 @@ FAMILIES = ("static", "switching", "periodic", "combination")
 @dataclass(frozen=True)
 class AttackScenario:
     family: str
-    attack_type: AttackType
+    attack_type: AttackType = field(metadata={"key": "type"})
     magnitude_percent: float | None = None  # percent of scheduled generation
     magnitude_mw: float | None = None
     target_bus: int | str | None = None  # bus id, "largest", or None = default

@@ -59,18 +59,6 @@ _SYSTEM_KEYS = {
     "duration_s": (int, float),
     "reserves": str,
 }
-_ATTACK_KEYS = {
-    "family": str,
-    "type": str,
-    "magnitude_percent": (int, float),
-    "magnitude_mw": (int, float),
-    "target_bus": (int, str),
-    "t_start": (int, float),
-    "t1": (int, float),
-    "interval": (int, float),
-    "count": int,
-    "trigger": str,
-}
 _OUTPUT_KEYS = {
     "trace_csv": str,
     "report_json": str,
@@ -93,7 +81,8 @@ _FLAG_KEYS = {
 
 def parse_scenario(path: str, flags: dict | None = None):
     """Load a scenario file, replace its values by flags (flag -> value,
-    the flags of _FLAG_KEYS) and validate the result once.
+    the flags of _FLAG_KEYS) and validate the result once; the attack
+    section is read as an attacks.AttackScenario by netmodel._record.
 
     Returns (NetworkModel, AttackScenario, SimConfig, PowerFlowSolution,
     config, source): the SimConfig holds the reserve preset's products, the
@@ -110,8 +99,8 @@ def parse_scenario(path: str, flags: dict | None = None):
     doc = src.checked((), doc, dict.fromkeys(("system", "attack", "output"),
                                              dict), required=("attack",))
     system = src.checked(("system",), doc.get("system", {}), _SYSTEM_KEYS)
-    atk = src.checked(("attack",), doc["attack"], _ATTACK_KEYS,
-                      required=("family", "type"))
+    scenario = netmodel._record(src, attacks.AttackScenario, ("attack",),
+                                doc["attack"])
     output = src.checked(("output",), doc.get("output", {}), _OUTPUT_KEYS)
 
     preset = system.get("reserves", "off")
@@ -144,16 +133,6 @@ def parse_scenario(path: str, flags: dict | None = None):
         model = replace(model,
                         national_total_mw=float(system["national_total_mw"]))
 
-    try:
-        atype = attacks.AttackType(atk["type"])
-    except ValueError:
-        raise src.error(
-            ("attack",), "type",
-            f"unknown attack type {atk['type']!r}; "
-            f"expected one of {[t.value for t in attacks.AttackType]}") from None
-    scenario = attacks.AttackScenario(attack_type=atype, **{
-        key: float(value) if key in ("t_start", "t1", "interval") else value
-        for key, value in atk.items() if key != "type"})
     problems = attacks.validate_scenario(model, scenario)
     if problems:
         raise src.error(("attack",), problems[0][0],
@@ -166,17 +145,15 @@ def parse_scenario(path: str, flags: dict | None = None):
         raise src.error(("attack",), "count",
                         f"count {scenario.count} exceeds the "
                         f"{sim.n_steps + 1} step boundaries of the horizon")
+    attack = asdict(scenario)
+    attack["type"] = attack.pop("attack_type").value
+    attack["target_bus"] = attacks.resolve_target(model, scenario.target_bus)
     config = {
         "system": {"model": model_ref,
                    "national_total_mw": model.national_total_mw,
                    "dt_s": sim.dt, "duration_s": sim.duration,
                    "reserves": preset},
-        # the attack keys other than type name AttackScenario fields
-        "attack": {**{key: getattr(scenario, key) for key in _ATTACK_KEYS
-                      if key != "type"},
-                   "type": atype.value,
-                   "target_bus": attacks.resolve_target(model,
-                                                        scenario.target_bus)},
+        "attack": attack,
         "output": {key: output.get(key) for key in _OUTPUT_KEYS},
     }
     # Last, so every other diagnostic comes first. The slack's dispatch

@@ -11,11 +11,13 @@ so attack magnitudes given in national MW are mapped through
 
 Case, scenario and anchor files have one reader here: ``read_json`` and
 ``Source.checked`` raise ``ScenarioError`` at ``file:line (key ...)``, and
-a case file's field types are the dataclass annotations.
+the field types of a case file and of a scenario's attack section are the
+dataclass annotations (``_record``).
 """
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 import re
@@ -432,34 +434,52 @@ def read_json(path: str, flags: dict | None = None):
 
 def _json_types(hint) -> tuple:
     """The JSON value types a field annotated hint takes: an int for a
-    float, a list for a tuple of records and an object for a record."""
+    float, null for an optional field, a string for an enum, a list for a
+    tuple of records and an object for a record."""
     if isinstance(hint, UnionType):
         return sum(map(_json_types, get_args(hint)), ())
     if get_origin(hint) is tuple:
         return (list,)
     if is_dataclass(hint):
         return (dict,)
+    if isinstance(hint, enum.EnumMeta):
+        return (str,)
     return (int, float) if hint is float else (hint,)
 
 
 def _record(src: Source, cls, where: tuple, obj):
-    """The dataclass cls read from obj, the object at where, its fields
-    checked against their annotations."""
+    """The dataclass cls read from obj, the object at where. A field's file
+    key is its metadata "key", else its name, and a field without a default
+    is required. Each value is checked against its field's annotation
+    (_json_types) and converted: an int to a float, a string to its enum
+    member, an object or a list to records. Every field that may be None
+    defaults to None, so a null reads as the key left out."""
     hints = get_type_hints(cls)
-    allowed = {key: _json_types(hint) for key, hint in hints.items()}
+    by_key = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    allowed = {key: _json_types(hints[f.name]) for key, f in by_key.items()}
     obj = src.checked(where, obj, allowed, required=tuple(
-        f.name for f in fields(cls) if f.default is MISSING))
+        key for key, f in by_key.items() if f.default is MISSING))
+    values = {}
     for key, value in obj.items():
-        hint = hints[key]
+        name = by_key[key].name
+        hint = hints[name]
         if get_origin(hint) is tuple:
-            obj[key] = tuple(
+            value = tuple(
                 _record(src, get_args(hint)[0], (*where, key, i), item)
                 for i, item in enumerate(value, start=1))
         elif is_dataclass(hint):
-            obj[key] = _record(src, hint, (*where, key), value)
+            value = _record(src, hint, (*where, key), value)
+        elif isinstance(hint, enum.EnumMeta):
+            try:
+                value = hint(value)
+            except ValueError:
+                raise src.error(where, key, (
+                    f"unknown {name.replace('_', ' ')} {value!r}; expected "
+                    f"one of {[m.value for m in hint]}")) from None
         elif float in allowed[key] and isinstance(value, int):
-            obj[key] = float(value)
-    return cls(**obj)
+            value = float(value)
+        values[name] = value
+    return cls(**values)
 
 
 def from_file(path: str) -> NetworkModel:

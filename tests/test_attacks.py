@@ -27,6 +27,12 @@ def test_resolve_target_rejects_loadless_bus(model):
         attacks.resolve_target(model, 2)  # generator bus
 
 
+def test_resolve_largest_on_a_model_without_loads(model):
+    with pytest.raises(ValueError) as exc:
+        attacks.resolve_target(dataclasses.replace(model, loads=()), "largest")
+    assert str(exc.value) == "target_bus 'largest': the model has no loads"
+
+
 def test_type_signs():
     assert AttackType.DEMAND_INCREASE.demand_sign == 1.0
     assert AttackType.DEMAND_REDUCTION.demand_sign == -1.0
@@ -116,6 +122,14 @@ def test_validate_family_and_trigger(model):
     errs = attacks.validate_scenario(model, attack(trigger="slope"))
     assert errs == [("trigger",
                      "slope trigger only applies to repeated attacks")]
+
+
+def test_validate_attack_type_must_be_the_enum(model):
+    """A library caller that passes the file's string, not the member, is
+    named at the field; the scenario reader converts it."""
+    errs = attacks.validate_scenario(model, attack(attack_type="DI"))
+    assert errs == [("attack_type",
+                     "attack_type must be an AttackType, got 'DI'")]
 
 
 def test_validate_switching_ordering(model):

@@ -5,12 +5,13 @@ import json
 import os
 import re
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gridswing import analysis, cli, dynamics, netmodel, powerflow
+from gridswing import analysis, attacks, cli, dynamics, netmodel, powerflow
 
 HEADER = ("t_s,f_coi_hz,f_gen1_hz,f_gen2_hz,f_gen3_hz,"
           "p_attack_pu,p_reserve_up_pu,p_reserve_down_pu")
@@ -127,13 +128,43 @@ def test_bad_target_bus_names_its_key_and_line(tmp_path, capsys):
     ({"family": "switching", "t1": 0.5}, "t1", "t1 must come after t_start"),
     ({"type": "XX"}, "type",
      "unknown attack type 'XX'; expected one of ['DI', 'DR', 'SI', 'SR']"),
-], ids=["magnitude", "magnitude-and-t1", "t1", "type"])
+    ({"t_start": -1}, "t_start", "t_start must be non-negative"),
+    ({"trigger": "x"}, "trigger", "unknown trigger 'x'"),
+    ({"family": None}, "family", "expected str, got None"),
+    ({"family": "switching", "t1": None}, "t1", "switching needs t1"),
+], ids=["magnitude", "magnitude-and-t1", "t1", "type", "t_start", "trigger",
+        "null-family", "null-t1"])
 def test_attack_problem_names_its_key_and_line(tmp_path, capsys, attack, key,
                                                msg):
     scn = write_scenario(tmp_path, attack=attack)
     assert cli.main(["simulate", scn]) == 2
     assert capsys.readouterr().err == \
         f"error: {scn}:{line_of(scn, key)} (key {key!r}): {msg}\n"
+
+
+@pytest.mark.parametrize("key", ["magnitude_mw", "target_bus", "t1",
+                                 "interval", "count"])
+def test_null_attack_key_reads_as_left_out(tmp_path, key):
+    """A null for an attack field that defaults to None gives the trace
+    and report of the scenario without the key."""
+    runs = []
+    for stem, attack in (("null", {key: None}), ("absent", {})):
+        scn = write_scenario(tmp_path, f"{stem}.scn", attack=attack,
+                             system={"duration_s": 2.0})
+        assert cli.main(["simulate", scn, "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / f"{stem}_report.json").read_text())
+        del report["config"]["output"]
+        runs.append((report, (tmp_path / f"{stem}_trace.csv").read_bytes()))
+    assert runs[0] == runs[1]
+
+
+def test_integer_magnitude_is_echoed_as_a_float(tmp_path):
+    scn = write_scenario(tmp_path, attack={"magnitude_percent": 8},
+                         system={"duration_s": 1.0})
+    assert cli.main(["simulate", scn, "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "case_report.json").read_text())
+    echoed = report["config"]["attack"]["magnitude_percent"]
+    assert (type(echoed), echoed) == (float, 8.0)
 
 
 @pytest.mark.parametrize("flag, value", [("--dt", "0"), ("--dt", "nan"),
@@ -259,7 +290,9 @@ JSON_VALUES = st.one_of(
     st.sampled_from([0, 0.0, -1.0, 0.015, 10 ** 400, -10 ** 400, "static",
                      "switching", "periodic", "combination", "SR", "largest",
                      "slope", "default"]))
-SECTIONS = {"system": cli._SYSTEM_KEYS, "attack": cli._ATTACK_KEYS,
+SECTIONS = {"system": cli._SYSTEM_KEYS,
+            "attack": [f.metadata.get("key", f.name)
+                       for f in dataclasses.fields(attacks.AttackScenario)],
             "output": cli._OUTPUT_KEYS}
 # A usable value per key, so that the later checks are reached too.
 USABLE = {"model": "wscc9", "national_total_mw": 17500.0, "dt_s": 0.01,
@@ -500,22 +533,26 @@ def test_out_dir_that_is_not_a_directory_is_rejected_first(
         "", f"error: --out-dir {out}: not a directory\n")
 
 
-@pytest.mark.parametrize("attack, key", [
-    ('{"family": "static", "type": "DI"}', "magnitude_percent"),
+@pytest.mark.parametrize("attack, key, msg", [
+    ('{"family": "static", "type": "DI"}', "magnitude_percent",
+     "exactly one of magnitude_percent / magnitude_mw is required"),
     ('{"family": "periodic", "type": "DI",\n  "magnitude_percent": 8.0, '
-     '"count": 2}', "interval"),
-    ('{"type": "DI", "magnitude_percent": 8.0}', "family"),
-], ids=["magnitude", "interval", "family"])
+     '"count": 2}', "interval", "periodic needs a positive interval"),
+    ('{"type": "DI", "magnitude_percent": 8.0}', "family",
+     "missing required key"),
+    ('{"family": "switching", "type": "DI",\n  "magnitude_percent": 8.0}',
+     "t1", "switching needs t1"),
+], ids=["magnitude", "interval", "family", "t1"])
 def test_missing_attack_key_is_placed_at_the_section_brace(tmp_path, capsys,
-                                                            attack, key):
+                                                            attack, key, msg):
     """A key the attack section lacks is named at the line of the
     section's opening brace."""
     path = tmp_path / "m.scn"
     path.write_text('{"system": {"duration_s": 5.0},\n'
                     f' "attack":\n {attack}\n}}\n')
     assert cli.main(["simulate", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: {path}:3 (key {key!r}): ")
+    assert capsys.readouterr().err == \
+        f"error: {path}:3 (key {key!r}): {msg}\n"
 
 
 def test_missing_family_is_config_error(tmp_path, capsys):
@@ -839,26 +876,63 @@ def test_powerflow_subcommand(capsys):
     assert out.count("\n") >= 10  # one row per bus plus headers
 
 
-def write_diverging_case(tmp_path):
-    """A case ten times the built-in load, whose power flow diverges."""
-    m = netmodel.builtin_wscc9()
-    heavy = dataclasses.replace(
+def scaled(m, k):
+    """The model m with every load, p_set and p_max times k."""
+    return dataclasses.replace(
         m,
         generators=tuple(
             dataclasses.replace(
-                g, p_set=g.p_set * 10,
-                governor=dataclasses.replace(g.governor, p_max=g.p_set * 12))
+                g, p_set=g.p_set * k,
+                governor=dataclasses.replace(g.governor,
+                                             p_max=g.governor.p_max * k))
             for g in m.generators),
-        loads=tuple(dataclasses.replace(ld, p=ld.p * 10, q=ld.q * 10)
+        loads=tuple(dataclasses.replace(ld, p=ld.p * k, q=ld.q * k)
                     for ld in m.loads))
+
+
+def write_diverging_case(tmp_path):
+    """A case ten times the built-in load, whose power flow diverges."""
     case = tmp_path / "heavy.json"
-    netmodel.to_file(heavy, str(case))
+    netmodel.to_file(scaled(netmodel.builtin_wscc9(), 10), str(case))
     return str(case)
 
 
 def test_powerflow_divergence_exit_code(tmp_path, capsys):
     assert cli.main(["powerflow", write_diverging_case(tmp_path)]) == 3
     assert "error" in capsys.readouterr().err
+
+
+def near_short_line(m):
+    """Line 1-4 with x = 1e-300: the first mismatch exceeds 1e8."""
+    return dataclasses.replace(m, lines=(
+        dataclasses.replace(m.lines[0], x=1e-300, r=0.0), *m.lines[1:]))
+
+
+def resistive(m):
+    """Every line a pure resistance without charging (0.06 pu where r was
+    0): at the flat start no P row of the Jacobian has an angle term, so
+    its 8 P rows fall on the 6 PQ voltage columns and it is singular."""
+    return dataclasses.replace(m, lines=tuple(
+        dataclasses.replace(ln, r=ln.r or 0.06, x=0.0, b=0.0)
+        for ln in m.lines))
+
+
+@pytest.mark.parametrize("case, mismatch, iterations", [
+    (near_short_line, "4.000e+298", 1),
+    # a Newton step drives a voltage to zero or below
+    (lambda m: scaled(m, 3), "2.940e+00", 4),
+    (resistive, "1.250e+00", 1),
+], ids=["mismatch-above-1e8", "non-positive-voltage", "singular-jacobian"])
+def test_powerflow_divergence_names_its_mismatch(tmp_path, capsys, case,
+                                                 mismatch, iterations):
+    """Valid cases that end in three of the power flow's raises."""
+    model = case(netmodel.builtin_wscc9())
+    assert netmodel.validate(model) == []
+    netmodel.to_file(model, str(tmp_path / "case.json"))
+    assert cli.main(["powerflow", str(tmp_path / "case.json")]) == 3
+    assert capsys.readouterr().err == (
+        f"error: power flow did not converge: |mismatch| = {mismatch} "
+        f"after {iterations} iterations\n")
 
 
 @pytest.mark.parametrize("args", [
@@ -1137,6 +1211,35 @@ def test_shipped_scenarios_parse():
         assert scenario.family in ("static", "switching", "periodic",
                                    "combination")
         assert sim.duration > 0
+
+
+# The README's words for the JSON value types of netmodel._json_types.
+README_TYPES = {"string": (str,), "number": (int, float), "integer": (int,),
+                "null": (type(None),)}
+
+
+def test_readme_scenario_section_matches_the_reader(tmp_path):
+    """The README's scenario example parses, and its attack-key table holds
+    exactly AttackScenario's file keys, each with the reader's JSON types
+    and required flag."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(here, "..", "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Scenario files")[1].split("\n## ")[0]
+    scn = tmp_path / "readme.scn"
+    scn.write_text(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    cli.parse_scenario(str(scn))
+    documented = {}
+    for key, types in re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section,
+                                 re.M):
+        words = re.findall(r"\w+", types)
+        documented[key] = ({t for w in words for t in README_TYPES.get(w, ())},
+                           "required" in words)
+    hints = typing.get_type_hints(attacks.AttackScenario)
+    assert documented == {
+        f.metadata.get("key", f.name): (
+            set(netmodel._json_types(hints[f.name])),
+            f.default is dataclasses.MISSING)
+        for f in dataclasses.fields(attacks.AttackScenario)}
 
 
 def test_shipped_switching_scenario_runs(tmp_path):
