@@ -62,17 +62,16 @@ def _coi_metrics(t: np.ndarray, f: np.ndarray, dt: float,
     i_zen = int(np.argmax(f))
     settled = float(f[-1])
 
+    # An in-band run (NaN is out of band) starts and ends where the flags,
+    # padded out of band at both ends, change. The dwell opens the first
+    # run of more than dwell_n samples. Indices are kept per run, not per
+    # sample, so a long trace that never settles costs a byte a sample.
     inside = np.abs(f - settled) <= SETTLE_BAND_HZ
     dwell_n = int(round(SETTLE_DWELL_S / dt))
-    settle_time = None
-    if len(f) > dwell_n:
-        # earliest index opening a full in-band dwell window
-        run = 0
-        for i, ok in enumerate(inside):
-            run = run + 1 if ok else 0
-            if run == dwell_n + 1:
-                settle_time = float(t[i - dwell_n])
-                break
+    starts, ends = np.flatnonzero(
+        np.diff(inside, prepend=False, append=False)).reshape(-1, 2).T
+    dwells = np.flatnonzero(ends - starts > dwell_n)
+    settle_time = float(t[starts[dwells[0]]]) if len(dwells) else None
 
     crossings = []
     for offset in THRESHOLDS_HZ:
@@ -268,7 +267,9 @@ def _anchor_schedule(model, percent) -> attacks.EventSchedule:
 
 
 def _grid_anchor_errors(model, anchors, candidates,
-                        dt: float, duration: float) -> np.ndarray:
+                        dt: float, duration: float,
+                        pf: powerflow.PowerFlowSolution | None = None
+                        ) -> np.ndarray:
     """The calibration objective of each (r_droop, t_g, d) candidate.
 
     A candidate's error sums, anchor by anchor, the squared misses of the
@@ -278,15 +279,18 @@ def _grid_anchor_errors(model, anchors, candidates,
     error equals the candidate's _anchor_error, bit for bit. A lane that
     the integrator marks as tripped scores inf, as its scalar run would.
 
-    The lanes are scored by _scored_in_forks over one power flow solved
-    here: a lane's bits do not depend on its batch, so the errors of its
-    slices, joined in candidate order, are those of one batch.
+    The lanes are scored by _scored_in_forks over pf, the model's power
+    flow, solved here when not given: a lane's bits do not depend on its
+    batch, so the errors of its slices, joined in candidate order, are
+    those of one batch.
     """
     lanes = [with_dynamic_params(model, r, tg, d) for r, tg, d in candidates]
     if not lanes:  # no lanes to step, as in _sweep_lanes
         return np.zeros(0)
+    if pf is None:
+        pf = powerflow.solve(model)
     return _scored_in_forks(partial(
-        _lane_errors, model=model, anchors=anchors, pf=powerflow.solve(model),
+        _lane_errors, model=model, anchors=anchors, pf=pf,
         config=dynamics.SimConfig(dt=dt, duration=duration)), lanes)
 
 
@@ -366,12 +370,15 @@ def _lane_errors(lanes, model, anchors, pf, config) -> np.ndarray:
     return errors
 
 
-def _anchor_error(model, anchors, config) -> float:
+def _anchor_error(model, anchors, config,
+                  pf: powerflow.PowerFlowSolution | None = None) -> float:
+    """The calibration objective of model alone, each anchor one
+    dynamics.simulate run over pf (solved per run when not given)."""
     err = 0.0
     for percent, nadir_target, settled_target in anchors:
         try:
             tr = dynamics.simulate(model, _anchor_schedule(model, percent),
-                                   config)
+                                   config, pf)
         except dynamics.InstabilityError:
             return float("inf")
         mx = metrics(tr)
@@ -405,16 +412,19 @@ def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
             raise ValueError(f"anchor {a!r} has no targets")
 
     config = dynamics.SimConfig()
+    # the grid and every refinement run share one power flow, which no
+    # governor or damping setting enters
+    pf = powerflow.solve(model)
 
     def objective(r, tg, d):
         return _anchor_error(with_dynamic_params(model, r, tg, d),
-                             anchors, config)
+                             anchors, config, pf)
 
     axes = [np.linspace(lo, hi, n).tolist()
             for (lo, hi), n in zip(CALIBRATION_BOUNDS.values(), (9, 9, 5))]
     grid = list(itertools.product(*axes))
     errors = _grid_anchor_errors(model, anchors, grid, dt=config.dt,
-                                 duration=config.duration)
+                                 duration=config.duration, pf=pf)
     current = list(grid[int(np.argmin(errors))])
     best_err = objective(*current)
 

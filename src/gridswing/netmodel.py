@@ -24,6 +24,7 @@ import re
 import sys
 from dataclasses import (MISSING, asdict, dataclass, fields, is_dataclass,
                          replace)
+from functools import cache
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -447,6 +448,11 @@ def _json_types(hint) -> tuple:
     return (int, float) if hint is float else (hint,)
 
 
+# A record type's resolved annotations, evaluated once per type instead of
+# once per record read; every caller shares the dict and only reads it.
+_type_hints = cache(get_type_hints)
+
+
 def _record(src: Source, cls, where: tuple, obj):
     """The dataclass cls read from obj, the object at where. A field's file
     key is its metadata "key", else its name, and a field without a default
@@ -454,7 +460,7 @@ def _record(src: Source, cls, where: tuple, obj):
     (_json_types) and converted: an int to a float, a string to its enum
     member, an object or a list to records. Every field that may be None
     defaults to None, so a null reads as the key left out."""
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     by_key = {f.metadata.get("key", f.name): f for f in fields(cls)}
     allowed = {key: _json_types(hints[f.name]) for key, f in by_key.items()}
     obj = src.checked(where, obj, allowed, required=tuple(

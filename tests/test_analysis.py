@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gridswing import analysis, attacks, dynamics, netmodel, reserves
+from gridswing import (analysis, attacks, dynamics, netmodel, powerflow,
+                       reserves)
 from gridswing.attacks import AttackType
 from criteria import attack
 from forking import requires_fork, run_forking
@@ -110,6 +111,43 @@ def test_metrics_ordering_invariants(samples):
     assert mx.nadir_hz <= mx.zenith_hz
     if mx.settle_time_s is not None:
         assert mx.settle_time_s >= 0.0
+
+
+def _loop_settle_time(t, f, dt):
+    """The settle time as a per-sample loop over the in-band flags: the
+    start of the first dwell_n + 1 in-band samples in a row, the oracle for
+    _coi_metrics' search over the out-of-band indices."""
+    inside = np.abs(f - f[-1]) <= analysis.SETTLE_BAND_HZ
+    dwell_n = int(round(analysis.SETTLE_DWELL_S / dt))
+    if len(f) > dwell_n:
+        run = 0
+        for i, ok in enumerate(inside):
+            run = run + 1 if ok else 0
+            if run == dwell_n + 1:
+                return float(t[i - dwell_n])
+    return None
+
+
+# offsets from 50 Hz: in band of the last sample or not, and NaN
+SETTLE_OFFSETS = st.sampled_from([0.0, 0.015, -0.02, 0.03, -0.4, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SETTLE_OFFSETS, min_size=1, max_size=40),
+       st.integers(min_value=0, max_value=12))
+@example([0.0] * 3, 5)  # len(f) <= dwell_n
+@example([0.0] * 6, 5)  # settled from sample 0
+@example([0.4, 0.0, 0.0, 0.4, 0.0], 2)  # never settled
+@example([0.4, 0.0, 0.4, 0.0, 0.0, 0.0], 2)  # the run ends on the last
+def test_settle_time_equals_the_per_sample_loop(offsets, dwell_n):
+    """The settle search gives the loop's index, or its None, for any
+    in/out-of-band pattern and dwell (dt = 5 s / dwell_n; 20 s gives a
+    zero dwell)."""
+    dt = analysis.SETTLE_DWELL_S / dwell_n if dwell_n else 20.0
+    f = 50.0 + np.array(offsets)
+    t = np.arange(len(f)) * dt
+    assert analysis._coi_metrics(t, f, dt, 50.0).settle_time_s \
+        == _loop_settle_time(t, f, dt)
 
 
 def quick_cfg(duration=30.0):
@@ -228,8 +266,16 @@ def test_calibrated_defaults_are_baked_into_the_case(model, calibrated):
     assert calibrated.apply(model) == model
 
 
-def test_calibrate_settled_only_anchor(model):
+def test_calibrate_settled_only_anchor(model, monkeypatch):
+    """The fit, and one power flow under the grid and every refinement
+    run: governor settings never enter it."""
+    solves = []
+    solve = powerflow.solve
+    for owner, name in ((powerflow, "solve"), (dynamics, "solve_pf")):
+        monkeypatch.setattr(owner, name,
+                            lambda m: solves.append(m) or solve(m))
     cal = analysis.calibrate(model, anchors=((12.0, None, 49.8),))
+    assert solves == [model]
     assert (cal.r_droop, cal.t_g, cal.d) == (0.065, 5.0, 0.0625)
     assert cal.objective_residual == 2.9227508903054347e-07
     assert cal.quality_warning is False
@@ -261,6 +307,7 @@ def test_grid_stage_matches_scalar_objective(model):
     grid = analysis._grid_anchor_errors(model, anchors, candidates,
                                         dt=0.01, duration=40.0)
     cfg = dynamics.SimConfig(dt=0.01, duration=40.0)
+    pf = powerflow.solve(model)
     for lane, params in enumerate(candidates):
         tuned = netmodel.with_dynamic_params(model, *params)
         scalar = 0.0
@@ -271,6 +318,7 @@ def test_grid_stage_matches_scalar_objective(model):
             scalar += (mx.settled_f_hz - settled_target) ** 2
         assert grid[lane] == scalar
         assert analysis._anchor_error(tuned, anchors, cfg) == scalar
+        assert analysis._anchor_error(tuned, anchors, cfg, pf) == scalar
 
 
 def test_grid_lanes_are_independent(model):

@@ -935,6 +935,20 @@ def test_powerflow_divergence_names_its_mismatch(tmp_path, capsys, case,
         f"after {iterations} iterations\n")
 
 
+def test_powerflow_iteration_limit(capsys, monkeypatch):
+    """The built-in case, which converges in 5 iterations, allowed one:
+    its first step is taken and the loop ends in the raise after it, with
+    the flat start's mismatch, and the powerflow command exits 3."""
+    monkeypatch.setattr(powerflow, "MAX_ITER", 1)
+    with pytest.raises(powerflow.DivergenceError,
+                       match="after 1 iterations"):
+        powerflow.solve(netmodel.builtin_wscc9())
+    assert cli.main(["powerflow"]) == 3
+    assert capsys.readouterr().err == (
+        "error: power flow did not converge: |mismatch| = 1.630e+00 "
+        "after 1 iterations\n")
+
+
 @pytest.mark.parametrize("args", [
     ["simulate"],
     ["sweep", "--magnitudes", "4,8"],

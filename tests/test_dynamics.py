@@ -1,6 +1,7 @@
 """Swing integration: equilibrium, inertial response, droop, events, guards."""
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,7 +48,9 @@ def test_power_kernel_bits_equal_the_allocating_expression(model, pf):
     them as an event does, gives the bits of the allocating expression for
     one lane and for a 5-lane batch, whose flat angle row gives a flat
     power row, under a (lanes, m, m) stack and under one shared reduction;
-    negative angles included."""
+    negative angles included. So does a 405-lane batch, wide enough for
+    numpy's vector loops, at angles up to +-1e4 rad, which a lane past the
+    speed guard reaches as it winds until its span ends."""
     _, e_int, _, y_base = dynamics.init_state(model, pf)
     loads = dynamics.base_loads(model)
     loads[model.bus_index()[8]] += 0.3
@@ -72,6 +75,36 @@ def test_power_kernel_bits_equal_the_allocating_expression(model, pf):
                     delta[lane]))
     assert same_bits(dynamics.electrical_power(y_event, e_int, angles[0, 0]),
                      _allocating_pe(y_event, e_int, angles[0, 0]))
+    wide = rng.uniform(-1e4, 1e4, size=(405, 3))
+    stack = np.stack([(y_base, y_event)[lane % 2] for lane in range(405)])
+    for coupling in (stack, y_event):
+        got = dynamics._power_kernel(e_int, 405)(coupling, wide.reshape(-1))
+        for lane, lane_pe in enumerate(got.reshape(405, 3)):
+            assert same_bits(lane_pe, _allocating_pe(
+                np.broadcast_to(coupling, stack.shape)[lane], e_int,
+                wide[lane]))
+
+
+@pytest.mark.parametrize("n_lanes", [1, 405])
+def test_power_kernel_allocates_no_buffer(model, pf, n_lanes):
+    """Once made, the kernel writes into its own buffers: a call allocates
+    nothing at one lane, and at 405 lanes, under a shared reduction or a
+    stack, only numpy's few hundred bytes of per-call gufunc bookkeeping,
+    below an eighth of one (B m,) row of float64."""
+    _, e_int, _, y_red = dynamics.init_state(model, pf)
+    power = dynamics._power_kernel(e_int, n_lanes)
+    delta = np.random.default_rng(5).uniform(-4.0, 4.0, 3 * n_lanes)
+    couplings = [y_red] if n_lanes == 1 else [
+        y_red, np.broadcast_to(y_red, (n_lanes, 3, 3)).copy()]
+    for coupling in couplings:
+        power(coupling, delta)  # numpy's first-call set-up
+        tracemalloc.start()
+        try:
+            power(coupling, delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak == 0 if n_lanes == 1 else peak < delta.nbytes / 8
 
 
 def _plain_rk4(models, pf, schedules, config, n_steps):
