@@ -23,7 +23,7 @@ from .attacks import (
     validate_scenario,
 )
 from .analysis import (
-    Metrics, SweepFit, CalibratedParams, FlexibilityForecast,
+    Anchor, Metrics, SweepFit, CalibratedParams, FlexibilityForecast,
     FeasibilityReport, metrics, magnitude_sweep, timing_sweep, calibrate,
     feasibility, default_forecast,
 )
@@ -39,8 +39,8 @@ __all__ = [
     "ReserveProduct", "default_products", "analytic_residual",
     "AttackType", "AttackScenario", "EventSchedule", "compile_scenario",
     "validate_scenario",
-    "Metrics", "SweepFit", "CalibratedParams", "FlexibilityForecast",
-    "FeasibilityReport", "metrics", "magnitude_sweep", "timing_sweep",
-    "calibrate", "feasibility", "default_forecast",
+    "Anchor", "Metrics", "SweepFit", "CalibratedParams",
+    "FlexibilityForecast", "FeasibilityReport", "metrics", "magnitude_sweep",
+    "timing_sweep", "calibrate", "feasibility", "default_forecast",
     "__version__",
 ]

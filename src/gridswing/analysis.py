@@ -12,7 +12,7 @@ import itertools
 import mmap
 import os
 import signal
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -130,10 +130,9 @@ def _sweep_lanes(model: NetworkModel, schedules,
     mean nothing; when every lane trips, the batch ends there and the
     array holds the samples up to the last trip.
     """
-    n_samp = config.n_steps + 1
+    f = dynamics.empty_samples(config.n_steps + 1, len(schedules))
     if not schedules:
-        return dynamics.empty_samples(n_samp, 0), []
-    f = dynamics.empty_samples(n_samp, len(schedules))
+        return f, []
     if pf is None:
         pf = powerflow.solve(model)
     for k0, f_coi, *_, trip in dynamics._lockstep(
@@ -254,10 +253,37 @@ CALIBRATION_BOUNDS = {
 }
 RESIDUAL_WARN_PER_ANCHOR = 0.01  # Hz^2
 
-DEFAULT_ANCHORS = ((12.0, 49.17, 49.8),)
+
+@dataclass(frozen=True)
+class Anchor:
+    """A calibration target: the COI nadir and settled frequency (Hz) of a
+    static DI attack of percent % of scheduled generation; None skips one."""
+
+    percent: float
+    nadir_hz: float | None = None
+    settled_hz: float | None = None
+
+
+def anchor_problems(anchor: Anchor, f_nominal: float) -> list[tuple]:
+    """Every problem with an anchor as (field, message) pairs, the field
+    None for the anchor as a whole: one rule a row, with whether it fails."""
+    targets = [key for key in ("nadir_hz", "settled_hz")
+               if getattr(anchor, key) is not None]
+    return [(key, msg) for key, msg, fails in (
+        ("percent", "must be positive", not anchor.percent > 0),
+        # an attack beyond the system's generation reads no response
+        ("percent", "must not exceed 100, the scheduled generation",
+         anchor.percent > 100),
+        (None, "has no targets: give nadir_hz or settled_hz", not targets),
+        *((key, f"must lie between 0 and {2 * f_nominal:g} Hz",
+           not 0 < getattr(anchor, key) < 2 * f_nominal) for key in targets),
+    ) if fails]
+
+
+DEFAULT_ANCHORS = (Anchor(12.0, 49.17, 49.8),)
 # Alternative preset: observed contingency responses rather than simulated
 # curves (1400 MW trip read as an 8 % step reaching 49.36 Hz).
-INCIDENT_ANCHORS = ((8.0, 49.36, 49.8),)
+INCIDENT_ANCHORS = (Anchor(8.0, 49.36, 49.8),)
 
 
 def _anchor_schedule(model, percent) -> attacks.EventSchedule:
@@ -356,16 +382,16 @@ def _scored_in_forks(score, lanes) -> np.ndarray:
 def _lane_errors(lanes, model, anchors, pf, config) -> np.ndarray:
     """_grid_anchor_errors of the candidate models lanes of model."""
     errors = np.zeros(len(lanes))
-    for percent, nadir_target, settled_target in anchors:
+    for anchor in anchors:
         f_min = np.full(len(lanes), np.inf)
-        schedule = _anchor_schedule(model, percent)
+        schedule = _anchor_schedule(model, anchor.percent)
         for _, f_coi, *_, trip in dynamics._lockstep(
                 lanes, pf, [schedule] * len(lanes), config):
             np.minimum(f_min, np.minimum.reduce(f_coi), out=f_min)
-        if nadir_target is not None:
-            errors += (f_min - nadir_target) ** 2
-        if settled_target is not None:
-            errors += (f_coi[-1] - settled_target) ** 2
+        if anchor.nadir_hz is not None:
+            errors += (f_min - anchor.nadir_hz) ** 2
+        if anchor.settled_hz is not None:
+            errors += (f_coi[-1] - anchor.settled_hz) ** 2
         errors[trip >= 0] = np.inf
     return errors
 
@@ -375,29 +401,29 @@ def _anchor_error(model, anchors, config,
     """The calibration objective of model alone, each anchor one
     dynamics.simulate run over pf (solved per run when not given)."""
     err = 0.0
-    for percent, nadir_target, settled_target in anchors:
+    for anchor in anchors:
         try:
-            tr = dynamics.simulate(model, _anchor_schedule(model, percent),
-                                   config, pf)
+            tr = dynamics.simulate(
+                model, _anchor_schedule(model, anchor.percent), config, pf)
         except dynamics.InstabilityError:
             return float("inf")
         mx = metrics(tr)
-        if nadir_target is not None:
-            err += (mx.nadir_hz - nadir_target) ** 2
-        if settled_target is not None:
-            err += (mx.settled_f_hz - settled_target) ** 2
+        if anchor.nadir_hz is not None:
+            err += (mx.nadir_hz - anchor.nadir_hz) ** 2
+        if anchor.settled_hz is not None:
+            err += (mx.settled_f_hz - anchor.settled_hz) ** 2
     return err
 
 
 def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
     """Fit governor droop, servo constant and damping to response anchors.
 
-    Anchors are (attack percent, target nadir Hz, target settled Hz)
-    triples; either target may be None to skip that term. Stage one scores
-    a list of 9 x 9 x 5 (r_droop, t_g, d) candidates over the search box
-    as 405 lanes of one lockstep integrator run per anchor, and its best
-    point is the incumbent. Stage two reruns the incumbent and then runs
-    three rounds of coordinate halving around it through dynamics.simulate,
+    Anchors are Anchor records; any with a problem (anchor_problems)
+    raises ValueError, naming each, before a run. Stage one scores a list
+    of 9 x 9 x 5 (r_droop, t_g, d) candidates over the search box as 405
+    lanes of one lockstep integrator run per anchor, and its best point is
+    the incumbent. Stage two reruns the incumbent and then runs three
+    rounds of coordinate halving around it through dynamics.simulate,
     the same integrator with one lane, which also provides the reported
     residual. Deterministic throughout: no randomness, fixed evaluation
     order.
@@ -405,11 +431,11 @@ def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
     anchors = tuple(anchors)
     if not anchors:
         raise ValueError("need at least one calibration anchor")
-    for a in anchors:
-        if len(a) != 3:
-            raise ValueError(f"anchor {a!r} is not a (percent, nadir, settled) triple")
-        if a[1] is None and a[2] is None:
-            raise ValueError(f"anchor {a!r} has no targets")
+    problems = [f"anchor {i}: " + (f"{key} " if key else "") + msg
+                for i, anchor in enumerate(anchors, start=1)
+                for key, msg in anchor_problems(anchor, model.f_nominal)]
+    if problems:
+        raise ValueError("; ".join(problems))
 
     config = dynamics.SimConfig()
     # the grid and every refinement run share one power flow, which no
@@ -482,8 +508,10 @@ class FeasibilityReport:
     total_flexibility_mw: float
     feasible: bool
     margin_mw: float  # flexibility minus attack; negative when infeasible
-    sufficient_classes: tuple[str, ...]
-    demand_share_percent: float
+    sufficient_classes: tuple[str, ...] = field(
+        metadata={"key": "sufficient_single_classes"})
+    demand_share_percent: float = field(
+        metadata={"key": "share_of_national_demand_percent"})
 
 
 def feasibility(attack_mw: float, year: int) -> FeasibilityReport:

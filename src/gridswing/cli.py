@@ -1,26 +1,22 @@
 """Command-line front end: scenario files in, trace/report artifacts out.
 
-Scenario files are flat JSON documents with three sections::
-
-    {
-      "system": {"model": "wscc9", "dt_s": 0.01, "duration_s": 40.0,
-                 "national_total_mw": 17500, "reserves": "off"},
-      "attack": {"family": "static", "type": "DI", "magnitude_percent": 8.0,
-                 "target_bus": 8, "t_start": 1.0},
-      "output": {"trace_csv": "run_trace.csv", "report_json": "run_report.json"}
-    }
-
-Only "attack" is mandatory. The flags --dt, --duration, --reserves and
---target-bus replace system.dt_s, system.duration_s, system.reserves and
-attack.target_bus before any check runs, and are checked exactly like them.
-Scenario, anchor and case files all go through netmodel's one JSON reader.
-Validation is strict: unknown or repeated keys are rejected, and each
-diagnostic names the flag and its value, or the file, the key, and the line
-where the key appears (an anchor's also names the anchor's number; a case
-file's follows the scenario's system.model key). Commands
-write their trace CSVs and report JSONs atomically (temp file + rename),
-byte-stable for identical runs; ``simulate`` renames its two artifacts into
-place only once both are written, and never writes both to one path.
+A scenario file is a JSON object with up to three sections, "system",
+"attack" (the one required) and "output", read into the Scenario record
+below (README.md, "Scenario files", has an example and every key). The
+flags --dt, --duration, --reserves and --target-bus replace system.dt_s,
+system.duration_s, system.reserves and attack.target_bus before any check
+runs, and are checked exactly like them. Scenario, anchor and case files
+all go through netmodel's one JSON reader into records (Scenario,
+analysis.Anchor, NetworkModel), whose dataclass annotations are every
+input object's keys and JSON types; a report echoes them through the
+reader's inverse. Validation is strict: unknown or repeated keys are
+rejected, and each diagnostic names the flag and its value, or the file,
+the key, and the line where the key appears (an anchor's also names the
+anchor's number; a case file's follows the scenario's system.model key).
+Commands write their trace CSVs and report JSONs atomically (temp file +
+rename), byte-stable for identical runs; ``simulate`` renames its two
+artifacts into place only once both are written, and never writes both to
+one path.
 
 Exit codes: 0 success, 2 configuration error, 3 power-flow non-convergence,
 4 dynamic instability, 5 internal error (a fault of the program, not of
@@ -30,13 +26,14 @@ its input; the one-line diagnostic names the exception type).
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import math
 import os
 import sys
 import tempfile
 import traceback
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -48,26 +45,45 @@ EXIT_POWERFLOW = 3
 EXIT_UNSTABLE = 4
 EXIT_INTERNAL = 5
 
-_RESERVE_PRESETS = ("off", "default")
 _CSV_CHUNK_ROWS = 4096
 
 
-_SYSTEM_KEYS = {
-    "model": str,
-    "national_total_mw": (int, float),
-    "dt_s": (int, float),
-    "duration_s": (int, float),
-    "reserves": str,
-}
-_OUTPUT_KEYS = {
-    "trace_csv": str,
-    "report_json": str,
-}
-_ANCHOR_KEYS = {
-    "percent": (int, float),
-    "nadir_hz": (int, float, type(None)),
-    "settled_hz": (int, float, type(None)),
-}
+class ReservePreset(enum.Enum):
+    OFF = "off"  # governor response only
+    DEFAULT = "default"  # reserves.default_products()
+
+
+# A scenario file's sections. A key left out, or null, of a field that
+# defaults to None takes the model's or SimConfig's value.
+@dataclass(frozen=True)
+class SystemSection:
+    model: str = "wscc9"  # the built-in case, or a case file's path
+    national_total_mw: float | None = None
+    dt_s: float | None = None
+    duration_s: float | None = None
+    reserve_preset: ReservePreset = field(default=ReservePreset.OFF,
+                                          metadata={"key": "reserves"})
+
+
+@dataclass(frozen=True)
+class OutputSection:
+    trace_csv: str | None = None  # None: <stem>_trace.csv
+    report_json: str | None = None  # None: <stem>_report.json or _sweep.json
+
+
+@dataclass(frozen=True)
+class Scenario:
+    attack: attacks.AttackScenario
+    system: SystemSection = SystemSection()
+    output: OutputSection = OutputSection()
+
+
+def system_problems(system: SystemSection) -> list[tuple[str, str]]:
+    """Every problem with a system section as (field, message) pairs."""
+    return [(key, "must be positive")
+            for key in ("national_total_mw", "dt_s", "duration_s")
+            if (value := getattr(system, key)) is not None and value <= 0]
+
 
 # The flags that replace a scenario file value: flag -> (where, key), where
 # a key path of netmodel.key_lines.
@@ -80,58 +96,44 @@ _FLAG_KEYS = {
 
 
 def parse_scenario(path: str, flags: dict | None = None):
-    """Load a scenario file, replace its values by flags (flag -> value,
-    the flags of _FLAG_KEYS) and validate the result once; the attack
-    section is read as an attacks.AttackScenario by netmodel._record.
+    """Read a scenario file as a Scenario, its values replaced by flags
+    (flag -> value, the flags of _FLAG_KEYS), and validate it once.
 
     Returns (NetworkModel, AttackScenario, SimConfig, PowerFlowSolution,
     config, source): the SimConfig holds the reserve preset's products, the
     solution is the model's operating point, config is the report's
     "config" section, every key resolved to the value the run uses, and
     source the netmodel.Source that places later diagnostics. Raises
-    netmodel.ScenarioError at the flag that set a bad value, or at the
-    file's line and key; an attack problem is placed at the key that
-    validate_scenario names for it, and a case-file problem or a machine
-    dispatched outside [0, p_max] at system.model.
+    netmodel.ScenarioError at the flag that set a bad value, else at the
+    file's line and key: an attack problem at the key validate_scenario
+    names, a case-file problem or a machine dispatched outside [0, p_max]
+    at system.model.
     """
     src, doc = netmodel.read_json(path, {
         _FLAG_KEYS[f]: (f, value) for f, value in (flags or {}).items()})
-    doc = src.checked((), doc, dict.fromkeys(("system", "attack", "output"),
-                                             dict), required=("attack",))
-    system = src.checked(("system",), doc.get("system", {}), _SYSTEM_KEYS)
-    scenario = netmodel._record(src, attacks.AttackScenario, ("attack",),
-                                doc["attack"])
-    output = src.checked(("output",), doc.get("output", {}), _OUTPUT_KEYS)
-
-    preset = system.get("reserves", "off")
-    if preset not in _RESERVE_PRESETS:
-        raise src.error(("system",), "reserves",
-                        f"expected one of {_RESERVE_PRESETS}")
-    for key in ("national_total_mw", "dt_s", "duration_s"):
-        if key in system and system[key] <= 0:
-            raise src.error(("system",), key, "must be positive")
+    read = netmodel._record(src, Scenario, (), doc)
+    system, scenario = read.system, read.attack
+    problems = system_problems(system)
+    if problems:
+        raise src.error(("system",), *problems[0])
     try:
         sim = dynamics.SimConfig(reserves=(
-            reserves.default_products() if preset == "default" else ()), **{
-            arg: float(system[key])
-            for key, arg in (("dt_s", "dt"), ("duration_s", "duration"))
-            if key in system})
+            reserves.default_products()
+            if system.reserve_preset is ReservePreset.DEFAULT else ()), **{
+            arg: value for arg, value in (("dt", system.dt_s),
+                                          ("duration", system.duration_s))
+            if value is not None})
     except ValueError as exc:  # the horizon is not a whole number of steps
         raise src.error(("system",), "duration_s", str(exc)) from None
 
-    model_ref = system.get("model", "wscc9")
-    if model_ref == "wscc9":
-        model = netmodel.builtin_wscc9()
-    else:
-        # relative to the scenario file; join keeps an absolute model_ref
-        model_path = os.path.join(os.path.dirname(path), model_ref)
-        try:
-            model = netmodel.from_file(model_path)
-        except ValueError as exc:
-            raise src.error(("system",), "model", str(exc)) from exc
-    if "national_total_mw" in system:
-        model = replace(model,
-                        national_total_mw=float(system["national_total_mw"]))
+    try:  # relative to the scenario file; join keeps an absolute path
+        model = netmodel.builtin_wscc9() if system.model == "wscc9" else \
+            netmodel.from_file(os.path.join(os.path.dirname(path),
+                                            system.model))
+    except ValueError as exc:
+        raise src.error(("system",), "model", str(exc)) from exc
+    if system.national_total_mw is not None:
+        model = replace(model, national_total_mw=system.national_total_mw)
 
     problems = attacks.validate_scenario(model, scenario)
     if problems:
@@ -145,17 +147,11 @@ def parse_scenario(path: str, flags: dict | None = None):
         raise src.error(("attack",), "count",
                         f"count {scenario.count} exceeds the "
                         f"{sim.n_steps + 1} step boundaries of the horizon")
-    attack = asdict(scenario)
-    attack["type"] = attack.pop("attack_type").value
-    attack["target_bus"] = attacks.resolve_target(model, scenario.target_bus)
-    config = {
-        "system": {"model": model_ref,
-                   "national_total_mw": model.national_total_mw,
-                   "dt_s": sim.dt, "duration_s": sim.duration,
-                   "reserves": preset},
-        "attack": attack,
-        "output": {key: output.get(key) for key in _OUTPUT_KEYS},
-    }
+    config = netmodel._file_value(replace(
+        read, attack=replace(scenario, target_bus=attacks.resolve_target(
+            model, scenario.target_bus)),
+        system=replace(system, national_total_mw=model.national_total_mw,
+                       dt_s=sim.dt, duration_s=sim.duration)))
     # Last, so every other diagnostic comes first. The slack's dispatch
     # also covers the losses, so only the solution can show it above its
     # ceiling; TOL keeps a machine whose p_max equals its p_set.
@@ -261,10 +257,8 @@ def _horizon_error(src, config: dynamics.SimConfig):
 
 
 def _cmd_powerflow(args) -> int:
-    if args.case:
-        model = netmodel.from_file(args.case)
-    else:
-        model = netmodel.builtin_wscc9()
+    model = (netmodel.from_file(args.case) if args.case
+             else netmodel.builtin_wscc9())
     sol = powerflow.solve(model)
     print(f"converged in {sol.iterations} iterations, "
           f"max mismatch {sol.mismatch_norm:.3e} pu")
@@ -400,25 +394,11 @@ def _load_anchors(spec: str, f_nominal: float):
     if not isinstance(raw, list) or not raw:
         raise src.error((), None, "expected a non-empty list of anchors")
     anchors = []
-    for i, anchor in enumerate(raw, start=1):
-        anchor = src.checked((i,), anchor, _ANCHOR_KEYS,
-                             required=("percent",))
-        if anchor["percent"] <= 0:
-            raise src.error((i,), "percent", "must be positive")
-        if anchor["percent"] > 100:
-            raise src.error((i,), "percent", "must not exceed 100, the "
-                            "scheduled generation")
-        targets = {key: float(value) for key in ("nadir_hz", "settled_hz")
-                   if (value := anchor.get(key)) is not None}
-        if not targets:
-            raise src.error((i,), None,
-                            "has no targets: give nadir_hz or settled_hz")
-        for key, hz in targets.items():
-            if not 0 < hz < 2 * f_nominal:
-                raise src.error((i,), key, f"must lie between 0 and "
-                                f"{2 * f_nominal:g} Hz")
-        anchors.append((float(anchor["percent"]),
-                        *map(targets.get, ("nadir_hz", "settled_hz"))))
+    for i, item in enumerate(raw, start=1):
+        anchors.append(netmodel._record(src, analysis.Anchor, (i,), item))
+        problems = analysis.anchor_problems(anchors[-1], f_nominal)
+        if problems:
+            raise src.error((i,), *problems[0])
     return tuple(anchors)
 
 
@@ -427,8 +407,7 @@ def _cmd_calibrate(args) -> int:
     anchors = _load_anchors(args.anchors, model.f_nominal)
     params = analysis.calibrate(model, anchors)
     report = {
-        "anchors": [{"percent": p, "nadir_hz": n, "settled_hz": s}
-                    for p, n, s in anchors],
+        "anchors": netmodel._file_value(anchors),
         "params": {"r_droop": params.r_droop, "t_g_s": params.t_g,
                    "d": params.d},
         "objective_residual_hz2": params.objective_residual,
@@ -448,16 +427,8 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_feasibility(args) -> int:
     report = analysis.feasibility(args.mw, args.year)
-    doc = {
-        "attack_mw": report.attack_mw,
-        "year": report.year,
-        "total_flexibility_mw": report.total_flexibility_mw,
-        "feasible": report.feasible,
-        "margin_mw": report.margin_mw,
-        "sufficient_single_classes": list(report.sufficient_classes),
-        "share_of_national_demand_percent": report.demand_share_percent,
-    }
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(netmodel._file_value(report), indent=2,
+                     sort_keys=True))
     return EXIT_OK
 
 
@@ -478,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulation length override, s")
     common.add_argument("--reserves", default=None,
                         help="reserve preset override: "
-                        + " or ".join(_RESERVE_PRESETS))
+                        + " or ".join(p.value for p in ReservePreset))
     # a bus id when the value is digits; else the scenario check takes it
     common.add_argument("--target-bus", default=None,
                         type=lambda s: int(s) if s.isdecimal() else s,
@@ -527,15 +498,11 @@ def main(argv=None) -> int:
     try:
         _check_out_dir(getattr(args, "out_dir", None))  # before any run
         return _COMMANDS[args.command](args)
-    except powerflow.DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_POWERFLOW
-    except dynamics.InstabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return (EXIT_POWERFLOW if isinstance(exc, powerflow.DivergenceError)
+                else EXIT_UNSTABLE
+                if isinstance(exc, dynamics.InstabilityError) else EXIT_CONFIG)
     except Exception as exc:  # a bug: name it and where it was raised
         where = traceback.extract_tb(exc.__traceback__)[-1]
         print(f"internal error: {exc!r} at "

@@ -10,9 +10,9 @@ so attack magnitudes given in national MW are mapped through
 ``national_total_mw``.
 
 Case, scenario and anchor files have one reader here: ``read_json`` and
-``Source.checked`` raise ``ScenarioError`` at ``file:line (key ...)``, and
-the field types of a case file and of a scenario's attack section are the
-dataclass annotations (``_record``).
+``_record`` raise ``ScenarioError`` at ``file:line (key ...)``, and the
+field types of every input object are its record's dataclass annotations
+(``_record``; ``_file_value`` is the inverse).
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import (MISSING, asdict, dataclass, fields, is_dataclass,
-                         replace)
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import cache
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -302,7 +301,7 @@ def with_dynamic_params(model: NetworkModel, r_droop: float, t_g: float,
 def to_file(model: NetworkModel, path: str) -> None:
     """Write a model as a JSON case file mirroring the dataclass fields."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(model), fh, indent=2)
+        json.dump(_file_value(model), fh, indent=2)
         fh.write("\n")
 
 
@@ -357,16 +356,16 @@ def flag_error(flag: str, value, msg: str) -> ScenarioError:
     return ScenarioError(f"{flag} {shown}", None, None, msg)
 
 
+@dataclass(frozen=True)
 class Source:
     """An input as given: a JSON file's key lines (key_lines) and the flags
     that replace some of its values, {(where, key): (flag, value)}. where
     is a key path of key_lines: the keys and 1-based list-item numbers
     down to an object."""
 
-    def __init__(self, path: str, lines: dict, flags: dict | None = None):
-        self.path = path
-        self.lines = lines
-        self.flags = flags or {}
+    path: str
+    lines: dict
+    flags: dict
 
     def error(self, where: tuple, key: str | None, msg: str) -> ScenarioError:
         """msg placed at the flag that set key of the object at where, else
@@ -379,38 +378,6 @@ class Source:
         if len(where) == 1 and isinstance(where[0], int):
             msg = f"anchor {where[0]}: {msg}"
         return ScenarioError(self.path, key, line, msg)
-
-    def checked(self, where: tuple, obj, allowed: dict,
-                required: tuple = ()) -> dict:
-        """The object obj at where with its flags applied, once it has its
-        required keys, only allowed keys (key -> type or tuple of types),
-        values of their keys' types (booleans are not numbers) and only
-        numbers that are finite floats."""
-        if not isinstance(obj, dict):
-            if len(where) > 1:  # an item of the list at key where[-2]
-                raise self.error(where[:-2], where[-2],
-                                 f"item {where[-1]}: expected an object")
-            raise self.error(where, None, "expected an object")
-        obj = {**obj, **{key: value for (at, key), (_, value)
-                         in self.flags.items() if at == where}}
-        for key in required:
-            if key not in obj:
-                raise self.error(where, key, "missing required key")
-        for key, value in obj.items():
-            if key not in allowed:
-                raise self.error(where, key, "unknown key")
-            expected = allowed[key]
-            if isinstance(value, bool) or not isinstance(value, expected):
-                want = expected.__name__ if isinstance(expected, type) else \
-                    "/".join(t.__name__ for t in expected)
-                raise self.error(where, key, f"expected {want}, got {value!r}")
-            # json accepts NaN, Infinity, 1e999 and integers of any size;
-            # the comparison is exact for ints and false for NaN
-            if isinstance(value, (int, float)) \
-                    and not abs(value) <= sys.float_info.max:
-                raise self.error(where, key,
-                                 f"expected a finite number, got {value!r}")
-        return obj
 
 
 def read_json(path: str, flags: dict | None = None):
@@ -430,7 +397,7 @@ def read_json(path: str, flags: dict | None = None):
     lines, duplicate = key_lines(text)
     if duplicate:
         raise ScenarioError(path, *duplicate, "duplicate key")
-    return Source(path, lines, flags), doc
+    return Source(path, lines, flags or {}), doc
 
 
 def _json_types(hint) -> tuple:
@@ -453,22 +420,48 @@ def _json_types(hint) -> tuple:
 _type_hints = cache(get_type_hints)
 
 
+def _file_keys(cls) -> dict:
+    """A record type's fields by file key: metadata "key", else name."""
+    return {f.metadata.get("key", f.name): f for f in fields(cls)}
+
+
 def _record(src: Source, cls, where: tuple, obj):
-    """The dataclass cls read from obj, the object at where. A field's file
-    key is its metadata "key", else its name, and a field without a default
-    is required. Each value is checked against its field's annotation
-    (_json_types) and converted: an int to a float, a string to its enum
-    member, an object or a list to records. Every field that may be None
-    defaults to None, so a null reads as the key left out."""
+    """The dataclass cls read from obj, the object at where, with its flags
+    applied. A field without a default is required. A value must be of its
+    field's JSON types (_json_types; a bool is no number), a number finite,
+    and is converted: an int to a float, a string to its enum member, an
+    object or a list to records. Every field that may be None defaults to
+    None, so a null reads as the key left out."""
+    if not isinstance(obj, dict):
+        if len(where) > 1:  # an item of the list at key where[-2]
+            raise src.error(where[:-2], where[-2],
+                            f"item {where[-1]}: expected an object")
+        raise src.error(where, None, "expected an object")
+    obj = {**obj, **{key: value for (at, key), (_, value)
+                     in src.flags.items() if at == where}}
     hints = _type_hints(cls)
-    by_key = {f.metadata.get("key", f.name): f for f in fields(cls)}
-    allowed = {key: _json_types(hints[f.name]) for key, f in by_key.items()}
-    obj = src.checked(where, obj, allowed, required=tuple(
-        key for key, f in by_key.items() if f.default is MISSING))
+    by_key = _file_keys(cls)
+    for key, f in by_key.items():
+        if f.default is MISSING and key not in obj:
+            raise src.error(where, key, "missing required key")
+    for at, _ in src.flags:  # a flag sets a key of an object left out
+        if len(at) > len(where) and at[:len(where)] == where:
+            obj.setdefault(at[len(where)], {})
     values = {}
     for key, value in obj.items():
-        name = by_key[key].name
-        hint = hints[name]
+        if key not in by_key:
+            raise src.error(where, key, "unknown key")
+        hint = hints[name := by_key[key].name]
+        expected = _json_types(hint)
+        if isinstance(value, bool) or not isinstance(value, expected):
+            raise src.error(where, key, "expected {}, got {!r}".format(
+                "/".join(t.__name__ for t in expected), value))
+        # json accepts NaN, Infinity, 1e999 and integers of any size;
+        # the comparison is exact for ints and false for NaN
+        if isinstance(value, (int, float)) \
+                and not abs(value) <= sys.float_info.max:
+            raise src.error(where, key,
+                            f"expected a finite number, got {value!r}")
         if get_origin(hint) is tuple:
             value = tuple(
                 _record(src, get_args(hint)[0], (*where, key, i), item)
@@ -482,10 +475,21 @@ def _record(src: Source, cls, where: tuple, obj):
                 raise src.error(where, key, (
                     f"unknown {name.replace('_', ' ')} {value!r}; expected "
                     f"one of {[m.value for m in hint]}")) from None
-        elif float in allowed[key] and isinstance(value, int):
+        elif isinstance(value, int) and float in expected:
             value = float(value)
         values[name] = value
     return cls(**values)
+
+
+def _file_value(value):
+    """The inverse of _record: value as a file gives it, a record as its
+    object under its file keys, a tuple as a list, an enum as its value."""
+    if is_dataclass(value):
+        return {key: _file_value(getattr(value, f.name))
+                for key, f in _file_keys(type(value)).items()}
+    if isinstance(value, tuple):
+        return [_file_value(item) for item in value]
+    return value.value if isinstance(value, enum.Enum) else value
 
 
 def from_file(path: str) -> NetworkModel:

@@ -274,7 +274,8 @@ def test_calibrate_settled_only_anchor(model, monkeypatch):
     for owner, name in ((powerflow, "solve"), (dynamics, "solve_pf")):
         monkeypatch.setattr(owner, name,
                             lambda m: solves.append(m) or solve(m))
-    cal = analysis.calibrate(model, anchors=((12.0, None, 49.8),))
+    cal = analysis.calibrate(model,
+                             anchors=(analysis.Anchor(12.0, settled_hz=49.8),))
     assert solves == [model]
     assert (cal.r_droop, cal.t_g, cal.d) == (0.065, 5.0, 0.0625)
     assert cal.objective_residual == 2.9227508903054347e-07
@@ -287,13 +288,27 @@ def test_calibrate_settled_only_anchor(model, monkeypatch):
     assert 24.0 <= composite_gain <= 33.0
 
 
-def test_calibrate_anchor_validation(model):
-    with pytest.raises(ValueError):
-        analysis.calibrate(model, anchors=())
-    with pytest.raises(ValueError):
-        analysis.calibrate(model, anchors=((12.0, None, None),))
-    with pytest.raises(ValueError):
-        analysis.calibrate(model, anchors=((12.0, 49.17),))
+def test_calibrate_anchor_validation(model, monkeypatch):
+    """Anchors that the anchor file check rejects raise ValueError from
+    calibrate too, naming each problem, before any run."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(analysis, "_grid_anchor_errors", no_run)
+    Anchor = analysis.Anchor
+    for anchors, message in [
+            ((), "need at least one calibration anchor"),
+            ((Anchor(12.0),),
+             "anchor 1: has no targets: give nadir_hz or settled_hz"),
+            ((Anchor(150.0, 49.0),), "anchor 1: percent must not exceed "
+             "100, the scheduled generation"),
+            ((Anchor(12.0, settled_hz=49.8), Anchor(8.0, 49.0, 100.0)),
+             "anchor 2: settled_hz must lie between 0 and 100 Hz"),
+            ((Anchor(0.0, -1.0),), "anchor 1: percent must be positive; "
+             "anchor 1: nadir_hz must lie between 0 and 100 Hz")]:
+        with pytest.raises(ValueError) as exc:
+            analysis.calibrate(model, anchors=anchors)
+        assert str(exc.value) == message
 
 
 def test_grid_stage_matches_scalar_objective(model):
@@ -311,11 +326,11 @@ def test_grid_stage_matches_scalar_objective(model):
     for lane, params in enumerate(candidates):
         tuned = netmodel.with_dynamic_params(model, *params)
         scalar = 0.0
-        for percent, nadir_target, settled_target in anchors:
+        for anchor in anchors:
             mx = analysis.metrics(dynamics.simulate(
-                tuned, attack(tuned, magnitude_percent=percent), cfg))
-            scalar += (mx.nadir_hz - nadir_target) ** 2
-            scalar += (mx.settled_f_hz - settled_target) ** 2
+                tuned, attack(tuned, magnitude_percent=anchor.percent), cfg))
+            scalar += (mx.nadir_hz - anchor.nadir_hz) ** 2
+            scalar += (mx.settled_f_hz - anchor.settled_hz) ** 2
         assert grid[lane] == scalar
         assert analysis._anchor_error(tuned, anchors, cfg) == scalar
         assert analysis._anchor_error(tuned, anchors, cfg, pf) == scalar

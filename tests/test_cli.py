@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gridswing import analysis, attacks, cli, dynamics, netmodel, powerflow
+from gridswing import (analysis, attacks, cli, dynamics, netmodel, powerflow,
+                       reserves)
 
 HEADER = ("t_s,f_coi_hz,f_gen1_hz,f_gen2_hz,f_gen3_hz,"
           "p_attack_pu,p_reserve_up_pu,p_reserve_down_pu")
@@ -142,15 +143,24 @@ def test_attack_problem_names_its_key_and_line(tmp_path, capsys, attack, key,
         f"error: {scn}:{line_of(scn, key)} (key {key!r}): {msg}\n"
 
 
-@pytest.mark.parametrize("key", ["magnitude_mw", "target_bus", "t1",
-                                 "interval", "count"])
-def test_null_attack_key_reads_as_left_out(tmp_path, key):
-    """A null for an attack field that defaults to None gives the trace
-    and report of the scenario without the key."""
+@pytest.mark.parametrize("section, key", [
+    pytest.param(section, key, id=key) for section, keys in (
+        ("attack", ["magnitude_mw", "target_bus", "t1", "interval", "count"]),
+        ("system", ["national_total_mw", "dt_s", "duration_s"]),
+        ("output", ["trace_csv", "report_json"])) for key in keys])
+def test_null_attack_key_reads_as_left_out(tmp_path, section, key):
+    """A null for a field of any section that defaults to None gives the
+    trace and report of the scenario without the key."""
     runs = []
-    for stem, attack in (("null", {key: None}), ("absent", {})):
-        scn = write_scenario(tmp_path, f"{stem}.scn", attack=attack,
-                             system={"duration_s": 2.0})
+    for stem in ("null", "absent"):
+        doc = {"system": {"duration_s": 2.0}, "output": {},
+               "attack": {"family": "static", "type": "DI",
+                          "magnitude_percent": 8.0}}
+        if stem == "null":
+            doc[section][key] = None
+        else:
+            doc[section].pop(key, None)
+        scn = write_scenario(tmp_path, f"{stem}.scn", raw=doc)
         assert cli.main(["simulate", scn, "--out-dir", str(tmp_path)]) == 0
         report = json.loads((tmp_path / f"{stem}_report.json").read_text())
         del report["config"]["output"]
@@ -192,6 +202,22 @@ def test_flag_replaces_the_file_value_before_it_is_checked(tmp_path):
         scn, {"--dt": 0.05, "--reserves": "default", "--target-bus": 5})
     assert (sim.dt, config["system"]["reserves"], scenario.target_bus) == \
         (0.05, "default", 5)
+
+
+def test_flag_sets_a_key_of_a_section_the_file_leaves_out(tmp_path,
+                                                          capsys):
+    """A file without a system section takes --dt, --duration and
+    --reserves as if it had one, and a bad flag value is named at the
+    flag."""
+    scn = write_scenario(tmp_path, raw={"attack": {
+        "family": "static", "type": "DI", "magnitude_percent": 8.0}})
+    _, _, sim, _, config, _ = cli.parse_scenario(
+        scn, {"--dt": 0.02, "--duration": 4.0, "--reserves": "default"})
+    assert (sim.dt, sim.duration, config["system"]["reserves"]) == \
+        (0.02, 4.0, "default")
+    assert sim.reserves == reserves.default_products()
+    assert cli.main(["simulate", scn, "--dt", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --dt -1: must be positive\n"
 
 
 @pytest.mark.parametrize("family", ["periodic", "combination"])
@@ -290,10 +316,10 @@ JSON_VALUES = st.one_of(
     st.sampled_from([0, 0.0, -1.0, 0.015, 10 ** 400, -10 ** 400, "static",
                      "switching", "periodic", "combination", "SR", "largest",
                      "slope", "default"]))
-SECTIONS = {"system": cli._SYSTEM_KEYS,
-            "attack": [f.metadata.get("key", f.name)
-                       for f in dataclasses.fields(attacks.AttackScenario)],
-            "output": cli._OUTPUT_KEYS}
+# Each section's file keys, as the reader takes them from its record.
+SCENARIO_HINTS = typing.get_type_hints(cli.Scenario)
+SECTIONS = {name: list(netmodel._file_keys(SCENARIO_HINTS[f.name]))
+            for name, f in netmodel._file_keys(cli.Scenario).items()}
 # A usable value per key, so that the later checks are reached too.
 USABLE = {"model": "wscc9", "national_total_mw": 17500.0, "dt_s": 0.01,
           "duration_s": 5.0, "reserves": "off", "family": "periodic",
@@ -331,7 +357,7 @@ def scenario_docs(draw):
 FLAG_VALUES = st.fixed_dictionaries({}, optional={
     "--dt": st.one_of(st.just(0.005), st.floats()),
     "--duration": st.one_of(st.just(4.0), st.floats()),
-    "--reserves": st.sampled_from(cli._RESERVE_PRESETS),
+    "--reserves": st.sampled_from([p.value for p in cli.ReservePreset]),
     "--target-bus": st.one_of(st.sampled_from([5, "largest"]), st.integers(),
                               st.text(max_size=4))})
 
@@ -346,6 +372,50 @@ def test_parse_scenario_fuzz(tmp_path, doc, flags):
         cli.parse_scenario(str(path), flags)
     except netmodel.ScenarioError as exc:
         assert str(exc).startswith((str(path), *(f"{f} " for f in flags)))
+
+
+ANCHOR_KEYS = list(netmodel._file_keys(analysis.Anchor))
+
+
+@st.composite
+def anchor_docs(draw):
+    """Up to three usable anchors, some target left out, then up to four
+    keys of them, known or not, removed or set to any JSON value; one draw
+    in eight is any JSON value instead."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(JSON_VALUES)
+    usable = {"percent": 12.0, "nadir_hz": 49.2, "settled_hz": 49.8}
+    doc = [{key: value for key, value in usable.items()
+            if key == "percent" or draw(st.booleans())}
+           for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 4))):
+        anchor = draw(st.sampled_from(doc))
+        key = draw(st.sampled_from([*ANCHOR_KEYS, "colour"]))
+        if draw(st.booleans()):
+            anchor.pop(key, None)
+        else:
+            anchor[key] = draw(st.one_of(st.floats(-1.0, 120.0),
+                                         JSON_VALUES))
+    return doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=anchor_docs())
+def test_load_anchors_fuzz(tmp_path, doc):
+    """Any anchor document ends in usable Anchor records or in a
+    ScenarioError at the file; no calibration runs."""
+    path = tmp_path / "anchors.json"
+    path.write_text(json.dumps(doc))
+    try:
+        anchors = cli._load_anchors(str(path), 50.0)
+    except netmodel.ScenarioError as exc:
+        assert str(exc).startswith(str(path))
+    else:
+        assert type(anchors) is tuple and anchors
+        for anchor in anchors:
+            assert type(anchor) is analysis.Anchor
+            assert analysis.anchor_problems(anchor, 50.0) == []
 
 
 def test_key_line_is_found_in_its_section(tmp_path, capsys):
@@ -854,8 +924,8 @@ def test_unknown_reserve_preset(tmp_path, capsys):
     scn = write_scenario(tmp_path, system={"reserves": "lots"})
     assert cli.main(["simulate", scn]) == 2
     assert capsys.readouterr().err == (
-        f"error: {scn}:4 (key 'reserves'): expected one of "
-        "('off', 'default')\n")
+        f"error: {scn}:4 (key 'reserves'): unknown reserve preset 'lots'; "
+        "expected one of ['off', 'default']\n")
 
 
 def test_instability_exit_code_and_no_partial_artifacts(tmp_path, capsys):
@@ -1076,15 +1146,28 @@ def test_sweep_requires_exactly_one_mode(tmp_path):
     assert cli.main(["sweep", scn, "--magnitudes", "4", "--timings", "3"]) == 2
 
 
-def test_calibrate_with_anchor_file(tmp_path, capsys):
+def test_calibrate_with_anchor_file(tmp_path, capsys, monkeypatch):
+    """An anchor file reaches calibrate as Anchor records, an int percent
+    as a float, and the report echoes them; a stub runs no grid (the fit
+    of this anchor is test_calibrate_settled_only_anchor's)."""
+    seen = []
+
+    def fit(model, given):
+        seen.append(given)
+        return analysis.CalibratedParams(0.065, 5.0, 0.0625, 2.9e-07, False)
+
+    monkeypatch.setattr(analysis, "calibrate", fit)
     anchors = tmp_path / "anchors.json"
-    anchors.write_text(json.dumps([{"percent": 12.0, "settled_hz": 49.8}]))
+    anchors.write_text(json.dumps([{"percent": 12, "settled_hz": 49.8}]))
     rc = cli.main(["calibrate", "--anchors", str(anchors),
                    "--out-dir", str(tmp_path)])
     assert rc == 0
+    assert seen == [(analysis.Anchor(12.0, None, 49.8),)]
+    assert type(seen[0][0].percent) is float
     doc = json.loads((tmp_path / "calibrated_params.json").read_text())
+    assert doc["anchors"] == [
+        {"percent": 12.0, "nadir_hz": None, "settled_hz": 49.8}]
     assert doc["quality_warning"] is False
-    assert 0.02 <= doc["params"]["r_droop"] <= 0.08
     assert capsys.readouterr().err == ""  # no warning on a clean fit
 
 
@@ -1109,8 +1192,7 @@ def test_calibrate_presets_and_quality_warning(tmp_path, capsys, monkeypatch,
     assert seen == [anchors]
     path = tmp_path / "calibrated_params.json"
     doc = json.loads(path.read_text())
-    assert [(a["percent"], a["nadir_hz"], a["settled_hz"])
-            for a in doc["anchors"]] == list(anchors)
+    assert [analysis.Anchor(**a) for a in doc["anchors"]] == list(anchors)
     assert doc["quality_warning"] is warned
     out, err = capsys.readouterr()
     assert out == ("r_droop 0.05, t_g 2 s, d 0.5; residual 0.2500 Hz^2\n"
@@ -1232,28 +1314,40 @@ README_TYPES = {"string": (str,), "number": (int, float), "integer": (int,),
                 "null": (type(None),)}
 
 
+# The record behind each key table of the README's scenario section.
+README_RECORDS = {"system": cli.SystemSection,
+                  "attack": attacks.AttackScenario,
+                  "output": cli.OutputSection, "anchor": analysis.Anchor}
+
+
 def test_readme_scenario_section_matches_the_reader(tmp_path):
-    """The README's scenario example parses, and its attack-key table holds
-    exactly AttackScenario's file keys, each with the reader's JSON types
-    and required flag."""
+    """The README's scenario example parses, and each of its key tables
+    (headed "| <name> key | JSON type | meaning |") holds exactly its
+    record's file keys, each with the reader's JSON types and required
+    flag."""
     here = os.path.dirname(os.path.abspath(__file__))
     with open(os.path.join(here, "..", "README.md"), encoding="utf-8") as fh:
         section = fh.read().split("## Scenario files")[1].split("\n## ")[0]
     scn = tmp_path / "readme.scn"
     scn.write_text(re.search(r"```json\n(.*?)```", section, re.S).group(1))
     cli.parse_scenario(str(scn))
-    documented = {}
-    for key, types in re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section,
-                                 re.M):
-        words = re.findall(r"\w+", types)
-        documented[key] = ({t for w in words for t in README_TYPES.get(w, ())},
-                           "required" in words)
-    hints = typing.get_type_hints(attacks.AttackScenario)
-    assert documented == {
-        f.metadata.get("key", f.name): (
-            set(netmodel._json_types(hints[f.name])),
-            f.default is dataclasses.MISSING)
-        for f in dataclasses.fields(attacks.AttackScenario)}
+    tables = re.split(r"^\| (\w+) key \| JSON type \| meaning \|$", section,
+                      flags=re.M)[1:]
+    assert sorted(tables[::2]) == sorted(README_RECORDS)
+    for name, text in zip(tables[::2], tables[1::2]):
+        documented = {}
+        for key, types in re.findall(r"^\| `(\w+)` \| ([^|]+) \|",
+                                     text.split("\n\n")[0], re.M):
+            words = re.findall(r"\w+", types)
+            documented[key] = (
+                {t for w in words for t in README_TYPES.get(w, ())},
+                "required" in words)
+        record = README_RECORDS[name]
+        hints = typing.get_type_hints(record)
+        assert documented == {
+            key: (set(netmodel._json_types(hints[f.name])),
+                  f.default is dataclasses.MISSING)
+            for key, f in netmodel._file_keys(record).items()}, name
 
 
 def test_shipped_switching_scenario_runs(tmp_path):
