@@ -302,8 +302,9 @@ def _grid_anchor_errors(model, anchors, candidates,
     nadir and of the final (settled) COI frequency against the targets
     that are given. The candidates run as lanes of the lockstep integrator
     behind dynamics.simulate, one batched run per anchor, and each lane's
-    error equals the candidate's _anchor_error, bit for bit. A lane that
-    the integrator marks as tripped scores inf, as its scalar run would.
+    error equals, bit for bit, the sum formed from the candidate's own
+    simulate run and metrics. A lane that the integrator marks as tripped
+    scores inf, as its simulate run would raise InstabilityError.
 
     The lanes are scored by _scored_in_forks over pf, the model's power
     flow, solved here when not given: a lane's bits do not depend on its
@@ -396,23 +397,13 @@ def _lane_errors(lanes, model, anchors, pf, config) -> np.ndarray:
     return errors
 
 
-def _anchor_error(model, anchors, config,
-                  pf: powerflow.PowerFlowSolution | None = None) -> float:
-    """The calibration objective of model alone, each anchor one
-    dynamics.simulate run over pf (solved per run when not given)."""
-    err = 0.0
-    for anchor in anchors:
-        try:
-            tr = dynamics.simulate(
-                model, _anchor_schedule(model, anchor.percent), config, pf)
-        except dynamics.InstabilityError:
-            return float("inf")
-        mx = metrics(tr)
-        if anchor.nadir_hz is not None:
-            err += (mx.nadir_hz - anchor.nadir_hz) ** 2
-        if anchor.settled_hz is not None:
-            err += (mx.settled_f_hz - anchor.settled_hz) ** 2
-    return err
+def _next_candidate(point, axis, sign, step):
+    """The refinement's candidate from point: point moved by sign * step
+    along axis, clamped to the search box."""
+    lo, hi = tuple(CALIBRATION_BOUNDS.values())[axis]
+    cand = list(point)
+    cand[axis] = min(max(cand[axis] + sign * step, lo), hi)
+    return tuple(cand)
 
 
 def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
@@ -422,11 +413,13 @@ def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
     raises ValueError, naming each, before a run. Stage one scores a list
     of 9 x 9 x 5 (r_droop, t_g, d) candidates over the search box as 405
     lanes of one lockstep integrator run per anchor, and its best point is
-    the incumbent. Stage two reruns the incumbent and then runs three
-    rounds of coordinate halving around it through dynamics.simulate,
-    the same integrator with one lane, which also provides the reported
-    residual. Deterministic throughout: no randomness, fixed evaluation
-    order.
+    the incumbent. Stage two runs three rounds of coordinate halving
+    around it: each axis in turn tries a half step down, then up, and
+    moves where the error drops by more than 1e-15. Before a round, every
+    point it could try, whichever of its tries are taken, is scored by
+    _grid_anchor_errors as one batch of lanes (a lane's bits do not depend
+    on its batch), and the round replays the rule on those errors.
+    Deterministic throughout: no randomness, fixed evaluation order.
     """
     anchors = tuple(anchors)
     if not anchors:
@@ -438,37 +431,38 @@ def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
         raise ValueError("; ".join(problems))
 
     config = dynamics.SimConfig()
-    # the grid and every refinement run share one power flow, which no
-    # governor or damping setting enters
+    # every batch shares one power flow, which no governor or damping
+    # setting enters
     pf = powerflow.solve(model)
-
-    def objective(r, tg, d):
-        return _anchor_error(with_dynamic_params(model, r, tg, d),
-                             anchors, config, pf)
+    score = partial(_grid_anchor_errors, model, anchors, dt=config.dt,
+                    duration=config.duration, pf=pf)
 
     axes = [np.linspace(lo, hi, n).tolist()
             for (lo, hi), n in zip(CALIBRATION_BOUNDS.values(), (9, 9, 5))]
     grid = list(itertools.product(*axes))
-    errors = _grid_anchor_errors(model, anchors, grid, dt=config.dt,
-                                 duration=config.duration, pf=pf)
-    current = list(grid[int(np.argmin(errors))])
-    best_err = objective(*current)
+    errors = score(grid)
+    flat = int(np.argmin(errors))
+    current = grid[flat]
+    scored = {current: float(errors[flat])}
 
     steps = [values[1] - values[0] for values in axes]
-    lows, highs = zip(*CALIBRATION_BOUNDS.values())
     for _ in range(3):
-        for axis in range(3):
-            steps[axis] *= 0.5
-            for sign in (-1.0, 1.0):
-                cand = list(current)
-                cand[axis] = min(max(cand[axis] + sign * steps[axis],
-                                     lows[axis]), highs[axis])
-                if cand == current:
-                    continue
-                err = objective(*cand)
-                if err < best_err - 1e-15:
-                    current, best_err = cand, err
+        steps = [step * 0.5 for step in steps]
+        moves = [(axis, sign, step) for axis, step in enumerate(steps)
+                 for sign in (-1.0, 1.0)]
+        reach = {current}
+        for move in moves:
+            reach |= {_next_candidate(point, *move) for point in reach}
+        new = sorted(reach - scored.keys())
+        scored.update(zip(new, score(new).tolist()))
+        # a candidate the clamp leaves at current is never taken, as its
+        # error cannot beat its own
+        for move in moves:
+            cand = _next_candidate(current, *move)
+            if scored[cand] < scored[current] - 1e-15:
+                current = cand
 
+    best_err = scored[current]
     return CalibratedParams(
         r_droop=current[0], t_g=current[1], d=current[2],
         objective_residual=best_err,

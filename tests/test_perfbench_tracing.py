@@ -8,6 +8,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 from gridswing import analysis, attacks, dynamics, netmodel, powerflow
 from criteria import attack
 from forking import requires_fork, run_forking
@@ -74,6 +76,32 @@ def test_tracer_counts_candidate_lanes_and_their_steps(model):
     assert out["analysis._grid_anchor_errors.calls"] == 1
     assert out["analysis._grid_anchor_errors.lanes"] == 2
     assert tracer.lane_steps() == 20
+
+
+def test_tracer_counts_every_lane_of_a_calibration(model, monkeypatch):
+    """A calibration is one grid call and one call per halving round, and
+    runs no simulate. Under an objective whose best point is the box's
+    corner, as the default anchors' is, each round scores 7 lanes: 426
+    lanes of 4000 steps for the one default anchor."""
+    def beyond_the_corner(lanes, model, anchors, pf, config):
+        gens = [lane.generators[0] for lane in lanes]
+        return np.array([(g.governor.r_droop - 1.0) ** 2
+                         + (g.governor.t_g - 9.0) ** 2 + (g.d + 1.0) ** 2
+                         for g in gens])
+
+    monkeypatch.setattr(analysis, "_lane_errors", beyond_the_corner)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cal = analysis.calibrate(model)
+    finally:
+        tracer.uninstall()
+    assert (cal.r_droop, cal.t_g, cal.d) == (0.08, 5.0, 0.0)
+    out = tracer.metrics()
+    assert out["analysis._grid_anchor_errors.calls"] == 1 + 3
+    assert out["analysis._grid_anchor_errors.lanes"] == 405 + 21
+    assert out["dynamics.simulate.calls"] == 0
+    assert tracer.lane_steps() == 426 * 4000
 
 
 @requires_fork
