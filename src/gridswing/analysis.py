@@ -406,6 +406,22 @@ def _next_candidate(point, axis, sign, step):
     return tuple(cand)
 
 
+def _moves(steps):
+    """A refinement round's tries, in order: each axis a step down, then
+    up, by its step of steps."""
+    return [(axis, sign, step) for axis, step in enumerate(steps)
+            for sign in (-1.0, 1.0)]
+
+
+def _reach(point, steps):
+    """Every point a round of these steps from point could try, whichever
+    of its tries are taken, and point itself."""
+    reach = {point}
+    for move in _moves(steps):
+        reach |= {_next_candidate(p, *move) for p in reach}
+    return reach
+
+
 def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
     """Fit governor droop, servo constant and damping to response anchors.
 
@@ -415,11 +431,15 @@ def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
     lanes of one lockstep integrator run per anchor, and its best point is
     the incumbent. Stage two runs three rounds of coordinate halving
     around it: each axis in turn tries a half step down, then up, and
-    moves where the error drops by more than 1e-15. Before a round, every
-    point it could try, whichever of its tries are taken, is scored by
-    _grid_anchor_errors as one batch of lanes (a lane's bits do not depend
-    on its batch), and the round replays the rule on those errors.
-    Deterministic throughout: no randomness, fixed evaluation order.
+    moves where the error drops by more than 1e-15. Before a round that
+    could try a point not yet scored, every point this round and each
+    later one could try from the incumbent (_reach), whichever of its
+    tries are taken, is scored by _grid_anchor_errors as one batch of
+    lanes, on the guess that the incumbent stays (a lane's bits do not
+    depend on its batch), and each round replays the rule on those
+    errors. So the refinement is one batch unless a round moves the
+    incumbent, and at most three. Deterministic throughout: no
+    randomness, fixed evaluation order.
     """
     anchors = tuple(anchors)
     if not anchors:
@@ -445,19 +465,20 @@ def calibrate(model: NetworkModel, anchors=DEFAULT_ANCHORS) -> CalibratedParams:
     current = grid[flat]
     scored = {current: float(errors[flat])}
 
-    steps = [values[1] - values[0] for values in axes]
-    for _ in range(3):
-        steps = [step * 0.5 for step in steps]
-        moves = [(axis, sign, step) for axis, step in enumerate(steps)
-                 for sign in (-1.0, 1.0)]
-        reach = {current}
-        for move in moves:
-            reach |= {_next_candidate(point, *move) for point in reach}
-        new = sorted(reach - scored.keys())
-        scored.update(zip(new, score(new).tolist()))
+    # each round halves the last one's steps, the first the grid's spacing
+    # (a power of two scales a float exactly)
+    rounds = [[(values[1] - values[0]) * 0.5 ** k for values in axes]
+              for k in (1, 2, 3)]
+    for r, steps in enumerate(rounds):
+        if _reach(current, steps) - scored.keys():
+            # speculate that current stays for this round and every later
+            new = sorted(set().union(*(_reach(current, later)
+                                       for later in rounds[r:]))
+                         - scored.keys())
+            scored.update(zip(new, score(new).tolist()))
         # a candidate the clamp leaves at current is never taken, as its
         # error cannot beat its own
-        for move in moves:
+        for move in _moves(steps):
             cand = _next_candidate(current, *move)
             if scored[cand] < scored[current] - 1e-15:
                 current = cand

@@ -95,6 +95,12 @@ _FLAG_KEYS = {
 }
 
 
+def _file_key(cls, name: str) -> str:
+    """The file key of the field name of record type cls."""
+    return next(key for key, f in netmodel._file_keys(cls).items()
+                if f.name == name)
+
+
 def parse_scenario(path: str, flags: dict | None = None):
     """Read a scenario file as a Scenario, its values replaced by flags
     (flag -> value, the flags of _FLAG_KEYS), and validate it once.
@@ -105,9 +111,9 @@ def parse_scenario(path: str, flags: dict | None = None):
     "config" section, every key resolved to the value the run uses, and
     source the netmodel.Source that places later diagnostics. Raises
     netmodel.ScenarioError at the flag that set a bad value, else at the
-    file's line and key: an attack problem at the key validate_scenario
-    names, a case-file problem or a machine dispatched outside [0, p_max]
-    at system.model.
+    file's line and key: a system or attack problem at the file key of the
+    field that system_problems or validate_scenario names, a case-file
+    problem or a machine dispatched outside [0, p_max] at system.model.
     """
     src, doc = netmodel.read_json(path, {
         _FLAG_KEYS[f]: (f, value) for f, value in (flags or {}).items()})
@@ -115,7 +121,8 @@ def parse_scenario(path: str, flags: dict | None = None):
     system, scenario = read.system, read.attack
     problems = system_problems(system)
     if problems:
-        raise src.error(("system",), *problems[0])
+        name, msg = problems[0]
+        raise src.error(("system",), _file_key(SystemSection, name), msg)
     try:
         sim = dynamics.SimConfig(reserves=(
             reserves.default_products()
@@ -137,7 +144,8 @@ def parse_scenario(path: str, flags: dict | None = None):
 
     problems = attacks.validate_scenario(model, scenario)
     if problems:
-        raise src.error(("attack",), problems[0][0],
+        raise src.error(("attack",),
+                        _file_key(attacks.AttackScenario, problems[0][0]),
                         "; ".join(msg for _, msg in problems))
     # More cycles than step boundaries cannot each land on a boundary of
     # their own, and compile_scenario makes two transitions per cycle
@@ -418,9 +426,18 @@ def _cmd_calibrate(args) -> int:
     print(f"r_droop {params.r_droop:g}, t_g {params.t_g:g} s, d {params.d:g}; "
           f"residual {params.objective_residual:.4f} Hz^2")
     if params.quality_warning:
-        print("warning: calibration residual exceeds the quality threshold; "
-              "anchors are not reproducible inside the search bounds",
-              file=sys.stderr)
+        per_anchor = analysis.RESIDUAL_WARN_PER_ANCHOR
+        edges = [  # each fitted parameter the search box holds back
+            f"{key} {value:g}{unit} ({'upper' if value == hi else 'lower'})"
+            for (key, (lo, hi)), unit in zip(
+                analysis.CALIBRATION_BOUNDS.items(), ("", " s", ""))
+            if (value := getattr(params, key)) in (lo, hi)]
+        print(f"warning: calibration residual {params.objective_residual:.4f} "
+              f"Hz^2 exceeds the quality threshold "
+              f"{per_anchor * len(anchors):.4f} Hz^2 ({per_anchor:g} per "
+              f"anchor x {len(anchors)}); " + (
+                  "on a search bound: " + ", ".join(edges) if edges
+                  else "no parameter on a search bound"), file=sys.stderr)
     print(f"report: {path}")
     return EXIT_OK
 

@@ -143,6 +143,24 @@ def test_attack_problem_names_its_key_and_line(tmp_path, capsys, attack, key,
         f"error: {scn}:{line_of(scn, key)} (key {key!r}): {msg}\n"
 
 
+@pytest.mark.parametrize("check, field, key, system", [
+    ("attacks.validate_scenario", "attack_type", "type", {}),
+    ("cli.system_problems", "reserve_preset", "reserves",
+     {"reserves": "off"}),
+], ids=["attack_type", "reserve_preset"])
+def test_section_problem_lands_at_its_file_key(tmp_path, capsys, monkeypatch,
+                                               check, field, key, system):
+    """A problem that a section's check names by a field whose file key
+    differs lands at that key's line, not at the section's brace."""
+    module, name = check.split(".")
+    monkeypatch.setattr({"attacks": attacks, "cli": cli}[module], name,
+                        lambda *args: [(field, f"{field} is wrong")])
+    scn = write_scenario(tmp_path, system=system)
+    assert cli.main(["simulate", scn]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {scn}:{line_of(scn, key)} (key {key!r}): {field} is wrong\n"
+
+
 @pytest.mark.parametrize("section, key", [
     pytest.param(section, key, id=key) for section, keys in (
         ("attack", ["magnitude_mw", "target_bus", "t1", "interval", "count"]),
@@ -1178,8 +1196,8 @@ def test_calibrate_with_anchor_file(tmp_path, capsys, monkeypatch):
 def test_calibrate_presets_and_quality_warning(tmp_path, capsys, monkeypatch,
                                                spec, anchors, warned):
     """Each --anchors preset reaches calibrate as its anchors, and a fit
-    past the residual threshold warns on stderr, from a stub that runs no
-    grid."""
+    past the residual threshold warns on stderr, naming the residual and
+    the threshold, from a stub that runs no grid."""
     seen = []
 
     def fit(model, given):
@@ -1197,9 +1215,29 @@ def test_calibrate_presets_and_quality_warning(tmp_path, capsys, monkeypatch,
     out, err = capsys.readouterr()
     assert out == ("r_droop 0.05, t_g 2 s, d 0.5; residual 0.2500 Hz^2\n"
                    f"report: {path}\n")
-    assert err == ("warning: calibration residual exceeds the quality "
-                   "threshold; anchors are not reproducible inside the "
-                   "search bounds\n" if warned else "")
+    assert err == ("warning: calibration residual 0.2500 Hz^2 exceeds the "
+                   "quality threshold 0.0100 Hz^2 (0.01 per anchor x 1); no "
+                   "parameter on a search bound\n" if warned else "")
+
+
+def test_calibrate_warning_names_each_parameter_on_a_bound(
+        tmp_path, capsys, monkeypatch):
+    """The warning of a fit held on the edges of the search box, as the
+    default anchors' is, names each such parameter and its edge, and the
+    threshold scales with the number of anchors."""
+    monkeypatch.setattr(analysis, "calibrate", lambda model, given: (
+        analysis.CalibratedParams(0.08, 5.0, 0.0, 0.04431508330697249, True)))
+    anchors = tmp_path / "anchors.json"
+    anchors.write_text(json.dumps([{"percent": 12, "nadir_hz": 49.17},
+                                   {"percent": 8, "nadir_hz": 49.36}]))
+    assert cli.main(["calibrate", "--anchors", str(anchors),
+                     "--out-dir", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("r_droop 0.08, t_g 5 s, d 0; residual 0.0443 Hz^2\n")
+    assert err == ("warning: calibration residual 0.0443 Hz^2 exceeds the "
+                   "quality threshold 0.0200 Hz^2 (0.01 per anchor x 2); on "
+                   "a search bound: r_droop 0.08 (upper), t_g 5 s (upper), "
+                   "d 0 (lower)\n")
 
 
 def test_calibrate_rejects_bad_anchor_file(tmp_path, capsys):

@@ -79,10 +79,11 @@ def test_tracer_counts_candidate_lanes_and_their_steps(model):
 
 
 def test_tracer_counts_every_lane_of_a_calibration(model, monkeypatch):
-    """A calibration is one grid call and one call per halving round, and
-    runs no simulate. Under an objective whose best point is the box's
-    corner, as the default anchors' is, each round scores 7 lanes: 426
-    lanes of 4000 steps for the one default anchor."""
+    """A calibration whose incumbent never moves is one grid call and one
+    refinement call, and runs no simulate. Under an objective whose best
+    point is the box's corner, as the default anchors' is, each round
+    reaches 7 lanes, all scored in that one call: 426 lanes of 4000 steps
+    for the one default anchor."""
     def beyond_the_corner(lanes, model, anchors, pf, config):
         gens = [lane.generators[0] for lane in lanes]
         return np.array([(g.governor.r_droop - 1.0) ** 2
@@ -98,7 +99,7 @@ def test_tracer_counts_every_lane_of_a_calibration(model, monkeypatch):
         tracer.uninstall()
     assert (cal.r_droop, cal.t_g, cal.d) == (0.08, 5.0, 0.0)
     out = tracer.metrics()
-    assert out["analysis._grid_anchor_errors.calls"] == 1 + 3
+    assert out["analysis._grid_anchor_errors.calls"] == 1 + 1
     assert out["analysis._grid_anchor_errors.lanes"] == 405 + 21
     assert out["dynamics.simulate.calls"] == 0
     assert tracer.lane_steps() == 426 * 4000
