@@ -207,16 +207,14 @@ def base_loads(model: NetworkModel) -> np.ndarray:
     return p
 
 
-def init_state(model: NetworkModel, pf: PowerFlowSolution | None = None):
+def init_state(model: NetworkModel, pf: PowerFlowSolution):
     """Equilibrium (delta, e_int, p_m, y_red) at nominal speed.
 
-    EMFs come from the power flow and y_red is the base-load reduction.
+    EMFs come from the power flow pf and y_red is the base-load reduction.
     Mechanical power is set to the reduced-network electrical power at the
     initial angles rather than to the dispatch, so with no disturbance the
     state is a fixed point of the integrator and the trace holds nominal.
     """
-    if pf is None:
-        pf = solve_pf(model)
     idx = model.bus_index()
     gen_ix = np.array([idx[g.bus] for g in model.generators])
     vc = pf.v * np.exp(1j * pf.theta)

@@ -12,7 +12,9 @@ so attack magnitudes given in national MW are mapped through
 Case, scenario and anchor files have one reader here: ``read_json`` and
 ``_record`` raise ``ScenarioError`` at ``file:line (key ...)``, and the
 field types of every input object are its record's dataclass annotations
-(``_record``; ``_file_value`` is the inverse).
+(``_record``; ``_file_value`` is the inverse). ``validate``'s structural
+rules return ``(where, key, message)`` rows that ``Source.error`` places
+at the same ``file:line (key ...)``.
 """
 
 from __future__ import annotations
@@ -167,62 +169,59 @@ def builtin_wscc9() -> NetworkModel:
     )
 
 
-def validate(model: NetworkModel) -> list[str]:
-    """Structural checks; returns a list of problems, empty when clean."""
-    problems: list[str] = []
+def validate(model: NetworkModel) -> list[tuple]:
+    """Structural checks: every problem as a (where, key, message) row for
+    Source.error, empty when clean. where is the key path of the record at
+    fault, () for the model, and key the field's file key; a rule about a
+    whole list is placed at the list's key."""
     ids = [b.id for b in model.buses]
-    if len(set(ids)) != len(ids):
-        problems.append("duplicate bus ids")
     known = set(ids)
-
-    slack = [b for b in model.buses if b.kind == "slack"]
-    if len(slack) != 1:
-        problems.append(f"expected exactly one slack bus, found {len(slack)}")
-    for b in model.buses:
-        if b.kind not in ("slack", "pv", "pq"):
-            problems.append(f"bus {b.id}: unknown kind {b.kind!r}")
-        if b.kind in ("slack", "pv"):
-            if b.v_set is None:
-                problems.append(f"bus {b.id}: {b.kind} bus needs v_set")
-            elif not 0.8 <= b.v_set <= 1.2:
-                problems.append(f"bus {b.id}: v_set {b.v_set} outside 0.8..1.2")
-
-    for ln in model.lines:
-        if ln.from_bus not in known or ln.to_bus not in known:
-            problems.append(f"line {ln.from_bus}-{ln.to_bus}: unknown bus")
-        if ln.x == 0.0 and ln.r == 0.0:
-            problems.append(f"line {ln.from_bus}-{ln.to_bus}: zero impedance")
-
-    machine_buses = set()
-    for g in model.generators:
-        if g.bus not in known:
-            problems.append(f"generator at unknown bus {g.bus}")
-        machine_buses.add(g.bus)
-        if g.h <= 0 or g.mva_base <= 0 or g.xd_t <= 0:
-            problems.append(f"generator bus {g.bus}: h, mva_base, xd_t must be positive")
-        if g.p_set < 0:
-            problems.append(f"generator bus {g.bus}: negative p_set")
-        if g.governor.p_max < g.p_set:
-            problems.append(f"generator bus {g.bus}: p_max below p_set")
-        if g.governor.r_droop <= 0 or g.governor.t_g <= 0:
-            problems.append(f"generator bus {g.bus}: governor constants must be positive")
-        if g.d < 0:
-            problems.append(f"generator bus {g.bus}: negative damping")
-        if g.q_min > g.q_max:
-            problems.append(f"generator bus {g.bus}: q_min above q_max")
-        if (g.governor.r_droop > 0 and 0 < model.mva_base < math.inf
-                and not all(map(math.isfinite,
-                                g.on_system_base(model.mva_base)))):
-            problems.append(f"generator bus {g.bus}: h, d and droop gain on "
-                            "the system base must be finite")
-
-    for ld in model.loads:
-        if ld.bus not in known:
-            problems.append(f"load at unknown bus {ld.bus}")
-        if ld.p < 0:
-            problems.append(f"load bus {ld.bus}: negative demand")
-        if ld.bus in machine_buses:
-            problems.append(f"load bus {ld.bus}: load and generator share a bus")
+    slack = sum(b.kind == "slack" for b in model.buses)
+    rules = [((), "buses", "duplicate bus ids", len(known) != len(ids)),
+             ((), "buses", f"expected exactly one slack bus, found {slack}",
+              slack != 1)]
+    for i, b in enumerate(model.buses, start=1):
+        regulated = b.kind in ("slack", "pv")
+        rules += [
+            (("buses", i), "kind", f"unknown kind {b.kind!r}",
+             b.kind not in ("slack", "pv", "pq")),
+            (("buses", i), "v_set", f"{b.kind} bus needs v_set",
+             regulated and b.v_set is None),
+            (("buses", i), "v_set", f"v_set {b.v_set} outside 0.8..1.2",
+             regulated and b.v_set is not None
+             and not 0.8 <= b.v_set <= 1.2)]
+    for i, ln in enumerate(model.lines, start=1):
+        rules += [
+            (("lines", i), "from_bus" if ln.from_bus not in known else "to_bus",
+             "unknown bus", ln.from_bus not in known or ln.to_bus not in known),
+            (("lines", i), "x", "zero impedance", ln.x == 0.0 and ln.r == 0.0)]
+    for i, g in enumerate(model.generators, start=1):
+        at, gv = ("generators", i), g.governor
+        unsized = [k for k in ("h", "mva_base", "xd_t") if getattr(g, k) <= 0]
+        rules += [
+            (at, "bus", f"unknown bus {g.bus}", g.bus not in known),
+            (at, unsized[0] if unsized else None,
+             "h, mva_base, xd_t must be positive", unsized),
+            (at, "p_set", "negative p_set", g.p_set < 0),
+            ((*at, "governor"), "p_max", "p_max below p_set",
+             gv.p_max < g.p_set),
+            ((*at, "governor"), "r_droop" if gv.r_droop <= 0 else "t_g",
+             "governor constants must be positive",
+             gv.r_droop <= 0 or gv.t_g <= 0),
+            (at, "d", "negative damping", g.d < 0),
+            (at, "q_min", "q_min above q_max", g.q_min > g.q_max),
+            (at, "mva_base",
+             "h, d and droop gain on the system base must be finite",
+             gv.r_droop > 0 and 0 < model.mva_base < math.inf
+             and not all(map(math.isfinite, g.on_system_base(model.mva_base))))]
+    machine_buses = {g.bus for g in model.generators}
+    for i, ld in enumerate(model.loads, start=1):
+        rules += [
+            (("loads", i), "bus", f"unknown bus {ld.bus}", ld.bus not in known),
+            (("loads", i), "p", "negative demand", ld.p < 0),
+            (("loads", i), "bus", "load and generator share a bus",
+             ld.bus in machine_buses)]
+    problems = [(where, key, msg) for where, key, msg, fails in rules if fails]
 
     # Every bus must be reachable over the line graph.
     if model.buses and not problems:
@@ -239,18 +238,19 @@ def validate(model: NetworkModel) -> list[str]:
                     stack.append(nb)
         stranded = sorted(known - seen)
         if stranded:
-            problems.append(f"buses not connected to the network: {stranded}")
+            problems.append(((), "lines", "buses not connected to the "
+                             f"network: {stranded}"))
 
     total_load = sum(ld.p for ld in model.loads)
     total_sched = sum(g.p_set for g in model.generators)
     if total_sched + 1e-9 < total_load:
-        problems.append(
-            f"scheduled generation {total_sched:.4f} pu below total load {total_load:.4f} pu")
-
-    for name in ("f_nominal", "mva_base", "national_total_mw"):
-        if not 0 < getattr(model, name) < math.inf:  # NaN fails too
-            problems.append(f"{name} must be finite and positive")
-    return problems
+        problems.append(((), "generators", f"scheduled generation "
+                         f"{total_sched:.4f} pu below total load "
+                         f"{total_load:.4f} pu"))
+    return problems + [
+        ((), name, f"{name} must be finite and positive")
+        for name in ("f_nominal", "mva_base", "national_total_mw")
+        if not 0 < getattr(model, name) < math.inf]  # NaN fails too
 
 
 def scheduled_generation(model: NetworkModel) -> float:
@@ -497,12 +497,12 @@ def from_file(path: str) -> NetworkModel:
 
     Raises ScenarioError at the file, line and key for a file that cannot
     be read, is not JSON, repeats a key within one object, or lacks, adds
-    or mistypes a field (an int is taken for a float), and at the file for
-    the problems :func:`validate` finds.
+    or mistypes a field (an int is taken for a float), and for the first
+    problem :func:`validate` finds.
     """
     src, doc = read_json(path)
     model = _record(src, NetworkModel, (), doc)
     problems = validate(model)
     if problems:
-        raise ScenarioError(path, None, None, "; ".join(problems))
+        raise src.error(*problems[0])
     return model

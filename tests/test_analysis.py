@@ -181,8 +181,12 @@ def test_magnitude_sweep_skips_unstable_runs(model):
 
 
 def test_magnitude_sweep_needs_two_points(model):
-    with pytest.raises(analysis.FitError):
+    with pytest.raises(analysis.FitError, match="only 1 sweep points"):
         analysis.magnitude_sweep(model, DI_BASE, [8.0],
+                                 config=quick_cfg(10.0))
+    # two points, both at one magnitude: no slope to fit
+    with pytest.raises(analysis.FitError, match="two distinct magnitudes"):
+        analysis.magnitude_sweep(model, DI_BASE, [8, 8],
                                  config=quick_cfg(10.0))
 
 
@@ -234,6 +238,12 @@ def test_timing_sweep_rejects_early_t1(model):
     with pytest.raises(ValueError):
         analysis.timing_sweep(model, attack(family="switching", t1=8.0),
                               [0.5, 4.0], quick_cfg(20.0))
+
+
+def test_timing_sweep_needs_a_t1(model):
+    with pytest.raises(ValueError, match="no t1 values to sweep"):
+        analysis.timing_sweep(model, attack(family="switching", t1=8.0),
+                              [], quick_cfg(20.0))
 
 
 def test_late_reversion_acts_like_a_fresh_opposite_step(model):

@@ -236,6 +236,21 @@ def test_slope_trigger_ignores_drift_away_from_nominal():
     assert len(trig.pending) == 1
 
 
+@pytest.mark.parametrize("last, fires", [(49.5, False), (49.4, True)],
+                         ids=["tie", "fall"])
+def test_slope_trigger_needs_a_steeper_slope_one_sample_back(last, fires):
+    """The window's steepest slope sits one sample back, 2 Hz/s toward
+    nominal: a last slope that ties it in magnitude holds the release, a
+    shallower one releases it."""
+    dt = 0.125  # a window of 4 slopes
+    trig = slope_trigger(((8, -0.25),), refractory_s=1.0, dt=dt)
+    hits = [trig.observe(k * dt, f_hz)
+            for k, f_hz in enumerate((49.0, 49.0, 49.0, 49.25, last))]
+    assert hits[:-1] == [None] * 4
+    assert (hits[-1] is not None) is fires
+    assert len(trig.pending) == (0 if fires else 1)
+
+
 def sample_list_firings(samples, n_pending, refractory_s, dt, f_nominal=50.0):
     """The sample indices at which the slope rule fires, by the sample-list
     form SlopeTrigger replaced: keep the window's samples and difference

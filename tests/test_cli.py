@@ -795,38 +795,56 @@ CASE_FILE_FAULTS = {
     # 1e300 MVA times 1e300 s: each finite, their system-base H is not
     "inertia-beyond-float": (r'"mva_base": 247\.5,\s*"h": 9\.55',
                              '"mva_base": 1e300, "h": 1e300',
-                             ": generator bus 1: h, d and droop gain on the "
-                             "system base must be finite"),
-    # each problem netmodel.validate finds, reported at the file
+                             ":121 (key 'mva_base'): h, d and droop gain on "
+                             "the system base must be finite"),
+    # each problem netmodel.validate finds, its first at its record's key
+    # or at the key of the list it is about
+    "repeated-bus-id": (r'"id": 4,', '"id": 3,',
+                        ":5 (key 'buses'): duplicate bus ids"),
     "no-slack": (r'"kind": "slack"', '"kind": "pq"',
-                 ": expected exactly one slack bus, found 0"),
+                 ":5 (key 'buses'): expected exactly one slack bus, found 0"),
     "unknown-kind": (r'"kind": "pv"', '"kind": "PV"',
-                     ": bus 2: unknown kind 'PV'"),
+                     ":13 (key 'kind'): unknown kind 'PV'"),
     "pv-without-v-set": (r'"v_set": 1\.025', '"v_set": null',
-                         ": bus 2: pv bus needs v_set"),
+                         ":14 (key 'v_set'): pv bus needs v_set"),
     "v-set-out-of-range": (r'"v_set": 1\.04', '"v_set": 1.5',
-                           ": bus 1: v_set 1.5 outside 0.8..1.2"),
+                           ":9 (key 'v_set'): v_set 1.5 outside 0.8..1.2"),
+    "line-unknown-bus": (r'"to_bus": 6', '"to_bus": 99',
+                         ":69 (key 'to_bus'): unknown bus"),
     "zero-impedance": (r'"x": 0\.0576', '"x": 0.0',
-                       ": line 1-4: zero impedance"),
+                       ":57 (key 'x'): zero impedance"),
     "generator-unknown-bus": (r'"bus": 1,', '"bus": 10,',
-                              ": generator at unknown bus 10"),
+                              ":119 (key 'bus'): unknown bus 10"),
+    "non-positive-h": (r'"h": 9\.55', '"h": 0.0',
+                       ":122 (key 'h'): h, mva_base, xd_t must be positive"),
     "negative-p-set": (r'"p_set": 0\.67', '"p_set": -0.67',
-                       ": generator bus 1: negative p_set; scheduled "
-                       "generation 1.8100 pu below total load 3.1500 pu"),
+                       ":120 (key 'p_set'): negative p_set"),
     "p-max-below-p-set": (r'"p_max": 2\.5', '"p_max": 0.5',
-                          ": generator bus 1: p_max below p_set"),
+                          ":127 (key 'p_max'): p_max below p_set"),
+    "non-positive-t-g": (r'"t_g": 5\.0', '"t_g": 0.0',
+                         ":126 (key 't_g'): governor constants must be "
+                         "positive"),
     "negative-damping": (r'"d": 0\.0', '"d": -1.0',
-                         ": generator bus 1: negative damping"),
+                         ":129 (key 'd'): negative damping"),
     "q-min-above-q-max": (r'"q_min": -3\.0', '"q_min": 4.0',
-                          ": generator bus 1: q_min above q_max"),
+                          ":130 (key 'q_min'): q_min above q_max"),
     "load-unknown-bus": (r'"bus": 5,', '"bus": 10,',
-                         ": load at unknown bus 10"),
+                         ":166 (key 'bus'): unknown bus 10"),
     "negative-demand": (r'"p": 1\.25', '"p": -1.25',
-                        ": load bus 5: negative demand"),
+                        ":167 (key 'p'): negative demand"),
     "load-on-generator-bus": (r'"bus": 5,', '"bus": 1,',
-                              ": load bus 1: load and generator share a bus"),
+                              ":166 (key 'bus'): load and generator share a "
+                              "bus"),
     "stranded-bus": (r'"from_bus": 3,', '"from_bus": 2,',
-                     ": buses not connected to the network: [3]"),
+                     ":52 (key 'lines'): buses not connected to the "
+                     "network: [3]"),
+    "schedule-deficit": (r'"p_set": 1\.63', '"p_set": 0.63',
+                         ":117 (key 'generators'): scheduled generation "
+                         "2.1500 pu below total load 3.1500 pu"),
+    "non-positive-national-total": (r'17500\.0', "0.0",
+                                    ":181 (key 'national_total_mw'): "
+                                    "national_total_mw must be finite and "
+                                    "positive"),
 }
 
 
@@ -932,9 +950,9 @@ def test_case_file_bad_base_quantity_names_the_field(tmp_path, capsys,
     scn = write_scenario(tmp_path, system={"model": "bad.json"})
     out = tmp_path / "out"
     assert cli.main(["simulate", scn, "--out-dir", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {scn}:4 (key 'model'): {case}: ")
-    assert f"{field} must be finite and positive" in err
+    assert capsys.readouterr().err == (
+        f"error: {scn}:4 (key 'model'): {case}:1 (key '{field}'): "
+        f"{field} must be finite and positive\n")
     assert not out.exists()
 
 

@@ -666,6 +666,13 @@ def test_single_lane_features_reject_batches(model, pf, schedule_kw, feature):
         next(dynamics._lockstep([model, model], pf, [sch, sch], config))
 
 
+def test_lockstep_needs_one_schedule_per_lane(model, pf):
+    sch = attack(model)
+    with pytest.raises(ValueError, match="need one schedule per lane"):
+        next(dynamics._lockstep([model, model], pf, [sch],
+                                dynamics.SimConfig(duration=1.0)))
+
+
 def small_signal(model, pf):
     """The 9-state small-signal matrix A of the machines linearized at the
     operating point, in x = (delta - delta0, d_omega, p_m - p_ref), and

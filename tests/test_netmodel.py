@@ -50,25 +50,28 @@ def test_validate_catches_structural_problems(model):
         lines=model.lines + (netmodel.Line(from_bus=1, to_bus=99,
                                            r=0.0, x=0.1, b=0.0),),
     )
-    problems = netmodel.validate(broken)
-    assert any("duplicate bus ids" in p for p in problems)
-    assert any("unknown bus" in p for p in problems)
+    # each row placed at a record's key or at the key of its list
+    assert netmodel.validate(broken) == [
+        ((), "buses", "duplicate bus ids"),
+        (("lines", 10), "to_bus", "unknown bus")]
 
 
 def test_validate_rejects_deficit_schedule(model):
     gens = tuple(dataclasses.replace(g, p_set=g.p_set / 10)
                  for g in model.generators)
-    problems = netmodel.validate(dataclasses.replace(model, generators=gens))
-    assert any("below total load" in p for p in problems)
+    assert netmodel.validate(dataclasses.replace(model, generators=gens)) == [
+        ((), "generators",
+         "scheduled generation 0.3150 pu below total load 3.1500 pu")]
 
 
 def test_validate_rejects_bad_governor(model):
     g0 = model.generators[0]
     bad = dataclasses.replace(
         g0, governor=dataclasses.replace(g0.governor, r_droop=-0.05))
-    problems = netmodel.validate(
-        dataclasses.replace(model, generators=(bad,) + model.generators[1:]))
-    assert any("governor constants" in p for p in problems)
+    assert netmodel.validate(dataclasses.replace(
+        model, generators=(bad,) + model.generators[1:])) == [
+        (("generators", 1, "governor"), "r_droop",
+         "governor constants must be positive")]
 
 
 def test_attack_fraction_percent(model):
@@ -188,8 +191,8 @@ def test_from_file_rejects_invalid(model, tmp_path):
     path.write_text(json.dumps(raw))
     with pytest.raises(netmodel.ScenarioError) as exc:
         netmodel.from_file(str(path))
-    assert str(exc.value) == (f"{path}: generator bus 1: h, mva_base, xd_t "
-                              "must be positive")
+    assert str(exc.value) == (
+        f"{path}:1 (key 'h'): h, mva_base, xd_t must be positive")
 
 
 def test_load_at(model):
