@@ -144,9 +144,9 @@ def parse_scenario(path: str, flags: dict | None = None):
 
     problems = attacks.validate_scenario(model, scenario)
     if problems:
-        raise src.error(("attack",),
-                        _file_key(attacks.AttackScenario, problems[0][0]),
-                        "; ".join(msg for _, msg in problems))
+        name, msg = problems[0]
+        raise src.error(("attack",), _file_key(attacks.AttackScenario, name),
+                        msg)
     # More cycles than step boundaries cannot each land on a boundary of
     # their own, and compile_scenario makes two transitions per cycle
     # before any horizon check: a huge count would exhaust memory there.

@@ -45,7 +45,8 @@ import numpy as np
 from . import attacks as _attacks
 from . import reserves as _reserves
 from .netmodel import NetworkModel, national_mw_scale
-from .powerflow import PowerFlowSolution, build_ybus, solve as solve_pf
+from .powerflow import (PowerFlowSolution, build_ybus, bus_loads,
+                        solve as solve_pf)
 
 # Speed deviation beyond which a machine has lost synchronism, pu.
 SPEED_GUARD_PU = 0.5
@@ -141,9 +142,7 @@ def build_reduced(model: NetworkModel, pf: PowerFlowSolution,
     idx = model.bus_index()
     ybus = build_ybus(model).copy()
 
-    loads_q = np.zeros(n)
-    for ld in model.loads:
-        loads_q[idx[ld.bus]] = ld.q
+    loads_q = bus_loads(model)[1]
     v0sq = pf.v ** 2
     np.fill_diagonal(ybus, ybus.diagonal()
                      + (loads_p - 1j * loads_q) / v0sq)
@@ -198,15 +197,6 @@ def electrical_power(y_red: np.ndarray, e_int: np.ndarray,
     return _power_kernel(e_int, 1)(y_red, delta)
 
 
-def base_loads(model: NetworkModel) -> np.ndarray:
-    n = len(model.buses)
-    idx = model.bus_index()
-    p = np.zeros(n)
-    for ld in model.loads:
-        p[idx[ld.bus]] = ld.p
-    return p
-
-
 def init_state(model: NetworkModel, pf: PowerFlowSolution):
     """Equilibrium (delta, e_int, p_m, y_red) at nominal speed.
 
@@ -219,14 +209,15 @@ def init_state(model: NetworkModel, pf: PowerFlowSolution):
     gen_ix = np.array([idx[g.bus] for g in model.generators])
     vc = pf.v * np.exp(1j * pf.theta)
     s_gen = pf.p_inj[gen_ix] + 1j * pf.q_inj[gen_ix]
-    # Net injection at a generator bus is the machine output: loads are not
-    # allowed to share generator buses in a valid model.
+    # Net injection at a generator bus is the machine output: validate puts
+    # no load on a machine's bus, at most one machine on any bus and one on
+    # every slack or pv bus, so no dispatch is shared or left unassigned.
     v_t = vc[gen_ix]
     i_t = np.conj(s_gen / v_t)
     xd = np.array([g.xd_t for g in model.generators])
     e = v_t + 1j * xd * i_t
 
-    y_red = build_reduced(model, pf, base_loads(model))
+    y_red = build_reduced(model, pf, bus_loads(model)[0])
     delta = np.angle(e)
     e_int = np.abs(e)
     return delta, e_int, electrical_power(y_red, e_int, delta), y_red
@@ -279,7 +270,7 @@ def _linear_coupling(model, pf, y_red0, e_int, delta0, pe0):
 
     # Sensitivity (m, n) of machine powers to a demand change at each
     # bus, central difference through the reduction at the frozen angles.
-    base = base_loads(model)
+    base = bus_loads(model)[0]
     h = 1e-6
     sens = np.column_stack([(pe(base + step) - pe(base - step)) / (2 * h)
                             for step in np.eye(len(base)) * h])
@@ -392,7 +383,7 @@ def _lockstep(models, pf: PowerFlowSolution, schedules, config: SimConfig):
         return np.stack([np.resize(r, row) for r in rows])
 
     delta0, e_int, p_ref, y_red = init_state(model, pf)
-    base = base_loads(model)
+    base = bus_loads(model)[0]
     if config.coupling == "network":
         build, power = partial(build_reduced, model, pf), _power_kernel(
             e_int, n_lanes)

@@ -242,15 +242,30 @@ def validate(model: NetworkModel) -> list[tuple]:
                              f"network: {stranded}"))
 
     total_load = sum(ld.p for ld in model.loads)
-    total_sched = sum(g.p_set for g in model.generators)
+    total_sched = scheduled_generation(model)
     if total_sched + 1e-9 < total_load:
         problems.append(((), "generators", f"scheduled generation "
                          f"{total_sched:.4f} pu below total load "
                          f"{total_load:.4f} pu"))
-    return problems + [
+    problems += [
         ((), name, f"{name} must be finite and positive")
         for name in ("f_nominal", "mva_base", "national_total_mw")
         if not 0 < getattr(model, name) < math.inf]  # NaN fails too
+
+    # The one bus map that the power flow and the integrator both read:
+    # one load and one machine per bus at most, a machine on each slack
+    # and pv bus. Last, so every fault the rules above find comes first.
+    for name, noun in (("loads", "load"), ("generators", "machine")):
+        carried = set()
+        for i, r in enumerate(getattr(model, name), start=1):
+            if r.bus in carried:
+                problems.append(((name, i), "bus",
+                                 f"bus {r.bus} already carries a {noun}"))
+            carried.add(r.bus)
+    return problems + [
+        (("buses", i), "kind", f"{b.kind} bus {b.id} carries no machine")
+        for i, b in enumerate(model.buses, start=1)
+        if b.kind in ("slack", "pv") and b.id not in machine_buses]
 
 
 def scheduled_generation(model: NetworkModel) -> float:

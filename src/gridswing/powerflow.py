@@ -63,22 +63,29 @@ def build_ybus(model: NetworkModel) -> np.ndarray:
     return y
 
 
+def bus_loads(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
+    """Load P and Q per bus, system pu: what each bus draws, for the power
+    flow and the integrator alike. validate lets a bus carry one load."""
+    idx = model.bus_index()
+    p, q = np.zeros((2, len(model.buses)))
+    for ld in model.loads:
+        p[idx[ld.bus]] += ld.p
+        q[idx[ld.bus]] += ld.q
+    return p, q
+
+
 def scheduled_injections(model: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
     """Net scheduled P and Q per bus (generation minus load).
 
     Q entries are load-only: generator reactive output is a solver result,
     not a schedule.
     """
-    n = len(model.buses)
     idx = model.bus_index()
-    p = np.zeros(n)
-    q = np.zeros(n)
+    p_load, q_load = bus_loads(model)
+    p = np.zeros(len(model.buses))
     for g in model.generators:
         p[idx[g.bus]] += g.p_set
-    for ld in model.loads:
-        p[idx[ld.bus]] -= ld.p
-        q[idx[ld.bus]] -= ld.q
-    return p, q
+    return p - p_load, 0.0 - q_load  # +0.0, not -0.0, at a bus with no load
 
 
 def _injections(ybus, v, theta):
@@ -94,13 +101,13 @@ def mismatch(model: NetworkModel, v: np.ndarray, theta: np.ndarray):
     return p_sched - p_calc, q_sched - q_calc
 
 
-def _jacobian(ybus, v, theta, ang, pq):
-    """Standard polar Jacobian over [theta(ang), V(pq)] unknowns."""
+def _jacobian(ybus, v, theta, p_calc, q_calc, ang, pq):
+    """Standard polar Jacobian over [theta(ang), V(pq)] unknowns, given the
+    injections (p_calc, q_calc) at (v, theta)."""
     g, b = ybus.real, ybus.imag
     th = theta[:, None] - theta[None, :]
     ct, st = np.cos(th), np.sin(th)
     vv = v[:, None] * v[None, :]
-    p_calc, q_calc = _injections(ybus, v, theta)
 
     dp_dth = vv * (g * st - b * ct)
     np.fill_diagonal(dp_dth, -q_calc - b.diagonal() * v**2)
@@ -124,6 +131,7 @@ def solve(model: NetworkModel) -> PowerFlowSolution:
     p_sched, q_sched = scheduled_injections(model)
 
     slack = next(i for i, bb in enumerate(model.buses) if bb.kind == "slack")
+    # validate puts one machine on every slack and pv bus
     gen_at = {idx[g.bus]: g for g in model.generators}
     pv = sorted(i for i, bb in enumerate(model.buses)
                 if bb.kind == "pv" and i != slack)
@@ -172,8 +180,8 @@ def solve(model: NetworkModel) -> PowerFlowSolution:
                     mismatch_norm=norm, iterations=total_iter)
             continue
 
-        jac = _jacobian(ybus, v, theta, np.array(pv + pq, int),
-                        np.array(pq, int))
+        jac = _jacobian(ybus, v, theta, p_calc, q_calc,
+                        np.array(pv + pq, int), np.array(pq, int))
         try:
             dx = np.linalg.solve(jac, rhs)
         except np.linalg.LinAlgError as exc:

@@ -124,8 +124,9 @@ def test_bad_target_bus_names_its_key_and_line(tmp_path, capsys):
     ({"magnitude_percent": -3.0}, "magnitude_percent",
      "magnitude must be positive"),
     ({"family": "switching", "magnitude_percent": -3.0, "t1": 0.5},
-     "magnitude_percent",
-     "magnitude must be positive; t1 must come after t_start"),
+     "magnitude_percent", "magnitude must be positive"),
+    ({"family": "periodic", "magnitude_percent": -4.0, "interval": -1.0,
+      "count": 2}, "magnitude_percent", "magnitude must be positive"),
     ({"family": "switching", "t1": 0.5}, "t1", "t1 must come after t_start"),
     ({"type": "XX"}, "type",
      "unknown attack type 'XX'; expected one of ['DI', 'DR', 'SI', 'SR']"),
@@ -133,8 +134,8 @@ def test_bad_target_bus_names_its_key_and_line(tmp_path, capsys):
     ({"trigger": "x"}, "trigger", "unknown trigger 'x'"),
     ({"family": None}, "family", "expected str, got None"),
     ({"family": "switching", "t1": None}, "t1", "switching needs t1"),
-], ids=["magnitude", "magnitude-and-t1", "t1", "type", "t_start", "trigger",
-        "null-family", "null-t1"])
+], ids=["magnitude", "magnitude-and-t1", "magnitude-and-interval", "t1",
+        "type", "t_start", "trigger", "null-family", "null-t1"])
 def test_attack_problem_names_its_key_and_line(tmp_path, capsys, attack, key,
                                                msg):
     scn = write_scenario(tmp_path, attack=attack)
@@ -845,6 +846,16 @@ CASE_FILE_FAULTS = {
                                     ":181 (key 'national_total_mw'): "
                                     "national_total_mw must be finite and "
                                     "positive"),
+    # the bus map the power flow and the integrator share
+    "second-load-on-a-bus": (r'"bus": 8,', '"bus": 5,',
+                             ":176 (key 'bus'): bus 5 already carries a "
+                             "load"),
+    "second-machine-on-a-bus": (r'"bus": 3,', '"bus": 2,',
+                                ":149 (key 'bus'): bus 2 already carries a "
+                                "machine"),
+    "pv-bus-without-machine": (r'"bus": 3,', '"bus": 4,',
+                               ":18 (key 'kind'): pv bus 3 carries no "
+                               "machine"),
 }
 
 
@@ -871,6 +882,58 @@ def test_case_file_fault_is_placed_at_its_key(tmp_path, capsys, fault):
     assert capsys.readouterr().err == (
         f"error: {scn}:4 (key 'model'): {case}{where}\n")
     assert sorted(os.listdir(tmp_path)) == ["bad.json", "case.scn"]
+
+
+@st.composite
+def bus_maps(draw):
+    """The built-in case with its slack bus, its pv buses and the bus of
+    each machine and load drawn from its bus ids: either on distinct buses,
+    the slack and pv buses first in line for a machine, so that usable
+    cases occur, or each on any bus, so that a bus carries two machines or
+    loads and a slack or pv bus none."""
+    model = netmodel.builtin_wscc9()
+    ids = [b.id for b in model.buses]
+    slack = draw(st.sampled_from(ids))
+    pv = draw(st.sets(st.sampled_from(ids))) - {slack}
+    n = len(model.generators) + len(model.loads)
+    if draw(st.booleans()):
+        free = [i for i in ids if i != slack and i not in pv]
+        at = [slack, *sorted(pv), *draw(st.permutations(free))][:n]
+    else:
+        at = draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n))
+    m = len(model.generators)
+    return dataclasses.replace(
+        model,
+        buses=tuple(netmodel.Bus(i, "slack", 1.04) if i == slack
+                    else netmodel.Bus(i, "pv", 1.025) if i in pv
+                    else netmodel.Bus(i, "pq") for i in ids),
+        generators=tuple(dataclasses.replace(g, bus=bus)
+                         for g, bus in zip(model.generators, at)),
+        loads=tuple(dataclasses.replace(ld, bus=bus)
+                    for ld, bus in zip(model.loads, at[m:])))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model=bus_maps())
+def test_bus_map_fuzz(tmp_path, model):
+    """Any bus map ends in exit 0, 2 or 3 from gridswing powerflow, never
+    in an internal error; where validate accepts it and the power flow
+    converges, init_state starts each machine at its power-flow dispatch."""
+    case = tmp_path / "map.json"
+    netmodel.to_file(model, str(case))
+    assert cli.main(["powerflow", str(case)]) in (
+        cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_POWERFLOW)
+    if netmodel.validate(model):
+        return
+    try:
+        pf = powerflow.solve(model)
+    except powerflow.DivergenceError:
+        return
+    idx = model.bus_index()
+    dispatch = pf.p_inj[[idx[g.bus] for g in model.generators]]
+    p_m = dynamics.init_state(model, pf)[2]
+    assert np.abs(p_m - dispatch).max() <= powerflow.TOL
 
 
 def test_case_file_takes_an_int_for_a_float(tmp_path):

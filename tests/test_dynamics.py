@@ -26,7 +26,7 @@ def test_init_state_matches_dispatch(model, pf):
     idx = model.bus_index()
     dispatch = np.array([pf.p_inj[idx[g.bus]] for g in model.generators])
     assert p_m == pytest.approx(dispatch, abs=1e-9)
-    base = dynamics.build_reduced(model, pf, dynamics.base_loads(model))
+    base = dynamics.build_reduced(model, pf, powerflow.bus_loads(model)[0])
     assert np.array_equal(y_red, base)
     pe = dynamics.electrical_power(y_red, e_int, delta)
     assert pe == pytest.approx(p_m, abs=1e-9)
@@ -52,7 +52,7 @@ def test_power_kernel_bits_equal_the_allocating_expression(model, pf):
     numpy's vector loops, at angles up to +-1e4 rad, which a lane past the
     speed guard reaches as it winds until its span ends."""
     _, e_int, _, y_base = dynamics.init_state(model, pf)
-    loads = dynamics.base_loads(model)
+    loads = powerflow.bus_loads(model)[0]
     loads[model.bus_index()[8]] += 0.3
     y_event = dynamics.build_reduced(model, pf, loads)
     rng = np.random.default_rng(7)
@@ -135,7 +135,7 @@ def _plain_rk4(models, pf, schedules, config, n_steps):
         mva, h_sys, d_sys, droop_gain, t_g, p_max = dynamics.machine_params(
             lane_model)
         mw_to_pu = netmodel.national_mw_scale(lane_model)
-        loads = dynamics.base_loads(model)
+        loads = powerflow.bus_loads(model)[0]
         coupling = build(loads.copy())
         delta, dw, pm = delta0.copy(), np.zeros_like(delta0), p_ref.copy()
         outputs = np.zeros((1, len(products)))
@@ -371,7 +371,7 @@ def test_initial_rocof_matches_power_jump(model, pf):
     """
     delta, e_int, _, _ = dynamics.init_state(model, pf)
     idx = model.bus_index()
-    base = dynamics.base_loads(model)
+    base = powerflow.bus_loads(model)[0]
     post = base.copy()
     post[idx[8]] += 0.252
     dpe = (_kron_pe_by_hand(model, pf, post, e_int, delta).sum()
@@ -439,7 +439,7 @@ def test_base_reduction_is_built_once(model, pf, monkeypatch, kw):
                            dynamics.SimConfig(duration=2.0), pf)
     assert len(tr.events) == (4 if kw else 1)
     assert len(loads) == 2
-    assert np.array_equal(loads[0], dynamics.base_loads(model))
+    assert np.array_equal(loads[0], powerflow.bus_loads(model)[0])
 
 
 def test_event_beyond_horizon_is_skipped(model):
@@ -762,7 +762,7 @@ def test_linear_coupling_matches_its_closed_form(model, pf, kw):
     step = expm(aug * DT)
     a_d, b_d = step[:3 * m, :3 * m], step[:3 * m, 3 * m:]
 
-    loads = dynamics.base_loads(model)
+    loads = powerflow.bus_loads(model)[0]
     idx = model.bus_index()
     due = {}
     for ev in schedule.events:
@@ -793,7 +793,7 @@ def test_linear_coupling_is_the_network_kernels_first_order_expansion(
     delta0, e_int, p_ref, y_red0 = dynamics.init_state(model, pf)
     build, power = dynamics._linear_coupling(model, pf, y_red0, e_int, delta0,
                                              p_ref)
-    base = dynamics.base_loads(model)
+    base = powerflow.bus_loads(model)[0]
     idx = model.bus_index()
 
     def angle_gaps(eps):
@@ -865,7 +865,7 @@ def sfr_response(model, pf, percent, t):
     assert np.all(t_g == t_g[0])
     event = attack(model, magnitude_percent=percent).events[0]
     delta0, e_int, p_ref, _ = dynamics.init_state(model, pf)
-    loads = dynamics.base_loads(model)
+    loads = powerflow.bus_loads(model)[0]
     loads[model.bus_index()[event.bus]] += event.delta_p
     d_p = (dynamics.electrical_power(dynamics.build_reduced(model, pf, loads),
                                      e_int, delta0) - p_ref).sum()

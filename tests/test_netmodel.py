@@ -74,6 +74,31 @@ def test_validate_rejects_bad_governor(model):
          "governor constants must be positive")]
 
 
+def test_validate_states_the_bus_map(model):
+    """One load and one machine per bus at most, a machine on every slack
+    and pv bus: each rule at its record's key, after every other rule."""
+    g1, g2, g3 = model.generators
+    half = dataclasses.replace(g2, p_set=g2.p_set / 2)
+    split = dataclasses.replace(model.loads[0], p=0.625, q=0.25)
+    cases = {
+        "two machines": (dataclasses.replace(
+            model, generators=(g1, half, half, g3)),
+            [(("generators", 3), "bus", "bus 2 already carries a machine")]),
+        "two loads": (dataclasses.replace(
+            model, loads=(split, *model.loads[1:], split)),
+            [(("loads", 4), "bus", "bus 5 already carries a load")]),
+        "slack without machine": (dataclasses.replace(
+            model, generators=(dataclasses.replace(g1, bus=4), g2, g3)),
+            [(("buses", 1), "kind", "slack bus 1 carries no machine")]),
+        "after an unknown bus": (dataclasses.replace(
+            model, generators=(dataclasses.replace(g1, bus=10), g2, g3)),
+            [(("generators", 1), "bus", "unknown bus 10"),
+             (("buses", 1), "kind", "slack bus 1 carries no machine")]),
+    }
+    for name, (case, rows) in cases.items():
+        assert netmodel.validate(case) == rows, name
+
+
 def test_attack_fraction_percent(model):
     assert netmodel.attack_fraction_to_pu(model, percent=8.0) == pytest.approx(0.252)
     assert netmodel.attack_fraction_to_pu(model, percent=0.0) == 0.0
